@@ -31,6 +31,23 @@ WHERE {
 """
 
 
+UNEXPECTED = ErrorKind.UNEXPECTED_TOKEN
+
+
+def error_for(text: str) -> ParseError:
+    with pytest.raises(ParseError) as info:
+        parse_query(text)
+    return info.value
+
+
+def position(err: ParseError) -> tuple:
+    return err.kind, err.line, err.column, err.detail
+
+
+def _case(text: str, line: int, column: int, detail: str, kind: ErrorKind = UNEXPECTED):
+    return pytest.param(text, (kind, line, column, detail), id=text)
+
+
 class TestParse:
     def test_encryption_gap_query_shape(self):
         q = parse_query(B1_QUERY)
@@ -50,27 +67,70 @@ class TestParse:
         assert q.where.triples == [] and q.where.filters == []
 
     @pytest.mark.parametrize(
-        "text",
+        "text, expected",
         [
-            "SELECT ?s WHERE { ?s a ?t OPTIONAL { ?s ?p ?o } }",
-            "SELECT ?s WHERE { { ?s ?p ?o } UNION { ?s ?p ?o } }",
-            "SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s",
-            "ASK { ?s ?p ?o }",
+            _case("SELECT ?s WHERE { ?s a ?t OPTIONAL { ?s ?p ?o } }",
+                  1, 27, "unsupported construct 'OPTIONAL'"),
+            _case("SELECT ?s WHERE { { ?s ?p ?o } UNION { ?s ?p ?o } }",
+                  1, 32, "unsupported construct 'UNION'"),
+            _case("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s", 1, 30, "unsupported construct 'ORDER'"),
+            _case("ASK { ?s ?p ?o }", 1, 1, "unsupported construct 'ASK'"),
         ],
     )
-    def test_out_of_subset_constructs_rejected(self, text):
-        with pytest.raises(ParseError) as info:
-            parse_query(text)
-        assert info.value.kind is ErrorKind.UNEXPECTED_TOKEN
+    def test_out_of_subset_constructs_rejected(self, text, expected):
+        assert position(error_for(text)) == expected
 
     def test_unknown_prefix(self):
-        with pytest.raises(ParseError) as info:
-            parse_query("SELECT ?s WHERE { ?s a nosuch:C }")
-        assert info.value.kind is ErrorKind.UNKNOWN_PREFIX
+        err = error_for("SELECT ?s WHERE { ?s a nosuch:C }")
+        assert position(err) == (ErrorKind.UNKNOWN_PREFIX, 1, 24, "prefix 'nosuch' is not bound")
 
     def test_projection_must_appear_in_where(self):
-        with pytest.raises(ParseError):
-            parse_query("SELECT ?ghost WHERE { ?s ?p ?o }")
+        err = error_for("SELECT ?ghost WHERE { ?s ?p ?o }")
+        assert position(err) == (
+            UNEXPECTED, 1, 33, "projected variable ?ghost never appears in WHERE"
+        )
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            _case("SELECT ? WHERE { }", 1, 8, "empty variable name"),
+            _case("SELECT WHERE { }", 1, 8, "expected '*' or at least one ?variable"),
+            _case("SELECT ?s { ?s ?p ?o }", 1, 11, "expected WHERE"),
+            _case("SELECT ?s WHERE ?s", 1, 17, "expected '{', found 'var'"),
+            _case("SELECT * WHERE { ?s ?p ?o FILTER NOT { } }", 1, 38, "expected EXISTS"),
+            _case("SELECT * WHERE { ?s ?p ?o FILTER { } }", 1, 34, "expected EXISTS"),
+            _case("SELECT * WHERE { } ?x", 1, 20, "trailing content after WHERE group: 'var'"),
+            _case("SELECT * WHERE { ?s ?p ?o . }\n# trailing\n;",
+                  3, 1, "trailing content after WHERE group: ';'"),
+            _case("SELECT * WHERE { ?s ?p ?o } @prefix",
+                  1, 29, "trailing content after WHERE group: '@prefix'"),
+            _case("SELECT * WHERE { ?s A ?o }", 1, 21, "unsupported construct 'A'"),
+            _case("SELECT * WHERE { ?s ?p 5 }", 1, 24, "unsupported term here: 'integer'"),
+            _case("SELECT * WHERE { ?s ?p [ ] }", 1, 24, "unsupported term here: '['"),
+            _case('SELECT * WHERE { ?s "p" ?o }', 1, 21, "unsupported term here: 'string'"),
+            _case("SELECT * WHERE { ?s a ?o", 1, 25, "unsupported term here: 'eof'"),
+            _case("PREFIX ex <http://x.test/>\nSELECT * WHERE { }", 1, 8, "unsupported construct 'ex'"),
+            _case("@base <http://x.test/> SELECT * WHERE { }", 1, 1, "unsupported directive '@base'"),
+            _case("SELECT * WHERE {\u00a0?s\u001c?p ?o\u2003} ORDER",
+                  1, 29, "unsupported construct 'ORDER'"),
+            # lexical errors are the Turtle ones, at the same positions
+            _case('SELECT * WHERE { ?s ?p "x }', 1, 28, 'string not closed with \'"\'',
+                  ErrorKind.UNTERMINATED_STRING),
+            _case("SELECT * WHERE { ?s ?p <http://x", 1, 33, "IRI not closed with '>'",
+                  ErrorKind.UNTERMINATED_IRI),
+            _case("SELECT * WHERE { ?s ?p <http://x }", 1, 33, "character ' ' not allowed inside IRI"),
+            _case('SELECT * WHERE { ?s ?p "\\q" }', 1, 25, "unsupported string escape \\q",
+                  ErrorKind.BAD_ESCAPE),
+            _case("PREFIX ex: <http://x.test/>\nSELECT * WHERE { ?s ?p ex:.x }",
+                  2, 27, "invalid local name '.x'", ErrorKind.BAD_LOCAL_NAME),
+        ],
+    )
+    def test_positioned_errors(self, text, expected):
+        assert position(error_for(text)) == expected
+
+    def test_non_ascii_variable_and_whitespace(self):
+        q = parse_query("select\u00a0?\u00e9 where {\u2003?\u00e9 ?p ?o }")
+        assert q.projection == ["\u00e9"]
 
     def test_keywords_are_case_insensitive(self):
         q = parse_query("select ?s where { ?s ?p ?o . filter not exists { ?s ?p ?s } }")

@@ -151,60 +151,152 @@ def error_for(text: str) -> ParseError:
     return info.value
 
 
+def position(err: ParseError) -> tuple:
+    return err.kind, err.line, err.column, err.detail
+
+
+UNEXPECTED = ErrorKind.UNEXPECTED_TOKEN
+NOT_CLOSED = 'string not closed with \'"\''
+
+
+def _case(text: str, kind: ErrorKind, line: int, column: int, detail: str):
+    return pytest.param(text, (kind, line, column, detail), id=repr(text.removeprefix(HEADER)))
+
+
 class TestRejections:
     def test_base_directive(self):
         err = error_for("@base <http://x.test/> .\n")
-        assert err.kind is ErrorKind.UNEXPECTED_TOKEN
-        assert (err.line, err.column) == (1, 1)
+        assert position(err) == (UNEXPECTED, 1, 1, "unsupported directive '@base'")
 
     def test_language_tag(self):
         err = error_for(HEADER + 'sec:X sec:p "hi"@en .')
-        assert err.kind is ErrorKind.UNEXPECTED_TOKEN
+        assert position(err) == (UNEXPECTED, 3, 17, "unsupported directive '@en'")
 
     def test_datatype_annotation(self):
         err = error_for(HEADER + 'sec:X sec:p "1"^^sec:t .')
-        assert err.kind is ErrorKind.UNEXPECTED_TOKEN
+        assert position(err) == (UNEXPECTED, 3, 16, "unexpected character '^'")
 
     def test_collection_syntax(self):
         err = error_for(HEADER + "sec:X sec:p (sec:Y) .")
-        assert err.kind is ErrorKind.UNEXPECTED_TOKEN
+        assert position(err) == (UNEXPECTED, 3, 13, "unexpected character '('")
 
     def test_decimal_number(self):
         err = error_for(HEADER + "sec:X sec:p 1.5 .")
-        assert err.kind is ErrorKind.UNEXPECTED_TOKEN
+        assert position(err) == (UNEXPECTED, 3, 15, "expected a subject, found integer '5'")
 
     def test_boolean_keyword(self):
         err = error_for(HEADER + "sec:X sec:p true .")
-        assert err.kind is ErrorKind.UNEXPECTED_TOKEN
+        assert position(err) == (UNEXPECTED, 3, 13, "unexpected word 'true'")
 
     def test_unknown_prefix_with_position(self):
         err = error_for(HEADER + "nosuch:x a sec:C .")
-        assert err.kind is ErrorKind.UNKNOWN_PREFIX
-        assert (err.line, err.column) == (3, 1)
+        assert position(err) == (ErrorKind.UNKNOWN_PREFIX, 3, 1, "prefix 'nosuch' is not bound")
 
     def test_unterminated_string(self):
         err = error_for(HEADER + 'sec:X sec:p "no end')
-        assert err.kind is ErrorKind.UNTERMINATED_STRING
+        assert position(err) == (ErrorKind.UNTERMINATED_STRING, 3, 20, NOT_CLOSED)
 
     def test_unterminated_iri(self):
         err = error_for("<http://x.test/never\n")
-        assert err.kind is ErrorKind.UNTERMINATED_IRI
+        assert position(err) == (ErrorKind.UNTERMINATED_IRI, 1, 21, "IRI not closed with '>'")
 
     def test_bad_string_escape(self):
         err = error_for(HEADER + 'sec:X sec:p "a\\qb" .')
-        assert err.kind is ErrorKind.BAD_ESCAPE
+        assert position(err) == (ErrorKind.BAD_ESCAPE, 3, 15, "unsupported string escape \\q")
 
     def test_bad_iri_escape(self):
         err = error_for("<http://x.test/\\n> a <http://x.test/C> .")
-        assert err.kind is ErrorKind.BAD_ESCAPE
+        assert position(err) == (ErrorKind.BAD_ESCAPE, 1, 16, "unsupported IRI escape \\n")
 
     def test_bad_local_name(self):
         err = error_for(HEADER + "sec:.leading a sec:C .")
-        assert err.kind is ErrorKind.BAD_LOCAL_NAME
+        assert position(err) == (ErrorKind.BAD_LOCAL_NAME, 3, 5, "invalid local name '.leading'")
 
     def test_missing_final_dot(self):
         err = error_for(HEADER + "sec:X a sec:C")
-        assert err.kind is ErrorKind.UNEXPECTED_TOKEN
+        assert position(err) == (UNEXPECTED, 3, 14, "expected '.', found end of input")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # query-only tokens are lexical errors in Turtle
+            _case(HEADER + "sec:X sec:p {", UNEXPECTED, 3, 13, "unexpected character '{'"),
+            _case(HEADER + "sec:X sec:p } .", UNEXPECTED, 3, 13, "unexpected character '}'"),
+            _case(HEADER + "sec:X sec:p * .", UNEXPECTED, 3, 13, "unexpected character '*'"),
+            _case(HEADER + "sec:X sec:p ?x .", UNEXPECTED, 3, 13, "unexpected character '?'"),
+            _case("SELECT ?x WHERE { ?x a ?y }", UNEXPECTED, 1, 1, "unexpected word 'SELECT'"),
+            # the first lexical error wins over later ones
+            _case(HEADER + 'sec:X sec:p { "open', UNEXPECTED, 3, 13, "unexpected character '{'"),
+            # IRI escapes and forbidden characters
+            _case(HEADER + "sec:X sec:p <http://x.test/\\u00g0> .",
+                  ErrorKind.BAD_ESCAPE, 3, 28, "truncated \\u escape"),
+            _case(HEADER + "sec:X sec:p <http://x.test/\\U0000004> .",
+                  ErrorKind.BAD_ESCAPE, 3, 28, "truncated \\u escape"),
+            _case(HEADER + "sec:X sec:p <http://x.test/\\",
+                  ErrorKind.BAD_ESCAPE, 3, 28, "unsupported IRI escape \\"),
+            _case(HEADER + "sec:X sec:p <http://x .test/> .",
+                  UNEXPECTED, 3, 22, "character ' ' not allowed inside IRI"),
+            _case(HEADER + "sec:X sec:p <http://x\t.test/> .",
+                  UNEXPECTED, 3, 22, "character '\\t' not allowed inside IRI"),
+            _case(HEADER + 'sec:X sec:p <http://x".test/> .',
+                  UNEXPECTED, 3, 22, "character '\"' not allowed inside IRI"),
+            _case(HEADER + "sec:X sec:p <http://x<.test/> .",
+                  UNEXPECTED, 3, 22, "character '<' not allowed inside IRI"),
+            _case("<http://x.test/never", ErrorKind.UNTERMINATED_IRI, 1, 21, "IRI not closed with '>'"),
+            # string ends and escapes
+            _case(HEADER + 'sec:X sec:p "abc\\', ErrorKind.UNTERMINATED_STRING, 3, 18, NOT_CLOSED),
+            _case(HEADER + 'sec:X sec:p "abc\n" .', ErrorKind.UNTERMINATED_STRING, 3, 17, NOT_CLOSED),
+            _case(HEADER + 'sec:X sec:p "a\\\nb" .',
+                  ErrorKind.BAD_ESCAPE, 3, 15, "unsupported string escape \\\n"),
+            # local names
+            _case(HEADER + "sec:-x a sec:C .", ErrorKind.BAD_LOCAL_NAME, 3, 5, "invalid local name '-x'"),
+            _case(HEADER + "sec:X sec:p sec:..x .",
+                  ErrorKind.BAD_LOCAL_NAME, 3, 17, "invalid local name '..x'"),
+            _case(HEADER + ":.x a sec:C .", ErrorKind.BAD_LOCAL_NAME, 3, 2, "invalid local name '.x'"),
+            # directives
+            _case(HEADER + "@prefix sec <http://x.test/> .", UNEXPECTED, 3, 9, "unexpected word 'sec'"),
+            _case(HEADER + "@prefixes sec: <http://x.test/> .",
+                  UNEXPECTED, 3, 1, "unsupported directive '@prefixes'"),
+            _case(HEADER + "@ .", UNEXPECTED, 3, 1, "unsupported directive '@'"),
+            _case("# comment\n  @", UNEXPECTED, 2, 3, "unsupported directive '@'"),
+            # grammar errors name what they found
+            _case(HEADER + "a sec:p sec:Y .", UNEXPECTED, 3, 1, "expected a subject, found 'a'"),
+            _case(HEADER + 'sec:X "p" sec:Y .',
+                  UNEXPECTED, 3, 7, "expected a predicate, found string 'p'"),
+            _case(HEADER + "sec:X sec:p , .", UNEXPECTED, 3, 13, "expected an object, found ','"),
+            _case(HEADER + "sec:X, sec:Y .", UNEXPECTED, 3, 6, "expected a predicate, found ','"),
+            _case(HEADER + "sec:X sec:p sec:Y ;; , .",
+                  UNEXPECTED, 3, 22, "expected a predicate, found ','"),
+            _case(HEADER + "sec:X sec:p [ sec:q sec:Y .", UNEXPECTED, 3, 27, "expected ']', found '.'"),
+            _case(HEADER + "sec:X sec:p sec:Y ] .", UNEXPECTED, 3, 19, "expected '.', found ']'"),
+            _case(HEADER + "[ sec:q sec:Y ] sec:p .",
+                  UNEXPECTED, 3, 23, "expected an object, found '.'"),
+            _case(HEADER + "sec:X sec:p 12abc .", UNEXPECTED, 3, 15, "unexpected word 'abc'"),
+            _case(".", UNEXPECTED, 1, 1, "expected a subject, found '.'"),
+            _case(HEADER + "_:b1 a sec:C .",
+                  ErrorKind.UNKNOWN_PREFIX, 3, 1, "prefix '_' is not bound"),
+            # non-ASCII letters are word characters; local parts stay ASCII
+            _case(HEADER + "\u00e9:x a sec:C .",
+                  ErrorKind.UNKNOWN_PREFIX, 3, 1, "prefix '\u00e9' is not bound"),
+            _case(HEADER + "sec:X sec:p \u00e9 .", UNEXPECTED, 3, 13, "unexpected word '\u00e9'"),
+            _case(HEADER + "sec:X sec:a\u00e9 .", UNEXPECTED, 3, 12, "unexpected word '\u00e9'"),
+            # columns count characters; every str.isspace() character separates tokens
+            _case("\tnosuch:x a <http://x.test/C> .",
+                  ErrorKind.UNKNOWN_PREFIX, 1, 2, "prefix 'nosuch' is not bound"),
+            _case("<http://x.test/X> a <http://x.test/C> .\r\nnosuch:x a <http://x.test/C> .",
+                  ErrorKind.UNKNOWN_PREFIX, 2, 1, "prefix 'nosuch' is not bound"),
+            _case("\u00a0\u001c\u2003 nosuch:x a <http://x.test/C> .",
+                  ErrorKind.UNKNOWN_PREFIX, 1, 5, "prefix 'nosuch' is not bound"),
+            _case("\u0085\u3000\u000b\u000c\u001f nosuch:x .",
+                  ErrorKind.UNKNOWN_PREFIX, 1, 7, "prefix 'nosuch' is not bound"),
+        ],
+    )
+    def test_positioned_errors(self, text, expected):
+        assert position(error_for(text)) == expected
+
+    def test_unicode_whitespace_separates_tokens(self):
+        doc = parse_turtle(HEADER + "sec:X\u00a0a\u001csec:C\u2003.\u0085")
+        assert set(doc.graph) == {Triple(sec("X"), RDF_TYPE, sec("C"))}
 
 
 class TestSerialize:
