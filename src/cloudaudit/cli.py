@@ -54,6 +54,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_document(path: str) -> Document:

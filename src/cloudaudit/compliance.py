@@ -121,13 +121,7 @@ class ComplianceReport:
         }
 
     def to_text(self, prefixes: PrefixMap | None = None) -> str:
-        def show(iri: Iri) -> str:
-            if prefixes is not None:
-                compact = prefixes.compact(iri)
-                if compact is not None:
-                    return compact
-            return f"<{iri.value}>"
-
+        show = (PrefixMap() if prefixes is None else prefixes).render
         covered = len(self.statuses) - self.gap_count
         lines = [
             f"engine: {show(self.engine)}",
@@ -247,14 +241,7 @@ def remediation_hints(
 ) -> list[str]:
     """One actionable line per gap: who in the model implements the missing
     standard, or a statement that nobody does."""
-
-    def show(iri: Iri) -> str:
-        if prefixes is not None:
-            compact = prefixes.compact(iri)
-            if compact is not None:
-                return compact
-        return f"<{iri.value}>"
-
+    show = (PrefixMap() if prefixes is None else prefixes).render
     hints = []
     for standard in report.gaps:
         implementers = sorted(

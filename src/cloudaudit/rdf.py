@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-_IRI_FORBIDDEN = set('<>"')
+# str.isspace() characters and the delimiters '<', '>' and '"'
+_IRI_FORBIDDEN_RE = re.compile(r'[\s<>"]')
 
 
 class UnknownPrefixError(KeyError):
@@ -35,9 +36,9 @@ class Iri:
     def __post_init__(self):
         if not self.value:
             raise ValueError("IRI must be non-empty")
-        for c in self.value:
-            if c.isspace() or c in _IRI_FORBIDDEN:
-                raise ValueError(f"IRI contains forbidden character {c!r}: {self.value!r}")
+        bad = _IRI_FORBIDDEN_RE.search(self.value)
+        if bad:
+            raise ValueError(f"IRI contains forbidden character {bad[0]!r}: {self.value!r}")
 
     def __repr__(self) -> str:
         return f"Iri({self.value!r})"
@@ -325,6 +326,16 @@ class PrefixMap:
         if best is None:
             return None
         return f"{best[1]}:{best[2]}"
+
+    def render(self, term: Term) -> str:
+        """A term as the text reports show it: an IRI in its prefixed form
+        when it has one, else as <iri>; a literal as its quoted lexical
+        form; a blank node as _:label."""
+        if isinstance(term, Iri):
+            return self.compact(term) or f"<{term.value}>"
+        if isinstance(term, Literal):
+            return f'"{term.lexical}"'
+        return f"_:{term.label}"
 
     @property
     def bindings(self) -> dict[str, str]:

@@ -126,7 +126,7 @@ class ValidationReport:
 
 
 def _int_value(term: Term, what: str, shape: Iri) -> int:
-    if isinstance(term, Literal) and term.lexical.isdigit():
+    if isinstance(term, Literal) and term.lexical.isascii() and term.lexical.isdigit():
         return int(term.lexical)
     raise ShapeError(f"{what} of shape {shape.value} must be a non-negative integer, got {term!r}")
 

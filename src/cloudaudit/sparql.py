@@ -8,9 +8,12 @@ Grammar (everything else is rejected with a positioned ParseError):
 
 where a pattern is triple patterns separated by optional dots plus any
 number of FILTER EXISTS { ... } / FILTER NOT EXISTS { ... } groups, which
-may nest and may reference outer variables (correlated semantics).  Terms
-are variables, prefixed names, IRIREFs, the `a` keyword (predicate) and
-double-quoted string literals (objects).  IRIs are resolved at parse time.
+may nest (at most turtle.MAX_NESTING groups deep, WHERE's included) and may
+reference outer variables (correlated semantics).  Terms are variables,
+prefixed names, IRIREFs, the `a` keyword (predicate) and double-quoted
+string literals (objects).  IRIs are resolved at parse time.  The text is
+split by the Turtle module's `tokenize`, so lexical errors are the Turtle
+ones.
 
 Evaluation is a left-to-right nested-loop join seeded by the graph's
 indexed matcher; there is no optimizer.  Solution rows are deduplicated and
@@ -24,18 +27,16 @@ from dataclasses import dataclass, field
 
 from .rdf import (
     Graph,
-    Iri,
     Literal,
     PatternTerm,
     PrefixMap,
     Term,
     TriplePattern,
-    UnknownPrefixError,
     Var,
     term_json,
     term_sort_key,
 )
-from .turtle import ErrorKind, ParseError, Token, _Lexer
+from .turtle import Token, TokenStream
 from .vocab import RDF_TYPE
 
 
@@ -108,21 +109,9 @@ class SolutionTable:
         return {"head": {"vars": list(self.variables)}, "results": {"bindings": bindings}}
 
     def to_text(self, prefixes: PrefixMap | None = None) -> str:
-        def show(term: Term | None) -> str:
-            if term is None:
-                return ""
-            if isinstance(term, Iri) and prefixes is not None:
-                compact = prefixes.compact(term)
-                if compact is not None:
-                    return compact
-            if isinstance(term, Iri):
-                return f"<{term.value}>"
-            if isinstance(term, Literal):
-                return f'"{term.lexical}"'
-            return f"_:{term.label}"
-
+        show = (PrefixMap() if prefixes is None else prefixes).render
         headers = [f"?{v}" for v in self.variables]
-        table = [headers] + [[show(t) for t in row] for row in self.rows]
+        table = [headers] + [["" if t is None else show(t) for t in row] for row in self.rows]
         widths = [max(len(line[i]) for line in table) for i in range(len(headers))] if headers else []
         lines = []
         if headers:
@@ -134,32 +123,14 @@ class SolutionTable:
         return "\n".join(lines)
 
 
-_KEYWORDS = {"select", "where", "filter", "not", "exists", "prefix"}
-
-
-class _QueryParser:
-    """Recursive-descent parser over the shared lexer's token stream.
-
-    Reuses the Turtle lexer: SPARQL keywords arrive as 'unexpected word'
-    lexer errors, so tokenization here wraps the lexer and re-tags keyword
-    words, '?' variables and '*'.
-    """
+class _QueryParser(TokenStream):
+    """Recursive-descent parser over the shared tokenizer's query tokens:
+    keywords arrive as 'keyword' tokens with lower-cased values, variables
+    as 'var' and '*' as 'star'."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        super().__init__(text, query=True)
         self.prefixes = PrefixMap()
-
-    def _cur(self) -> Token:
-        return self.tokens[self.i]
-
-    def _take(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _fail(self, tok: Token, detail: str):
-        raise ParseError(tok.line, tok.col, ErrorKind.UNEXPECTED_TOKEN, detail)
 
     def _expect(self, kind: str) -> Token:
         tok = self._cur()
@@ -181,7 +152,7 @@ class _QueryParser:
                 self._fail(label, "expected a prefix label ending in ':'")
             self._take()
             ns = self._expect("iriref")
-            self.prefixes.bind(label.value, ns.value)
+            self._bind(self.prefixes, label, ns)
         self._keyword("select")
         projection = self._projection()
         self._keyword("where")
@@ -209,12 +180,13 @@ class _QueryParser:
         return names
 
     def _group(self) -> GraphPattern:
-        self._expect("{")
+        self._enter(self._expect("{"))
         pattern = GraphPattern()
         while True:
             tok = self._cur()
             if tok.kind == "}":
                 self._take()
+                self.depth -= 1
                 return pattern
             if tok.kind == "keyword" and tok.value == "filter":
                 self._take()
@@ -245,81 +217,14 @@ class _QueryParser:
         tok = self._take()
         if tok.kind == "var":
             return Var(tok.value)
-        if tok.kind == "iriref":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            try:
-                return Iri(self.prefixes.namespace(tok.value) + tok.local)
-            except UnknownPrefixError:
-                raise ParseError(
-                    tok.line, tok.col, ErrorKind.UNKNOWN_PREFIX,
-                    f"prefix {tok.value!r} is not bound",
-                ) from None
+        if tok.kind in ("iriref", "pname"):
+            return self._iri(tok, self.prefixes)
         if tok.kind == "a" and allow_a:
             return RDF_TYPE
         if tok.kind == "string" and allow_literal:
             return Literal(tok.value)
         self._fail(tok, f"unsupported term here: {tok.kind!r}")
         raise AssertionError("unreachable")
-
-
-def _tokenize(text: str) -> list[Token]:
-    """Token stream for the query grammar, built on the Turtle lexer.
-
-    Variables, braces, '*' and keywords are not Turtle tokens, so they are
-    scanned here; IRIs, prefixed names, strings and punctuation delegate to
-    the shared lexer (and raise the same positioned errors).
-    """
-    lexer = _Lexer(text)
-    out: list[Token] = []
-    while True:
-        while lexer.i < lexer.n:
-            c = lexer.text[lexer.i]
-            if c.isspace():
-                lexer._advance()
-            elif c == "#":
-                while lexer.i < lexer.n and lexer.text[lexer.i] != "\n":
-                    lexer._advance()
-            else:
-                break
-        line, col = lexer.line, lexer.col
-        if lexer.i >= lexer.n:
-            out.append(Token("eof", line, col))
-            return out
-        c = lexer.text[lexer.i]
-        if c == "{" or c == "}":
-            lexer._advance()
-            out.append(Token(c, line, col))
-        elif c == "*":
-            lexer._advance()
-            out.append(Token("star", line, col))
-        elif c == "?":
-            lexer._advance()
-            name = []
-            while lexer.i < lexer.n and (lexer.text[lexer.i].isalnum() or lexer.text[lexer.i] == "_"):
-                name.append(lexer._advance())
-            if not name:
-                raise ParseError(line, col, ErrorKind.UNEXPECTED_TOKEN, "empty variable name")
-            out.append(Token("var", line, col, "".join(name)))
-        elif c.isalpha() or c == "_":
-            word = []
-            while lexer.i < lexer.n and (lexer.text[lexer.i].isalnum() or lexer.text[lexer.i] in "_-"):
-                word.append(lexer._advance())
-            name = "".join(word)
-            if lexer.i < lexer.n and lexer.text[lexer.i] == ":":
-                lexer._advance()
-                out.append(Token("pname", line, col, name, lexer._local_part()))
-            elif name.lower() in _KEYWORDS:
-                out.append(Token("keyword", line, col, name.lower()))
-            elif name == "a":
-                out.append(Token("a", line, col))
-            else:
-                raise ParseError(
-                    line, col, ErrorKind.UNEXPECTED_TOKEN,
-                    f"unsupported construct {name!r}",
-                )
-        else:
-            out.append(lexer._next())
 
 
 def parse_query(text: str) -> Query:

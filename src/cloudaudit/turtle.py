@@ -10,9 +10,11 @@ and shapes files use, rejected loudly everywhere else.
     terminal) plus ``-``, ``_`` and digits, e.g. ``iso27001:A.9.4.1``
   - the ``a`` keyword for rdf:type
   - ``;`` predicate lists (trailing ``;`` tolerated) and ``,`` object lists
-  - ``[ ... ]`` anonymous blank node property lists
+  - ``[ ... ]`` anonymous blank node property lists, nested at most
+    MAX_NESTING deep
   - double-quoted string literals with ``\\"``, ``\\\\``, ``\\n``, ``\\t``
-  - non-negative integer literals (typed xsd:integer), used by shape counts
+  - non-negative integer literals of ASCII digits (typed xsd:integer), used
+    by shape counts
 
 No ``@base``, relative IRIs, collections, ``^^`` datatypes, language tags,
 decimals or booleans: those raise a positioned ParseError instead of being
@@ -21,6 +23,15 @@ silently misread.
 A ``.`` terminates a statement only when followed by whitespace, ``#`` or
 end of input; that is what lets ``iso27001:A.9.4.1 .`` lex correctly.
 
+`tokenize` serves this parser and the query parser: one compiled regular
+expression with a named group per token kind, matched at a moving offset.
+The query-only tokens (``{``, ``}``, ``*``, ``?var`` and keywords) are groups
+of the same expression, and Turtle rejects them at lex time, so the first
+lexical error in a file is the one reported.  Tokens carry their character
+offset; line and column are worked out only when a ParseError is raised.
+When no token matches, `_lex_error` reads the offending construct again to
+name the error and its position.
+
 Parsing is pure: the same input always yields the same Document, with blank
 node labels minted as b1, b2, ... in encounter order.
 """
@@ -28,7 +39,9 @@ node labels minted as b1, b2, ... in encounter order.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .rdf import (
     BlankNode,
@@ -43,10 +56,13 @@ from .rdf import (
     Var,
     XSD_INTEGER,
     XSD_STRING,
-    is_local_name,
+    is_prefix_label,
     term_sort_key,
 )
 from .vocab import RDF_TYPE
+
+# Deepest nesting of '[' (Turtle) or '{' (query) groups either parser accepts.
+MAX_NESTING = 256
 
 
 class ErrorKind(enum.Enum):
@@ -56,6 +72,7 @@ class ErrorKind(enum.Enum):
     UNTERMINATED_IRI = "UnterminatedIri"
     BAD_ESCAPE = "BadEscape"
     BAD_LOCAL_NAME = "BadLocalName"
+    TOO_DEEP = "TooDeep"
 
 
 class ParseError(Exception):
@@ -68,6 +85,12 @@ class ParseError(Exception):
         self.kind = kind
         self.detail = detail
 
+    @classmethod
+    def at(cls, text: str, offset: int, kind: ErrorKind, detail: str) -> "ParseError":
+        """The error at a character offset of `text`."""
+        line = text.count("\n", 0, offset) + 1
+        return cls(line, offset - text.rfind("\n", 0, offset), kind, detail)
+
 
 @dataclass
 class Document:
@@ -77,189 +100,192 @@ class Document:
     prefixes: PrefixMap = field(default_factory=PrefixMap)
 
 
-@dataclass
-class Token:
-    kind: str  # one of: iriref pname a string integer . ; , [ ] @prefix eof
-    line: int
-    col: int
+class Token(NamedTuple):
+    # iriref pname a string integer . ; , [ ] @prefix eof, and in queries
+    # also { } star var keyword
+    kind: str
+    offset: int
     value: str = ""
     local: str = ""  # pname only
 
 
+# The text an IRIREF or a string may hold before its closing delimiter.
+_IRI_BODY = r'<[^<>"\\ \t\n]*(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^<>"\\ \t\n]*)*'
+_STRING_BODY = r'"[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
+# \w is str.isalnum() or '_'; the first character must also be a letter or
+# '_', which tokenize checks, because some digit-like letters such as '²'
+# are neither \d nor str.isalpha().
+_WORD = r"(?!\d)\w[\w-]*"
+# ASCII only, interior dots, never starting with '.' or '-': trailing dots
+# stay in the stream to end the statement.
+_LOCAL = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?(?!\.*[A-Za-z0-9_-])"
+
+_TOKEN_RE = re.compile(
+    rf"""(?:\s+|\#[^\n]*)*
+    (?:(?P<pname>(?P<label>{_WORD})?:(?P<local>{_LOCAL}))
+      |(?P<punct>[.;,\[\]{{}}*])
+      |(?P<iriref>{_IRI_BODY}>)
+      |(?P<string>{_STRING_BODY}")
+      |(?P<word>{_WORD})(?![\w:-])
+      |(?P<integer>[0-9]+)
+      |(?P<var>\?\w+)
+      |(?P<directive>@prefix)(?![^\W\d_])
+      |(?P<eof>\Z)
+      |(?P<error>))""",
+    re.VERBOSE,
+)
+_IRI_PREFIX_RE = re.compile(_IRI_BODY)
+_STRING_PREFIX_RE = re.compile(_STRING_BODY)
+_LOCAL_RUN_RE = re.compile(r"[A-Za-z0-9_.-]*")
+_UCHAR_RE = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
+_ECHAR_RE = re.compile(r"\\(.)")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
-_LOCAL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
+_KEYWORDS = {"select", "where", "filter", "not", "exists", "prefix"}
 
 
-def _is_word_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+def _is_word_start(word: str) -> bool:
+    return word[0].isalpha() or word[0] == "_"
 
 
-def _is_word_char(c: str) -> bool:
-    return c.isalnum() or c in "_-"
+def _unexpected_character(text: str, offset: int) -> ParseError:
+    return ParseError.at(
+        text, offset, ErrorKind.UNEXPECTED_TOKEN, f"unexpected character {text[offset]!r}"
+    )
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.n = len(text)
-        self.i = 0
-        self.line = 1
-        self.col = 1
+def tokenize(text: str, query: bool = False) -> list[Token]:
+    """Split Turtle text, or query text when `query` is set, into tokens
+    ending with an 'eof' token.
 
-    def _peek(self, offset: int = 0) -> str:
-        j = self.i + offset
-        return self.text[j] if j < self.n else ""
-
-    def _advance(self) -> str:
-        c = self.text[self.i]
-        self.i += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
+    Raises ParseError at the first lexical error; in Turtle the query-only
+    tokens are lexical errors.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        pos = m.end()
+        if kind == "pname":
+            label = m["label"] or ""
+            if label and not _is_word_start(label):
+                raise _unexpected_character(text, start)
+            append(Token(kind, start, label, m["local"]))
+        elif kind == "punct":
+            c = text[start]
+            if c in "{}*":
+                if not query:
+                    raise _unexpected_character(text, start)
+                if c == "*":
+                    c = "star"
+            append(Token(c, start))
+        elif kind == "iriref":
+            value = m[kind][1:-1]
+            if "\\" in value:
+                value = _unescape_iri(text, start + 1, value)
+            append(Token(kind, start, value))
+        elif kind == "string":
+            value = m[kind][1:-1]
+            if "\\" in value:
+                value = _ECHAR_RE.sub(lambda e: _ESCAPES[e[1]], value)
+            append(Token(kind, start, value))
+        elif kind == "word":
+            word = m[kind]
+            if not _is_word_start(word):
+                raise _unexpected_character(text, start)
+            if query and word.lower() in _KEYWORDS:
+                append(Token("keyword", start, word.lower()))
+            elif word == "a":
+                append(Token("a", start))
+            else:
+                what = "unsupported construct" if query else "unexpected word"
+                raise ParseError.at(text, start, ErrorKind.UNEXPECTED_TOKEN, f"{what} {word!r}")
+        elif kind == "integer":
+            append(Token(kind, start, m[kind]))
+        elif kind == "var":
+            if not query:
+                raise _unexpected_character(text, start)
+            append(Token(kind, start, m[kind][1:]))
+        elif kind == "directive":
+            append(Token("@prefix", start))
+        elif kind == "eof":
+            append(Token(kind, start))
+            return tokens
         else:
-            self.col += 1
-        return c
-
-    def _error(self, kind: ErrorKind, detail: str, line: int = 0, col: int = 0):
-        raise ParseError(line or self.line, col or self.col, kind, detail)
-
-    def tokens(self) -> list[Token]:
-        out = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.kind == "eof":
-                return out
-
-    def _next(self) -> Token:
-        while self.i < self.n:
-            c = self._peek()
-            if c.isspace():
-                self._advance()
-                continue
-            if c == "#":
-                while self.i < self.n and self._peek() != "\n":
-                    self._advance()
-                continue
-            break
-        line, col = self.line, self.col
-        if self.i >= self.n:
-            return Token("eof", line, col)
-        c = self._peek()
-        if c in ".;,[]":
-            self._advance()
-            return Token(c, line, col)
-        if c == "<":
-            return self._iriref(line, col)
-        if c == '"':
-            return self._string(line, col)
-        if c == "@":
-            return self._directive(line, col)
-        if c.isdigit():
-            digits = []
-            while self._peek().isdigit():
-                digits.append(self._advance())
-            return Token("integer", line, col, "".join(digits))
-        if c == ":":
-            self._advance()
-            return Token("pname", line, col, "", self._local_part())
-        if _is_word_start(c):
-            word = []
-            while self._peek() and _is_word_char(self._peek()):
-                word.append(self._advance())
-            name = "".join(word)
-            if self._peek() == ":":
-                self._advance()
-                return Token("pname", line, col, name, self._local_part())
-            if name == "a":
-                return Token("a", line, col)
-            self._error(ErrorKind.UNEXPECTED_TOKEN, f"unexpected word {name!r}", line, col)
-        self._error(ErrorKind.UNEXPECTED_TOKEN, f"unexpected character {c!r}", line, col)
-        raise AssertionError("unreachable")
-
-    def _iriref(self, line: int, col: int) -> Token:
-        self._advance()  # <
-        parts = []
-        while True:
-            if self.i >= self.n or self._peek() == "\n":
-                self._error(ErrorKind.UNTERMINATED_IRI, "IRI not closed with '>'")
-            c = self._peek()
-            if c == ">":
-                self._advance()
-                return Token("iriref", line, col, "".join(parts))
-            if c == "\\":
-                eline, ecol = self.line, self.col
-                self._advance()
-                kind = self._peek()
-                width = {"u": 4, "U": 8}.get(kind)
-                if width is None:
-                    self._error(ErrorKind.BAD_ESCAPE, f"unsupported IRI escape \\{kind}", eline, ecol)
-                self._advance()
-                digits = ""
-                for _ in range(width):
-                    if self.i >= self.n or self._peek() not in "0123456789abcdefABCDEF":
-                        self._error(ErrorKind.BAD_ESCAPE, "truncated \\u escape", eline, ecol)
-                    digits += self._advance()
-                parts.append(chr(int(digits, 16)))
-                continue
-            if c in ' \t<"':
-                self._error(ErrorKind.UNEXPECTED_TOKEN, f"character {c!r} not allowed inside IRI")
-            parts.append(self._advance())
-
-    def _string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        parts = []
-        while True:
-            if self.i >= self.n or self._peek() == "\n":
-                self._error(ErrorKind.UNTERMINATED_STRING, "string not closed with '\"'")
-            c = self._advance()
-            if c == '"':
-                return Token("string", line, col, "".join(parts))
-            if c == "\\":
-                eline, ecol = self.line, self.col - 1
-                if self.i >= self.n:
-                    self._error(ErrorKind.UNTERMINATED_STRING, "string not closed with '\"'")
-                esc = self._advance()
-                if esc not in _ESCAPES:
-                    self._error(ErrorKind.BAD_ESCAPE, f"unsupported string escape \\{esc}", eline, ecol)
-                parts.append(_ESCAPES[esc])
-                continue
-            parts.append(c)
-
-    def _directive(self, line: int, col: int) -> Token:
-        self._advance()  # @
-        word = []
-        while self._peek().isalpha():
-            word.append(self._advance())
-        name = "".join(word)
-        if name == "prefix":
-            return Token("@prefix", line, col)
-        self._error(ErrorKind.UNEXPECTED_TOKEN, f"unsupported directive '@{name}'", line, col)
-        raise AssertionError("unreachable")
-
-    def _local_part(self) -> str:
-        line, col = self.line, self.col
-        start = self.i
-        while self.i < self.n and self.text[self.i] in _LOCAL_CHARS:
-            self._advance()
-        chunk = self.text[start:self.i]
-        trailing = len(chunk) - len(chunk.rstrip("."))
-        if trailing:
-            # give trailing dots back to the stream: they end the statement
-            chunk = chunk[: len(chunk) - trailing]
-            self.i -= trailing
-            self.col -= trailing
-        if not is_local_name(chunk):
-            self._error(ErrorKind.BAD_LOCAL_NAME, f"invalid local name {chunk!r}", line, col)
-        return chunk
+            raise _lex_error(text, start, query)
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+def _unescape_iri(text: str, offset: int, value: str) -> str:
+    """Decode the \\u and \\U escapes of an IRIREF body found at `offset`."""
+
+    def uchar(u: re.Match) -> str:
+        code = int(u[1] or u[2], 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            detail = f"{u[0]} is not a Unicode scalar value"
+            raise ParseError.at(text, offset + u.start(), ErrorKind.BAD_ESCAPE, detail)
+        return chr(code)
+
+    return _UCHAR_RE.sub(uchar, value)
+
+
+def _lex_error(text: str, offset: int, query: bool) -> ParseError:
+    """The error at `offset`, where no token matches."""
+    c = text[offset]
+    if c == "<":
+        end = _IRI_PREFIX_RE.match(text, offset).end()
+        bad = text[end:end + 1]
+        if bad in ("", "\n"):
+            return ParseError.at(text, end, ErrorKind.UNTERMINATED_IRI, "IRI not closed with '>'")
+        if bad == "\\":
+            escape = text[end + 1:end + 2]
+            if escape in ("u", "U"):
+                return ParseError.at(text, end, ErrorKind.BAD_ESCAPE, "truncated \\u escape")
+            detail = f"unsupported IRI escape \\{escape}"
+            return ParseError.at(text, end, ErrorKind.BAD_ESCAPE, detail)
+        return ParseError.at(
+            text, end, ErrorKind.UNEXPECTED_TOKEN, f"character {bad!r} not allowed inside IRI"
+        )
+    if c == '"':
+        end = _STRING_PREFIX_RE.match(text, offset).end()
+        if text[end:end + 1] == "\\" and end + 1 < len(text):
+            return ParseError.at(
+                text, end, ErrorKind.BAD_ESCAPE, f"unsupported string escape \\{text[end + 1]}"
+            )
+        if text[end:end + 1] == "\\":
+            end += 1
+        detail = "string not closed with '\"'"
+        return ParseError.at(text, end, ErrorKind.UNTERMINATED_STRING, detail)
+    if c == "@":
+        end = offset + 1
+        while end < len(text) and text[end].isalpha():
+            end += 1
+        if text[offset + 1:end] != "prefix":
+            return ParseError.at(
+                text, offset, ErrorKind.UNEXPECTED_TOKEN,
+                f"unsupported directive '@{text[offset + 1:end]}'",
+            )
+        offset = end  # '@prefix' runs into a digit-like letter such as '²'
+    elif c == "?" and query:
+        return ParseError.at(text, offset, ErrorKind.UNEXPECTED_TOKEN, "empty variable name")
+    elif c == ":" or _is_word_start(c):
+        # a prefixed name whose local part starts with '.' or '-'
+        start = text.index(":", offset) + 1
+        chunk = _LOCAL_RUN_RE.match(text, start)[0].rstrip(".")
+        return ParseError.at(text, start, ErrorKind.BAD_LOCAL_NAME, f"invalid local name {chunk!r}")
+    return _unexpected_character(text, offset)
+
+
+class TokenStream:
+    """A cursor over the tokens of one text, shared by the Turtle and query parsers."""
+
+    def __init__(self, text: str, query: bool = False):
+        self.text = text
+        self.tokens = tokenize(text, query)
         self.i = 0
-        self.doc = Document()
-        self._bnodes = 0
+        self.depth = 0
 
     def _cur(self) -> Token:
         return self.tokens[self.i]
@@ -268,6 +294,45 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def _error(self, tok: Token, kind: ErrorKind, detail: str) -> ParseError:
+        return ParseError.at(self.text, tok.offset, kind, detail)
+
+    def _fail(self, tok: Token, detail: str):
+        raise self._error(tok, ErrorKind.UNEXPECTED_TOKEN, detail)
+
+    def _iri(self, tok: Token, prefixes: PrefixMap) -> Iri:
+        """The IRI an 'iriref' or 'pname' token names."""
+        if tok.kind == "iriref":
+            try:
+                return Iri(tok.value)
+            except ValueError as exc:  # empty, or a space or '<', '>', '"' by escape
+                raise self._error(tok, ErrorKind.UNEXPECTED_TOKEN, str(exc)) from None
+        try:
+            return Iri(prefixes.namespace(tok.value) + tok.local)
+        except UnknownPrefixError:
+            raise self._error(
+                tok, ErrorKind.UNKNOWN_PREFIX, f"prefix {tok.value!r} is not bound"
+            ) from None
+
+    def _bind(self, prefixes: PrefixMap, label: Token, namespace: Token):
+        """Bind the label of a 'pname' token to the IRI of an 'iriref' token."""
+        if not is_prefix_label(label.value):
+            self._fail(label, f"invalid prefix label {label.value!r}")
+        prefixes.bind(label.value, self._iri(namespace, prefixes))
+
+    def _enter(self, tok: Token):
+        """Open the '[' or '{' group that `tok` starts."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._error(tok, ErrorKind.TOO_DEEP, f"groups nested deeper than {MAX_NESTING}")
+
+
+class _Parser(TokenStream):
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.doc = Document()
+        self._bnodes = 0
 
     def _expect(self, kind: str) -> Token:
         tok = self._cur()
@@ -281,22 +346,9 @@ class _Parser:
             return "end of input"
         return f"{tok.kind!r}" if not tok.value else f"{tok.kind} {tok.value!r}"
 
-    @staticmethod
-    def _fail(tok: Token, detail: str):
-        raise ParseError(tok.line, tok.col, ErrorKind.UNEXPECTED_TOKEN, detail)
-
     def _fresh_bnode(self) -> BlankNode:
         self._bnodes += 1
         return BlankNode(f"b{self._bnodes}")
-
-    def _expand(self, tok: Token) -> Iri:
-        try:
-            return Iri(self.doc.prefixes.namespace(tok.value) + tok.local)
-        except UnknownPrefixError:
-            raise ParseError(
-                tok.line, tok.col, ErrorKind.UNKNOWN_PREFIX,
-                f"prefix {tok.value!r} is not bound",
-            ) from None
 
     def parse(self) -> Document:
         while self._cur().kind != "eof":
@@ -314,7 +366,7 @@ class _Parser:
         self._take()
         ns = self._expect("iriref")
         self._expect(".")
-        self.doc.prefixes.bind(label_tok.value, ns.value)
+        self._bind(self.doc.prefixes, label_tok, ns)
 
     def _statement(self):
         tok = self._cur()
@@ -329,10 +381,8 @@ class _Parser:
 
     def _subject(self) -> Term:
         tok = self._take()
-        if tok.kind == "iriref":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            return self._expand(tok)
+        if tok.kind in ("iriref", "pname"):
+            return self._iri(tok, self.doc.prefixes)
         self._fail(tok, f"expected a subject, found {self._describe(tok)}")
         raise AssertionError("unreachable")
 
@@ -340,10 +390,8 @@ class _Parser:
         tok = self._take()
         if tok.kind == "a":
             return RDF_TYPE
-        if tok.kind == "iriref":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            return self._expand(tok)
+        if tok.kind in ("iriref", "pname"):
+            return self._iri(tok, self.doc.prefixes)
         self._fail(tok, f"expected a predicate, found {self._describe(tok)}")
         raise AssertionError("unreachable")
 
@@ -352,10 +400,8 @@ class _Parser:
         if tok.kind == "[":
             return self._bnode_property_list()
         self._take()
-        if tok.kind == "iriref":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            return self._expand(tok)
+        if tok.kind in ("iriref", "pname"):
+            return self._iri(tok, self.doc.prefixes)
         if tok.kind == "string":
             return Literal(tok.value)
         if tok.kind == "integer":
@@ -380,11 +426,12 @@ class _Parser:
                 return  # trailing ';'
 
     def _bnode_property_list(self) -> BlankNode:
-        self._expect("[")
+        self._enter(self._expect("["))
         node = self._fresh_bnode()
         if self._cur().kind != "]":
             self._predicate_object_list(node)
         self._expect("]")
+        self.depth -= 1
         return node
 
 
@@ -394,7 +441,7 @@ def parse_turtle(text: str) -> Document:
     Raises ParseError with a 1-based position for anything outside the
     supported subset.
     """
-    return _Parser(_Lexer(text).tokens()).parse()
+    return _Parser(text).parse()
 
 
 def _escape_literal(lexical: str) -> str:
@@ -477,7 +524,7 @@ class _Serializer:
             return self._inline_bnode(term)
         if term.datatype == XSD_STRING:
             return _escape_literal(term.lexical)
-        if term.datatype == XSD_INTEGER and term.lexical.isdigit():
+        if term.datatype == XSD_INTEGER and term.lexical.isascii() and term.lexical.isdigit():
             return term.lexical
         raise ValueError(f"literal datatype {term.datatype.value} is not writable in this subset")
 
@@ -491,7 +538,7 @@ class _Serializer:
         lines = []
         groups = self._grouped(subject)
         for predicate, objects in groups:
-            rendered = ", ".join(self._term(o) for o in objects)
+            rendered = ", ".join(map(self._term, objects))
             lines.append((self._term(predicate, predicate_position=True), rendered))
             self.emitted += len(objects)
         subj = self._term(subject)
@@ -509,7 +556,7 @@ class _Serializer:
             return "[]"
         parts = []
         for predicate, objects in groups:
-            rendered = ", ".join(self._term(o) for o in objects)
+            rendered = ", ".join(map(self._term, objects))
             parts.append(f"{self._term(predicate, predicate_position=True)} {rendered}")
             self.emitted += len(objects)
         return "[ " + " ; ".join(parts) + " ]"

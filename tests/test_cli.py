@@ -1,9 +1,14 @@
 """End-to-end command behavior: outputs, exit codes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cloudaudit
 from cloudaudit.cli import main
 from cloudaudit.rdf import isomorphic
 from cloudaudit.reasoner import materialize
@@ -218,3 +223,65 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["compliance", model])
         assert info.value.code == 1
+
+
+SHAPE_TEMPLATE = (
+    "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+    "@prefix cloudeng: <http://example.org/cloudengine#> .\n"
+    "@prefix sec: <http://example.org/security#> .\n"
+    "cloudeng:S a sh:NodeShape ; sh:targetClass cloudeng:DataInterface ;\n"
+    "  sh:property [ sh:path sec:encryptsData ; sh:minCount COUNT ] .\n"
+)
+DEEP_TURTLE = "@prefix e: <http://e.test/> .\ne:s e:p " + "[ e:p " * 3000 + "e:o" + " ]" * 3000 + " .\n"
+DEEP_QUERY = "SELECT * WHERE { ?s ?p ?o " + "FILTER EXISTS { ?s ?p ?o " * 3000 + "}" * 3001 + "\n"
+
+
+class TestBadInputExitsOne:
+    """Malformed input ends in exit 1 and a one-line error, never a traceback.
+
+    Runs the real entry point in a child process so that an uncaught
+    exception would reach stderr.
+    """
+
+    @staticmethod
+    def cli(*argv):
+        src = str(Path(cloudaudit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cloudaudit.cli", *argv],
+            capture_output=True, encoding="utf-8", env=env, timeout=120,
+        )
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize(
+        "name, content, command, expected",
+        [
+            ("shapes.ttl", SHAPE_TEMPLATE.replace("COUNT", "\u00b2"), "validate",
+             "shapes.ttl:5:56: unexpected character '\u00b2'"),
+            ("shapes.ttl", SHAPE_TEMPLATE.replace("COUNT", '"\u00b2"'), "validate",
+             "sh:minCount of shape http://example.org/cloudengine#S must be a non-negative integer"),
+            ("model.ttl", b"@prefix e: <http://e.test/> .\n\xff\n", "parse",
+             "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+            ("query.rq", b"SELECT * WHERE { \xff }", "query", "cannot read {path}: 'utf-8' codec"),
+            ("model.ttl", DEEP_TURTLE, "parse", "model.ttl:2:1545: groups nested deeper than 256"),
+            ("query.rq", DEEP_QUERY, "query", "query.rq:1:6416: groups nested deeper than 256"),
+        ],
+        ids=["digit-like count", "digit-like string count", "non-UTF-8 model",
+             "non-UTF-8 query", "deep Turtle", "deep query"],
+    )
+    def test_error_line_without_traceback(self, tmp_path, model, name, content, command, expected):
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        argv = {
+            "parse": ["parse", str(path)],
+            "validate": ["validate", model, str(path)],
+            "query": ["query", model, str(path)],
+        }[command]
+        code, err = self.cli(*argv)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expected.format(path=path) in err

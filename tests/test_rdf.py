@@ -50,10 +50,19 @@ class TestTerms:
         assert Iri("http://x/a") == Iri("http://x/a")
         assert Iri("http://x/A") != Iri("http://x/a")
 
-    @pytest.mark.parametrize("bad", ["", "http://x/ a", "http://x/<", 'http://x/"', "a>b"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "http://x/ a", "http://x/<", 'http://x/"', "a>b", "x\u00a0", "x\u001cy>", "\u2003"],
+    )
     def test_invalid_iri_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             Iri(bad)
+        if bad:
+            first = next(c for c in bad if c.isspace() or c in '<>"')
+            assert str(info.value) == f"IRI contains forbidden character {first!r}: {bad!r}"
+
+    def test_iri_accepts_other_characters(self):
+        assert Iri("urn:x:\u200b\u00e9{}|^`\\").value == "urn:x:\u200b\u00e9{}|^`\\"
 
     def test_literal_equality_includes_datatype(self):
         assert Literal("1") == Literal("1")
@@ -163,6 +172,13 @@ class TestPrefixMap:
     def test_compact_prefers_longest_namespace(self):
         pm = PrefixMap({"short": "http://x.test/", "long": "http://x.test/deep#"})
         assert pm.compact(Iri("http://x.test/deep#leaf")) == "long:leaf"
+
+    def test_render_terms(self):
+        pm = PrefixMap({"p": "http://x.test/"})
+        assert pm.render(Iri("http://x.test/a")) == "p:a"
+        assert pm.render(Iri("http://x.test/a/b")) == "<http://x.test/a/b>"
+        assert pm.render(Literal("v")) == '"v"'
+        assert pm.render(BlankNode("b1")) == "_:b1"
 
     def test_compact_refuses_unwritable_locals(self):
         pm = PrefixMap({"p": "http://x.test/"})

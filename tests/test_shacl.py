@@ -68,6 +68,15 @@ class TestParseShapes:
                 "  sh:property [ sh:path sec:encryptsData ; sh:minCount \"one\" ] .\n"
             )
 
+    def test_non_ascii_digit_count_is_an_error(self):
+        for count in ('"\u00b2"', '"\u0661"'):
+            with pytest.raises(ShapeError):
+                shapes_from(
+                    "cloudeng:S a sh:NodeShape ;\n"
+                    "  sh:targetClass cloudeng:DataInterface ;\n"
+                    f"  sh:property [ sh:path sec:encryptsData ; sh:minCount {count} ] .\n"
+                )
+
     def test_inverted_count_bounds_are_an_error(self):
         with pytest.raises(ShapeError):
             shapes_from(

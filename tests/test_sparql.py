@@ -14,7 +14,7 @@ from cloudaudit.sparql import (
     parse_query,
 )
 from cloudaudit.rdf import PrefixMap
-from cloudaudit.turtle import ErrorKind, ParseError
+from cloudaudit.turtle import MAX_NESTING, ErrorKind, ParseError
 from cloudaudit.vocab import RDF_TYPE
 
 from oracles import CLOUDENG, SEC, brute_rows, ce, sec, table_rows
@@ -113,6 +113,9 @@ class TestParse:
             _case("@base <http://x.test/> SELECT * WHERE { }", 1, 1, "unsupported directive '@base'"),
             _case("SELECT * WHERE {\u00a0?s\u001c?p ?o\u2003} ORDER",
                   1, 29, "unsupported construct 'ORDER'"),
+            _case("SELECT * WHERE { <> ?p ?o }", 1, 18, "IRI must be non-empty"),
+            _case("PREFIX \u00e9: <http://x.test/> SELECT * WHERE { }",
+                  1, 8, "invalid prefix label '\u00e9'"),
             # lexical errors are the Turtle ones, at the same positions
             _case('SELECT * WHERE { ?s ?p "x }', 1, 28, 'string not closed with \'"\'',
                   ErrorKind.UNTERMINATED_STRING),
@@ -127,6 +130,19 @@ class TestParse:
     )
     def test_positioned_errors(self, text, expected):
         assert position(error_for(text)) == expected
+
+    def test_nesting_bound(self):
+        def nested(depth: int) -> str:
+            return "SELECT * WHERE { ?s ?p ?o " + "FILTER EXISTS { ?s ?p ?o " * (depth - 1) + "}" * depth
+
+        q = parse_query(nested(MAX_NESTING))
+        assert len(q.where.filters) == 1
+        err = error_for(nested(3000))
+        column = len("SELECT * WHERE { ?s ?p ?o ") + len("FILTER EXISTS { ?s ?p ?o ") * (MAX_NESTING - 1)
+        column += len("FILTER EXISTS ") + 1
+        assert position(err) == (
+            ErrorKind.TOO_DEEP, 1, column, f"groups nested deeper than {MAX_NESTING}"
+        )
 
     def test_non_ascii_variable_and_whitespace(self):
         q = parse_query("select\u00a0?\u00e9 where {\u2003?\u00e9 ?p ?o }")

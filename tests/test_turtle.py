@@ -16,7 +16,14 @@ from cloudaudit.rdf import (
     XSD_INTEGER,
     isomorphic,
 )
-from cloudaudit.turtle import Document, ErrorKind, ParseError, parse_turtle, serialize_turtle
+from cloudaudit.turtle import (
+    MAX_NESTING,
+    Document,
+    ErrorKind,
+    ParseError,
+    parse_turtle,
+    serialize_turtle,
+)
 from cloudaudit.vocab import RDF_TYPE, RDFS_DOMAIN, RDFS_RESOURCE, RDFS_SUBCLASS_OF
 
 from oracles import CLOUDENG, SEC, ce, sec
@@ -280,6 +287,15 @@ class TestRejections:
                   ErrorKind.UNKNOWN_PREFIX, 3, 1, "prefix '\u00e9' is not bound"),
             _case(HEADER + "sec:X sec:p \u00e9 .", UNEXPECTED, 3, 13, "unexpected word '\u00e9'"),
             _case(HEADER + "sec:X sec:a\u00e9 .", UNEXPECTED, 3, 12, "unexpected word '\u00e9'"),
+            # IRIs and labels the RDF terms refuse
+            _case("<> a <http://x.test/C> .", UNEXPECTED, 1, 1, "IRI must be non-empty"),
+            _case("<http://x.test/\\u0020> a <http://x.test/C> .", UNEXPECTED, 1, 1,
+                  "IRI contains forbidden character ' ': 'http://x.test/ '"),
+            _case("<http://x.test/\\U00110000> a <http://x.test/C> .", ErrorKind.BAD_ESCAPE, 1, 16,
+                  "\\U00110000 is not a Unicode scalar value"),
+            _case("<http://x.test/a\\uDC00> a <http://x.test/C> .", ErrorKind.BAD_ESCAPE, 1, 17,
+                  "\\uDC00 is not a Unicode scalar value"),
+            _case("@prefix \u00e9: <http://x.test/> .", UNEXPECTED, 1, 9, "invalid prefix label '\u00e9'"),
             # columns count characters; every str.isspace() character separates tokens
             _case("\tnosuch:x a <http://x.test/C> .",
                   ErrorKind.UNKNOWN_PREFIX, 1, 2, "prefix 'nosuch' is not bound"),
@@ -293,6 +309,22 @@ class TestRejections:
     )
     def test_positioned_errors(self, text, expected):
         assert position(error_for(text)) == expected
+
+    def test_nesting_bound(self):
+        def nested(depth: int) -> str:
+            return HEADER + "sec:X sec:p " + "[ sec:p " * depth + "sec:Y" + " ]" * depth + " ."
+
+        assert len(parse_turtle(nested(MAX_NESTING)).graph) == MAX_NESTING + 1
+        err = error_for(nested(3000))
+        column = len("sec:X sec:p ") + len("[ sec:p ") * MAX_NESTING + 1
+        assert position(err) == (
+            ErrorKind.TOO_DEEP, 3, column, f"groups nested deeper than {MAX_NESTING}"
+        )
+
+    def test_non_ascii_digits_are_not_integers(self):
+        for digit in ("\u00b2", "\u0661"):
+            err = error_for(HEADER + f"sec:X sec:p 1{digit} .")
+            assert position(err) == (UNEXPECTED, 3, 14, f"unexpected character {digit!r}")
 
     def test_unicode_whitespace_separates_tokens(self):
         doc = parse_turtle(HEADER + "sec:X\u00a0a\u001csec:C\u2003.\u0085")
@@ -339,6 +371,10 @@ class TestSerialize:
         g = Graph([
             Triple(sec("X"), sec("p"), Literal("x", Iri("http://x.test/custom")))
         ])
+        with pytest.raises(ValueError):
+            serialize_turtle(Document(g, PrefixMap({"sec": SEC})))
+        # integers are written bare only when the reader takes them back
+        g = Graph([Triple(sec("X"), sec("p"), Literal("\u00b2", XSD_INTEGER))])
         with pytest.raises(ValueError):
             serialize_turtle(Document(g, PrefixMap({"sec": SEC})))
 
