@@ -1,9 +1,15 @@
 """Term model, graph set semantics, pattern matching and isomorphism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cloudaudit
 from cloudaudit.rdf import (
     BlankNode,
     Graph,
@@ -142,6 +148,44 @@ class TestGraph:
             assert t in g._by_subject[t.subject]
             assert t in g._by_predicate[t.predicate]
             assert t in g._by_object[t.object]
+
+    def test_pickled_graph_answers_under_another_hash_seed(self, tmp_path):
+        """Hashes of str-based terms change with the hash seed, so a graph
+        unpickled in another process must rebuild them, never reuse them."""
+        src = str(Path(cloudaudit.__file__).resolve().parent.parent)
+        model = Path(__file__).resolve().parent.parent / "fixtures" / "cloudengine.ttl"
+        pickled = tmp_path / "graph.pickle"
+        dump = (
+            "import pickle, sys\n"
+            "from cloudaudit.turtle import parse_turtle\n"
+            "g = parse_turtle(open(sys.argv[1], encoding='utf-8').read()).graph\n"
+            "pickle.dump(g, open(sys.argv[2], 'wb'))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from cloudaudit.rdf import BlankNode, Literal, TriplePattern, Var\n"
+            "from cloudaudit.turtle import parse_turtle\n"
+            "fresh = parse_turtle(open(sys.argv[1], encoding='utf-8').read()).graph\n"
+            "g = pickle.load(open(sys.argv[2], 'rb'))\n"
+            "assert len(g) == len(fresh) == 282\n"
+            "assert all(t in g for t in fresh)\n"
+            "assert any(isinstance(t.subject, BlankNode) for t in fresh)\n"
+            "assert any(isinstance(t.object, Literal) for t in fresh)\n"
+            "for t in fresh:\n"
+            "    for p in (TriplePattern(t.subject, Var('p'), Var('o')),\n"
+            "              TriplePattern(Var('s'), t.predicate, t.object),\n"
+            "              TriplePattern(Var('s'), Var('p'), t.object)):\n"
+            "        assert g.match(p) == fresh.match(p), p\n"
+            "print('ok')\n"
+        )
+        for seed, script in ((1, dump), (2, load)):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(model), str(pickled)],
+                capture_output=True, encoding="utf-8", env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
     def test_data_interface_instances_in_model(self, model_doc):
         hits = model_doc.graph.match(TriplePattern(Var("s"), RDF_TYPE, ce("DataInterface")))

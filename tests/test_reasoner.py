@@ -1,8 +1,14 @@
 """Materialization fixpoint and subclass closure vs. BFS reachability."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cloudaudit
 from cloudaudit.rdf import Graph, Iri, Triple
 from cloudaudit.reasoner import materialize, subclasses_of
 from cloudaudit.vocab import (
@@ -118,3 +124,81 @@ def test_random_hierarchies_match_reachability_oracle(g):
     expected = type_closure(g)
     assert set(result.graph) == expected
     assert result.inferred_count == len(expected) - len(g)
+
+
+def chain(depth: int) -> Graph:
+    """C0 subClassOf C1 ... subClassOf C<depth>, with one instance of C0."""
+    classes = [Iri(f"http://chain.test/C{i}") for i in range(depth + 1)]
+    g = Graph(Triple(lo, RDFS_SUBCLASS_OF, hi) for lo, hi in zip(classes, classes[1:]))
+    g.add(Triple(Iri("http://chain.test/i"), RDF_TYPE, classes[0]))
+    return g
+
+
+class TestPinnedBookkeeping:
+    """Round and inferred counts the CLI reports; a rewrite of the fixpoint
+    must reproduce them exactly."""
+
+    def test_deep_chain(self):
+        result = materialize(chain(24))
+        assert (result.iterations, result.inferred_count) == (6, 300)
+
+    def test_two_class_cycle(self):
+        a, b = Iri("http://x.test/A"), Iri("http://x.test/B")
+        result = materialize(Graph([
+            Triple(a, RDFS_SUBCLASS_OF, b),
+            Triple(b, RDFS_SUBCLASS_OF, a),
+            Triple(Iri("http://x.test/i"), RDF_TYPE, a),
+        ]))
+        assert (result.iterations, result.inferred_count) == (2, 3)
+
+    def test_fixture(self, model_doc):
+        result = materialize(model_doc.graph)
+        assert (result.iterations, result.inferred_count) == (2, 9)
+
+
+SRC = Path(cloudaudit.__file__).resolve().parent.parent
+MODEL = Path(__file__).resolve().parent.parent / "fixtures" / "cloudengine.ttl"
+
+# Materializes the fixture and a graph with cycles, blank-node classes and
+# literal objects, and prints the closure in iteration order.
+CLOSURE_ORDER_SCRIPT = """
+import sys
+from cloudaudit.rdf import BlankNode, Graph, Iri, Literal, Triple
+from cloudaudit.reasoner import materialize
+from cloudaudit.turtle import parse_turtle
+from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
+
+c = [Iri(f"http://order.test/C{i}") for i in range(40)] + [BlankNode(f"b{i}") for i in range(5)]
+g = Graph()
+for i in range(len(c) - 1):
+    g.add(Triple(c[i], RDFS_SUBCLASS_OF, c[(i * 7 + 3) % len(c)]))
+    g.add(Triple(Iri(f"http://order.test/i{i}"), RDF_TYPE, c[(i * 11) % len(c)]))
+g.add(Triple(c[5], RDFS_SUBCLASS_OF, Literal("not a class")))
+model = parse_turtle(open(sys.argv[1], encoding="utf-8").read()).graph
+for graph in (model, g):
+    for t in materialize(graph).graph:
+        print(repr(t))
+"""
+
+
+def run_with_hash_seed(seed: int, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
+
+
+class TestHashSeedIndependence:
+    """Closure order and infer output must not depend on string hashing."""
+
+    def test_closure_iteration_order(self):
+        runs = [run_with_hash_seed(seed, "-c", CLOSURE_ORDER_SCRIPT, str(MODEL)) for seed in (1, 2)]
+        assert all(r.returncode == 0 for r in runs), runs[0].stderr
+        assert runs[0].stdout.count(b"\n") > 300
+        assert runs[0].stdout == runs[1].stdout
+
+    def test_infer_output_bytes(self):
+        runs = [
+            run_with_hash_seed(seed, "-m", "cloudaudit.cli", "infer", str(MODEL)) for seed in (1, 2)
+        ]
+        assert all(r.returncode == 0 for r in runs), runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stderr == runs[1].stderr == b"9 inferred triple(s) in 2 iteration(s)\n"
