@@ -4,12 +4,17 @@ Terms compare by byte equality of their string parts; IRIs are opaque keys
 (no normalization, no dereferencing).  Graphs have set semantics and keep
 subject/predicate/object indexes consistent with the triple set.  A graph is
 single-writer during construction and safe for concurrent reads afterwards.
+
+Hashing is paid once per object: a term hashes through the hash its str
+parts already cache, and a triple computes its hash when it is built.  The
+str hash changes with the interpreter's hash seed, so a pickled triple is
+rebuilt through its constructor, never restored with its stored hash.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 # str.isspace() characters and the delimiters '<', '>' and '"'
@@ -27,7 +32,7 @@ class UnknownPrefixError(KeyError):
         return f"unknown prefix: {self.label!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Iri:
     """An absolute IRI, compared byte-for-byte."""
 
@@ -40,11 +45,19 @@ class Iri:
         if bad:
             raise ValueError(f"IRI contains forbidden character {bad[0]!r}: {self.value!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def __repr__(self) -> str:
         return f"Iri({self.value!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BlankNode:
     """Graph-local anonymous node; identity is meaningful only within one graph."""
 
@@ -54,6 +67,14 @@ class BlankNode:
         if not self.label:
             raise ValueError("blank node label must be non-empty")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label
+
+    def __hash__(self) -> int:
+        return hash(self.label)
+
     def __repr__(self) -> str:
         return f"BlankNode({self.label!r})"
 
@@ -62,7 +83,7 @@ XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
 XSD_INTEGER = Iri("http://www.w3.org/2001/XMLSchema#integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Literal:
     """A literal with a lexical form and a datatype (plain strings by default).
 
@@ -72,6 +93,14 @@ class Literal:
 
     lexical: str
     datatype: Iri = XSD_STRING
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lexical == other.lexical and self.datatype == other.datatype
+
+    def __hash__(self) -> int:
+        return hash((self.lexical, self.datatype))
 
     def __repr__(self) -> str:
         if self.datatype == XSD_STRING:
@@ -103,13 +132,19 @@ def term_json(term: Term) -> dict:
     return {"type": "literal", "value": term.lexical}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Triple:
-    """An immutable RDF triple; well-formedness is enforced at construction."""
+    """An immutable RDF triple; well-formedness is enforced at construction.
+
+    The hash is computed once, when the triple is built.  Pickling stores
+    only the three terms, so an unpickled triple recomputes its hash under
+    the hash seed of the process that loads it.
+    """
 
     subject: Term
     predicate: Iri
     object: Term
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.subject, (Iri, BlankNode)):
@@ -118,6 +153,23 @@ class Triple:
             raise TypeError(f"predicate must be an IRI, got {self.predicate!r}")
         if not isinstance(self.object, (Iri, BlankNode, Literal)):
             raise TypeError(f"object must be a term, got {self.object!r}")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.subject == other.subject
+            and self.predicate == other.predicate
+            and self.object == other.object
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, (self.subject, self.predicate, self.object)
 
     def sort_key(self) -> tuple[str, str, str]:
         return (
@@ -230,7 +282,12 @@ class Graph:
         return triple in self._triples
 
     def copy(self) -> "Graph":
-        return Graph(self._triples)
+        clone = Graph()
+        clone._triples = self._triples.copy()
+        clone._by_subject = {term: pool.copy() for term, pool in self._by_subject.items()}
+        clone._by_predicate = {term: pool.copy() for term, pool in self._by_predicate.items()}
+        clone._by_object = {term: pool.copy() for term, pool in self._by_object.items()}
+        return clone
 
     def match(self, pattern: TriplePattern) -> list[Triple]:
         """All triples unifying with the pattern, sorted by (s, p, o) form."""
@@ -388,8 +445,46 @@ def _signature(label: str, triples: list[Triple]) -> tuple:
     return tuple(marks)
 
 
+def _by_node(triples: list[Triple]) -> dict[str, list[Triple]]:
+    """Each blank node label with the triples it occurs in."""
+    out: dict[str, list[Triple]] = {}
+    for t in triples:
+        for label in dict.fromkeys(_bnode_labels(t)):
+            out.setdefault(label, []).append(t)
+    return out
+
+
+def _search_order(by_node: dict[str, list[Triple]]) -> list[str]:
+    """Blank nodes breadth-first over shared triples, so each node after the
+    first of its connected component shares a triple with an earlier one."""
+    order: list[str] = []
+    seen: set[str] = set()
+    for start in sorted(by_node):
+        if start in seen:
+            continue
+        seen.add(start)
+        order.append(start)
+        k = len(order) - 1
+        while k < len(order):
+            for t in by_node[order[k]]:
+                for label in _bnode_labels(t):
+                    if label not in seen:
+                        seen.add(label)
+                        order.append(label)
+            k += 1
+    return order
+
+
 def isomorphic(a: Graph, b: Graph) -> bool:
-    """True iff some bijective blank-node relabeling maps a exactly onto b."""
+    """True iff some bijective blank-node relabeling maps a exactly onto b.
+
+    Blank nodes of `a` are mapped one at a time, each where it can be next to
+    one already mapped.  Its candidates are the nodes of `b` with the same
+    signature that share a triple with that neighbour's image, and a partial
+    mapping is abandoned as soon as a triple whose blank nodes are all
+    mapped has no image in `b`.  So symmetric structures that do not match
+    fail early instead of at every leaf of a factorial search.
+    """
     if len(a) != len(b):
         return False
     a_bn = [t for t in a if _bnode_labels(t)]
@@ -398,29 +493,55 @@ def isomorphic(a: Graph, b: Graph) -> bool:
         return False
     if len(a_bn) != len(b_bn):
         return False
-    a_nodes = sorted({lbl for t in a_bn for lbl in _bnode_labels(t)})
-    b_nodes = sorted({lbl for t in b_bn for lbl in _bnode_labels(t)})
-    if len(a_nodes) != len(b_nodes):
+    a_by_node = _by_node(a_bn)
+    b_by_node = _by_node(b_bn)
+    if len(a_by_node) != len(b_by_node):
         return False
-    a_sig = {n: _signature(n, a_bn) for n in a_nodes}
-    b_sig = {n: _signature(n, b_bn) for n in b_nodes}
+    a_sig = {n: _signature(n, ts) for n, ts in a_by_node.items()}
+    b_sig = {n: _signature(n, ts) for n, ts in b_by_node.items()}
     if sorted(a_sig.values()) != sorted(b_sig.values()):
         return False
+    with_sig: dict[tuple, list[str]] = {}
+    for n in sorted(b_sig):
+        with_sig.setdefault(b_sig[n], []).append(n)
+    order = _search_order(a_by_node)
     b_set = set(b_bn)
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
 
-    def assign(i: int, mapping: dict[str, str], used: set[str]) -> bool:
-        if i == len(a_nodes):
-            return {_rename(t, mapping) for t in a_bn} == b_set
-        node = a_nodes[i]
-        for cand in b_nodes:
-            if cand in used or a_sig[node] != b_sig[cand]:
+    def candidates(node: str) -> Iterator[str]:
+        for t in a_by_node[node]:
+            for label in _bnode_labels(t):
+                if label != node and label in mapping:
+                    near = {n: None for bt in b_by_node[mapping[label]] for n in _bnode_labels(bt)}
+                    return (n for n in near if b_sig[n] == a_sig[node])
+        return iter(with_sig[a_sig[node]])
+
+    def consistent(node: str) -> bool:
+        return all(
+            _rename(t, mapping) in b_set
+            for t in a_by_node[node]
+            if all(label in mapping for label in _bnode_labels(t))
+        )
+
+    # iterative backtracking: pending[k] yields the untried candidates for order[k]
+    pending = [candidates(order[0])] if order else []
+    while pending:
+        node = order[len(pending) - 1]
+        if node in mapping:
+            used.remove(mapping.pop(node))
+        for cand in pending[-1]:
+            if cand in used:
                 continue
             mapping[node] = cand
-            used.add(cand)
-            if assign(i + 1, mapping, used):
-                return True
+            if consistent(node):
+                break
             del mapping[node]
-            used.remove(cand)
-        return False
-
-    return assign(0, {}, set())
+        else:
+            pending.pop()
+            continue
+        used.add(mapping[node])
+        if len(pending) == len(order):
+            return True
+        pending.append(candidates(order[len(pending)]))
+    return not order

@@ -5,6 +5,19 @@ Two rules run to a least fixpoint over the asserted graph:
   R1  x subClassOf y, y subClassOf z  =>  x subClassOf z
   R2  i type C, C subClassOf D        =>  i type D
 
+Evaluation is semi-naive.  One iteration applies both rules once to the
+graph as it stood at the start of the iteration and adds every conclusion
+it did not already hold; the run ends with the first iteration that adds
+nothing.  A conclusion new in iteration k must use a fact added in
+iteration k-1 (the asserted graph counts as added before iteration 1), so
+each iteration joins only that delta against term-level indexes of the
+whole graph: R1 as delta-sub ⋈ sub in both directions, R2 as
+delta-type ⋈ sub and type ⋈ delta-sub.  Candidates the indexes already hold
+are dropped before a triple is built.  This yields the same triples in the
+same iterations as re-joining the whole graph every time.  Indexes and
+deltas are insertion-ordered dicts, so the closure's iteration order does
+not depend on the hash seed.
+
 Reflexivity of subClassOf is answered by `subclasses_of` rather than being
 materialized, which keeps inferred graphs small.  Domain/range entailment is
 deliberately not applied: the model declares domains and ranges as
@@ -19,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .rdf import Graph, Iri, Term, Triple, TriplePattern, Var
+from .rdf import Graph, Iri, Term, Triple
 from .vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
 
@@ -39,26 +52,52 @@ def materialize(asserted: Graph) -> ClosureResult:
     containing asserted plus inferred triples.
     """
     graph = asserted.copy()
+    # term-level indexes of the graph, dicts used as insertion-ordered sets:
+    # supers[x] = {y: x sub y}, subs[y] = {x: x sub y}, members[c] = {i: i type c}
+    supers: dict[Term, dict[Term, None]] = {}
+    subs: dict[Term, dict[Term, None]] = {}
+    members: dict[Term, dict[Term, None]] = {}
+
+    def record(sub_pairs: list[tuple[Term, Term]], type_pairs: list[tuple[Term, Term]]) -> None:
+        for x, y in sub_pairs:
+            supers.setdefault(x, {})[y] = None
+            subs.setdefault(y, {})[x] = None
+        for i, c in type_pairs:
+            members.setdefault(c, {})[i] = None
+
+    delta_sub = [(t.subject, t.object) for t in graph if t.predicate == RDFS_SUBCLASS_OF]
+    delta_type = [(t.subject, t.object) for t in graph if t.predicate == RDF_TYPE]
+    record(delta_sub, delta_type)
     iterations = 0
     added = 0
+    empty: dict[Term, None] = {}
     while True:
         iterations += 1
-        fresh: list[Triple] = []
-        sub_edges = graph.match(TriplePattern(Var("x"), RDFS_SUBCLASS_OF, Var("y")))
-        supers: dict[Term, list[Term]] = {}
-        for t in sub_edges:
-            supers.setdefault(t.subject, []).append(t.object)
-        for t in sub_edges:
-            for z in supers.get(t.object, ()):
-                candidate = Triple(t.subject, RDFS_SUBCLASS_OF, z)
-                if candidate not in graph:
-                    fresh.append(candidate)
-        for t in graph.match(TriplePattern(Var("i"), RDF_TYPE, Var("c"))):
-            for d in supers.get(t.object, ()):
-                candidate = Triple(t.subject, RDF_TYPE, d)
-                if candidate not in graph:
-                    fresh.append(candidate)
-        new_this_round = graph.update(fresh)
+        new_sub: dict[tuple[Term, Term], None] = {}
+        new_type: dict[tuple[Term, Term], None] = {}
+        for x, y in delta_sub:
+            known = supers[x]
+            for z in supers.get(y, empty):  # R1: x sub y (new), y sub z
+                if z not in known:
+                    new_sub[x, z] = None
+            for w in subs.get(x, empty):  # R1: w sub x, x sub y (new)
+                if y not in supers[w]:
+                    new_sub[w, y] = None
+            typed = members.get(y, empty)
+            for i in members.get(x, empty):  # R2: i type x, x sub y (new)
+                if i not in typed:
+                    new_type[i, y] = None
+        for i, c in delta_type:
+            for d in supers.get(c, empty):  # R2: i type c (new), c sub d
+                if i not in members.get(d, empty):
+                    new_type[i, d] = None
+        delta_sub = list(new_sub)
+        delta_type = list(new_type)
+        record(delta_sub, delta_type)
+        new_this_round = graph.update(
+            [Triple(x, RDFS_SUBCLASS_OF, z) for x, z in delta_sub]
+            + [Triple(i, RDF_TYPE, d) for i, d in delta_type]
+        )
         added += new_this_round
         if new_this_round == 0:
             return ClosureResult(graph=graph, inferred_count=added, iterations=iterations)

@@ -214,6 +214,11 @@ def validate(data: Graph, shapes: list[NodeShape], class_expander: ClassExpander
             for cls in class_expander(data, target):
                 for subject in data.subjects(RDF_TYPE, cls):
                     focus_nodes.add(subject)
+        allowed_by_spec = {
+            spec: class_expander(data, spec.class_constraint)
+            for spec in shape.constraints
+            if spec.class_constraint is not None and focus_nodes
+        }
         for focus in sorted(focus_nodes, key=term_sort_key):
             for spec in shape.constraints:
                 values = [
@@ -242,10 +247,9 @@ def validate(data: Graph, shapes: list[NodeShape], class_expander: ClassExpander
                         )
                     )
                 if spec.class_constraint is not None:
-                    allowed = class_expander(data, spec.class_constraint)
                     for value in values:
                         types = set(data.objects(value, RDF_TYPE))
-                        if types.isdisjoint(allowed):
+                        if types.isdisjoint(allowed_by_spec[spec]):
                             results.append(
                                 ValidationResult(
                                     focus=focus,

@@ -286,6 +286,7 @@ class TokenStream:
         self.tokens = tokenize(text, query)
         self.i = 0
         self.depth = 0
+        self.iris: dict[str, Iri] = {}  # one Iri object per distinct IRI of the text
 
     def _cur(self) -> Token:
         return self.tokens[self.i]
@@ -304,16 +305,21 @@ class TokenStream:
     def _iri(self, tok: Token, prefixes: PrefixMap) -> Iri:
         """The IRI an 'iriref' or 'pname' token names."""
         if tok.kind == "iriref":
+            value = tok.value
+        else:
             try:
-                return Iri(tok.value)
+                value = prefixes.namespace(tok.value) + tok.local
+            except UnknownPrefixError:
+                raise self._error(
+                    tok, ErrorKind.UNKNOWN_PREFIX, f"prefix {tok.value!r} is not bound"
+                ) from None
+        iri = self.iris.get(value)
+        if iri is None:
+            try:
+                iri = self.iris[value] = Iri(value)
             except ValueError as exc:  # empty, or a space or '<', '>', '"' by escape
                 raise self._error(tok, ErrorKind.UNEXPECTED_TOKEN, str(exc)) from None
-        try:
-            return Iri(prefixes.namespace(tok.value) + tok.local)
-        except UnknownPrefixError:
-            raise self._error(
-                tok, ErrorKind.UNKNOWN_PREFIX, f"prefix {tok.value!r} is not bound"
-            ) from None
+        return iri
 
     def _bind(self, prefixes: PrefixMap, label: Token, namespace: Token):
         """Bind the label of a 'pname' token to the IRI of an 'iriref' token."""

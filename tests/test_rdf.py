@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -71,14 +73,38 @@ class TestTerms:
         assert Iri("urn:x:\u200b\u00e9{}|^`\\").value == "urn:x:\u200b\u00e9{}|^`\\"
 
     def test_literal_equality_includes_datatype(self):
+        integer = Iri("http://www.w3.org/2001/XMLSchema#integer")
         assert Literal("1") == Literal("1")
-        assert Literal("1") != Literal("1", Iri("http://www.w3.org/2001/XMLSchema#integer"))
+        assert Literal("1") != Literal("1", integer)
+        assert len({Literal("1", integer), Literal("1")}) == 2
+        assert Literal("1", Iri(integer.value)) == Literal("1", integer)
 
     def test_triple_wellformedness(self):
         with pytest.raises(TypeError):
             Triple(Literal("x"), IRIS[0], IRIS[1])
         with pytest.raises(TypeError):
             Triple(IRIS[0], BlankNode("b"), IRIS[1])
+
+    @given(st.lists(st.one_of(subjects_st, objects_st), min_size=2, max_size=2))
+    def test_equal_terms_hash_equal(self, pair):
+        a, b = pair
+        rebuilt = replace(a)
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(triples_st)
+    def test_equal_triples_hash_equal(self, t):
+        rebuilt = Triple(t.subject, t.predicate, t.object)
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+        assert rebuilt in {t} and t in Graph([rebuilt])
+
+    def test_terms_of_different_kinds_are_unequal(self):
+        assert Iri("x") != BlankNode("x") and BlankNode("x") != Iri("x")
+        assert Literal("x") != Iri("x") and Literal("x") != BlankNode("x")
+        assert len({Iri("x"), BlankNode("x"), Literal("x")}) == 3
+        assert Iri("x") != "x"
+        assert Triple(Iri("s"), Iri("p"), Iri("x")) != Triple(Iri("s"), Iri("p"), BlankNode("x"))
 
     def test_var_requires_name(self):
         with pytest.raises(ValueError):
@@ -148,6 +174,21 @@ class TestGraph:
             assert t in g._by_subject[t.subject]
             assert t in g._by_predicate[t.predicate]
             assert t in g._by_object[t.object]
+
+    def test_copy_has_independent_indexes(self):
+        t1 = Triple(IRIS[0], IRIS[1], IRIS[2])
+        t2 = Triple(IRIS[0], IRIS[1], IRIS[3])
+        t3 = Triple(IRIS[4], IRIS[1], IRIS[2])
+        original = Graph([t1])
+        clone = original.copy()
+        clone.add(t2)
+        original.add(t3)
+        assert list(original) == [t1, t3] and list(clone) == [t1, t2]
+        pattern = TriplePattern(IRIS[0], Var("p"), Var("o"))
+        assert original.match(pattern) == [t1]
+        assert clone.match(pattern) == [t1, t2]
+        assert original.subjects(IRIS[1], IRIS[2]) == [IRIS[0], IRIS[4]]
+        assert clone.subjects(IRIS[1], IRIS[2]) == [IRIS[0]]
 
     def test_pickled_graph_answers_under_another_hash_seed(self, tmp_path):
         """Hashes of str-based terms change with the hash seed, so a graph
@@ -288,3 +329,32 @@ class TestIsomorphism:
             Triple(BlankNode("n"), p, Literal("1")),
         ])
         assert isomorphic(a, b)
+
+
+def ring(labels: list[str]) -> list[Triple]:
+    return [
+        Triple(BlankNode(here), IRIS[0], BlankNode(there))
+        for here, there in zip(labels, labels[1:] + labels[:1])
+    ]
+
+
+class TestSymmetricBlankNodes:
+    """Rings of look-alike blank nodes: every node has the same signature, so
+    only the search itself can tell the graphs apart."""
+
+    def decide(self, a: Graph, b: Graph) -> bool:
+        start = time.perf_counter()
+        verdict = isomorphic(a, b)
+        assert time.perf_counter() - start < 1.0
+        return verdict
+
+    def test_one_ring_against_two_half_rings(self):
+        one = Graph(ring([f"r{i}" for i in range(16)]))
+        two = Graph(ring([f"a{i}" for i in range(8)]) + ring([f"b{i}" for i in range(8)]))
+        assert not self.decide(one, two)
+        assert not self.decide(two, one)
+
+    def test_ring_against_relabelled_copy(self):
+        one = Graph(ring([f"r{i}" for i in range(16)]))
+        relabelled = Graph(reversed(ring([f"q{(i * 5) % 16}" for i in range(16)])))
+        assert self.decide(one, relabelled)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloudaudit
-from cloudaudit.rdf import Graph, Iri, Triple
+from cloudaudit.rdf import BlankNode, Graph, Iri, Literal, Triple
 from cloudaudit.reasoner import materialize, subclasses_of
 from cloudaudit.vocab import (
     AUDIT_INTERFACE,
@@ -124,6 +124,64 @@ def test_random_hierarchies_match_reachability_oracle(g):
     expected = type_closure(g)
     assert set(result.graph) == expected
     assert result.inferred_count == len(expected) - len(g)
+
+
+BNODE_CLASSES = [BlankNode(f"k{i}") for i in range(3)]
+SUPERS = CLASSES + BNODE_CLASSES + [Literal("not a class")]
+
+
+@st.composite
+def general_class_graphs(draw):
+    """Hierarchies with cycles (C subClassOf C too), blank-node classes,
+    literal superclasses and one chain up to 30 deep."""
+    g = Graph()
+    nodes = CLASSES + BNODE_CLASSES
+    for _ in range(draw(st.integers(0, 16))):
+        g.add(Triple(draw(st.sampled_from(nodes)), RDFS_SUBCLASS_OF, draw(st.sampled_from(SUPERS))))
+    depth = draw(st.integers(0, 30))
+    deep = [Iri(f"http://hier.test/D{i}") for i in range(depth + 1)]
+    for lo, hi in zip(deep, deep[1:]):
+        g.add(Triple(lo, RDFS_SUBCLASS_OF, hi))
+    if depth and draw(st.booleans()):
+        g.add(Triple(deep[-1], RDFS_SUBCLASS_OF, draw(st.sampled_from(nodes + deep))))
+    for instance in draw(st.lists(st.sampled_from(INSTANCES + nodes), max_size=30)):
+        g.add(Triple(instance, RDF_TYPE, draw(st.sampled_from(SUPERS + deep))))
+    return g
+
+
+def naive_rounds(g: Graph) -> tuple[int, int]:
+    """Rounds and inferred count of the naive fixpoint, which applies R1 and
+    R2 to the whole graph every round."""
+    facts = set(g)
+    rounds = 0
+    while True:
+        rounds += 1
+        supers: dict = {}
+        for t in facts:
+            if t.predicate == RDFS_SUBCLASS_OF:
+                supers.setdefault(t.subject, []).append(t.object)
+        fresh = {
+            Triple(t.subject, t.predicate, z)
+            for t in facts
+            if t.predicate in (RDFS_SUBCLASS_OF, RDF_TYPE)
+            for z in supers.get(t.object, ())
+        } - facts
+        if not fresh:
+            return rounds, len(facts) - len(g)
+        facts |= fresh
+
+
+@given(general_class_graphs())
+@settings(max_examples=150)
+def test_general_hierarchies_match_reachability_oracle(g):
+    result = materialize(g)
+    expected = type_closure(g)
+    assert set(result.graph) == expected
+    assert result.inferred_count == len(expected) - len(g)
+    assert (result.iterations, result.inferred_count) == naive_rounds(g)
+    again = materialize(result.graph)
+    assert (again.iterations, again.inferred_count) == (1, 0)
+    assert list(again.graph) == list(result.graph)
 
 
 def chain(depth: int) -> Graph:

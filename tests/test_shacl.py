@@ -154,6 +154,35 @@ class TestValidate:
         assert result.constraint is ConstraintKind.CLASS
         assert result.observed == ce("bad")
 
+    def test_class_expander_runs_once_per_constraint(self):
+        g = Graph([
+            Triple(ce("good"), RDF_TYPE, ce("SpecialKMS")),
+            Triple(ce("SpecialKMS"), RDFS_SUBCLASS_OF, sec("KeyManagement")),
+            Triple(ce("bad"), RDF_TYPE, ce("Unrelated")),
+        ])
+        for n in range(6):
+            g.add(Triple(ce(f"engine{n}"), RDF_TYPE, ce("C")))
+            g.add(Triple(ce(f"engine{n}"), sec("uses"), ce("bad" if n % 2 else "good")))
+        shape = NodeShape(
+            shape_iri=ce("S"),
+            target_classes=frozenset({ce("C")}),
+            constraints=(
+                PropertyConstraint(path=sec("uses"), class_constraint=sec("KeyManagement")),
+                PropertyConstraint(path=sec("uses"), min_count=1),
+            ),
+        )
+        calls = []
+
+        def counting(graph, cls):
+            calls.append(cls)
+            return subclasses_of(graph, cls)
+
+        report = validate(g, [shape], counting)
+        assert sorted(calls, key=lambda c: c.value) == [ce("C"), sec("KeyManagement")]
+        assert [(r.focus, r.constraint, r.observed) for r in report.results] == [
+            (ce(f"engine{n}"), ConstraintKind.CLASS, ce("bad")) for n in (1, 3, 5)
+        ]
+
     def test_targets_include_subclass_typed_instances(self):
         g = Graph([
             Triple(ce("ObjectStore"), RDFS_SUBCLASS_OF, ce("DataInterface")),
