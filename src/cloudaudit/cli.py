@@ -82,15 +82,17 @@ def _emit_json(payload: dict, out_path: str | None):
 
 
 def _resolve_iri(text: str, doc: Document) -> Iri:
-    if text.startswith("<") and text.endswith(">"):
-        return Iri(text[1:-1])
-    if "://" in text or text.startswith("urn:"):
-        return Iri(text)
-    if ":" in text:
-        try:
+    try:
+        if text.startswith("<") and text.endswith(">"):
+            return Iri(text[1:-1])
+        if "://" in text or text.startswith("urn:"):
+            return Iri(text)
+        if ":" in text:
             return doc.prefixes.expand(text)
-        except UnknownPrefixError as exc:
-            raise _CliError(str(exc)) from exc
+    except UnknownPrefixError as exc:
+        raise _CliError(str(exc)) from exc
+    except ValueError as exc:
+        raise _CliError(f"{text!r}: {exc}") from exc
     raise _CliError(f"not an IRI or prefixed name: {text!r}")
 
 
@@ -116,10 +118,14 @@ def _cmd_parse(args) -> int:
 def _cmd_infer(args) -> int:
     doc = _load_document(args.file)
     closure = materialize(doc.graph)
+    try:
+        text = serialize_turtle(Document(closure.graph, doc.prefixes))
+    except ValueError as exc:
+        raise _CliError(f"cannot write the inferred graph of {args.file}: {exc}") from exc
     sys.stderr.write(
         f"{closure.inferred_count} inferred triple(s) in {closure.iterations} iteration(s)\n"
     )
-    _write_output(serialize_turtle(Document(closure.graph, doc.prefixes)), args.output)
+    _write_output(text, args.output)
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .rdf import Graph, Iri, Literal, PrefixMap, Triple
+from .rdf import Graph, Iri, Literal, PrefixMap, Triple, term_sort_key
 from .vocab import (
     ATTACHMENT_PROPERTIES,
     COMPLIES_WITH,
@@ -162,10 +162,9 @@ def standards_of(graph: Graph, node: Iri) -> set[Iri]:
 
 
 def _label_of(graph: Graph, node: Iri) -> str | None:
-    for obj in graph.objects(node, RDFS_LABEL):
-        if isinstance(obj, Literal):
-            return obj.lexical
-    return None
+    # the first literal label in term order, whatever the load order
+    labels = [o for o in graph.objects(node, RDFS_LABEL) if isinstance(o, Literal)]
+    return min(labels, key=term_sort_key).lexical if labels else None
 
 
 def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
@@ -190,48 +189,41 @@ def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
     for policy in policies:
         declared.update(o for o in graph.objects(policy, COMPLIES_WITH) if isinstance(o, Iri))
 
-    interfaces = sorted(attached_interfaces(graph, engine), key=lambda i: i.value)
-    statuses = []
-    gap_count = 0
-    for standard in sorted(declared, key=lambda s: s.value):
-        evidence: list[CoverageEvidence] = []
-        for interface in interfaces:
-            if standard in standards_of(graph, interface):
-                evidence.append(
-                    CoverageEvidence(
-                        standard=standard, interface=interface, via=EvidenceKind.DIRECT
-                    )
-                )
-            for prop in MECHANISM_PROPERTIES:
-                for mechanism in graph.objects(interface, prop):
-                    if not isinstance(mechanism, Iri):
-                        continue
-                    if standard in standards_of(graph, mechanism):
-                        evidence.append(
-                            CoverageEvidence(
-                                standard=standard,
-                                interface=interface,
-                                via=EvidenceKind.MECHANISM,
-                                mechanism=mechanism,
-                                linking_property=prop,
-                            )
-                        )
-        state = CoverageState.COVERED if evidence else CoverageState.GAP
-        if state is CoverageState.GAP:
-            gap_count += 1
-        statuses.append(
-            StandardStatus(
-                standard=standard,
-                label=_label_of(graph, standard),
-                state=state,
-                evidence=tuple(evidence),
+    # one walk over the interfaces and their mechanisms, bucketing evidence by
+    # standard; mechanisms go in term order so evidence ignores load order
+    evidence: dict[Iri, list[CoverageEvidence]] = {standard: [] for standard in declared}
+    for interface in sorted(attached_interfaces(graph, engine), key=lambda i: i.value):
+        for standard in standards_of(graph, interface) & declared:
+            evidence[standard].append(
+                CoverageEvidence(standard=standard, interface=interface, via=EvidenceKind.DIRECT)
             )
+        for prop in MECHANISM_PROPERTIES:
+            mechanisms = (m for m in graph.objects(interface, prop) if isinstance(m, Iri))
+            for mechanism in sorted(mechanisms, key=term_sort_key):
+                for standard in standards_of(graph, mechanism) & declared:
+                    evidence[standard].append(
+                        CoverageEvidence(
+                            standard=standard,
+                            interface=interface,
+                            via=EvidenceKind.MECHANISM,
+                            mechanism=mechanism,
+                            linking_property=prop,
+                        )
+                    )
+    statuses = [
+        StandardStatus(
+            standard=standard,
+            label=_label_of(graph, standard),
+            state=CoverageState.COVERED if evidence[standard] else CoverageState.GAP,
+            evidence=tuple(evidence[standard]),
         )
+        for standard in sorted(declared, key=lambda s: s.value)
+    ]
     return ComplianceReport(
         engine=engine,
         policy=policies[0],
         statuses=statuses,
-        gap_count=gap_count,
+        gap_count=sum(s.state is CoverageState.GAP for s in statuses),
         warnings=warnings,
     )
 

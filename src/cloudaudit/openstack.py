@@ -222,10 +222,15 @@ def ingest(
     """Build the instance Document for a set of inventory records.
 
     Raises IngestError (naming record index and field) for invariant
-    breaches, and for policy files that cannot be read.
+    breaches, for policy files that cannot be read, and for an instance
+    namespace that is not an IRI.
     """
     config = config or IngestConfig()
     ns = config.instance_namespace
+    try:
+        Iri(ns)
+    except ValueError as exc:
+        raise IngestError(f"instance namespace: {exc}") from exc
     graph = Graph()
 
     def service_node(name: str) -> Iri:

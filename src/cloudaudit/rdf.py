@@ -171,13 +171,6 @@ class Triple:
     def __reduce__(self):
         return self.__class__, (self.subject, self.predicate, self.object)
 
-    def sort_key(self) -> tuple[str, str, str]:
-        return (
-            term_sort_key(self.subject),
-            term_sort_key(self.predicate),
-            term_sort_key(self.object),
-        )
-
 
 @dataclass(frozen=True)
 class Var:
@@ -245,16 +238,17 @@ class TriplePattern:
 class Graph:
     """A set of triples with subject/predicate/object lookup indexes.
 
-    Insertion is idempotent (set semantics).  Iteration follows insertion
-    order; `match` results are always sorted, so reports built from a graph
-    are reproducible regardless of load order.
+    Insertion is idempotent (set semantics).  Iteration and every lookup
+    answer in insertion order, whatever the hash seed; the graph never
+    sorts.  Reports that must not depend on load order sort what they read.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
+        # index pools are insertion-ordered dicts used as sets
         self._triples: dict[Triple, None] = {}
-        self._by_subject: dict[Term, set[Triple]] = {}
-        self._by_predicate: dict[Iri, set[Triple]] = {}
-        self._by_object: dict[Term, set[Triple]] = {}
+        self._by_subject: dict[Term, dict[Triple, None]] = {}
+        self._by_predicate: dict[Iri, dict[Triple, None]] = {}
+        self._by_object: dict[Term, dict[Triple, None]] = {}
         for t in triples:
             self.add(t)
 
@@ -263,9 +257,9 @@ class Graph:
         if triple in self._triples:
             return False
         self._triples[triple] = None
-        self._by_subject.setdefault(triple.subject, set()).add(triple)
-        self._by_predicate.setdefault(triple.predicate, set()).add(triple)
-        self._by_object.setdefault(triple.object, set()).add(triple)
+        self._by_subject.setdefault(triple.subject, {})[triple] = None
+        self._by_predicate.setdefault(triple.predicate, {})[triple] = None
+        self._by_object.setdefault(triple.object, {})[triple] = None
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:
@@ -290,32 +284,29 @@ class Graph:
         return clone
 
     def match(self, pattern: TriplePattern) -> list[Triple]:
-        """All triples unifying with the pattern, sorted by (s, p, o) form."""
-        candidates = self._candidates(pattern)
-        hits = [t for t in candidates if pattern.binding(t) is not None]
-        hits.sort(key=Triple.sort_key)
-        return hits
+        """All triples unifying with the pattern, in insertion order."""
+        return [t for t in self._candidates(pattern) if pattern.binding(t) is not None]
 
     def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
         # narrow by the most selective concrete position
         pools = []
         if not isinstance(pattern.subject, Var):
-            pools.append(self._by_subject.get(pattern.subject, set()))
+            pools.append(self._by_subject.get(pattern.subject, ()))
         if not isinstance(pattern.predicate, Var):
-            pools.append(self._by_predicate.get(pattern.predicate, set()))
+            pools.append(self._by_predicate.get(pattern.predicate, ()))
         if not isinstance(pattern.object, Var):
-            pools.append(self._by_object.get(pattern.object, set()))
+            pools.append(self._by_object.get(pattern.object, ()))
         if not pools:
             return self._triples
         return min(pools, key=len)
 
     def objects(self, subject: Term, predicate: Iri) -> list[Term]:
-        """Sorted objects of (subject, predicate, ?)."""
-        return [t.object for t in self.match(TriplePattern(subject, predicate, Var("o")))]
+        """Objects of (subject, predicate, ?) in insertion order."""
+        return [t.object for t in self._by_subject.get(subject, ()) if t.predicate == predicate]
 
     def subjects(self, predicate: Iri, obj: Term) -> list[Term]:
-        """Sorted subjects of (?, predicate, obj)."""
-        return [t.subject for t in self.match(TriplePattern(Var("s"), predicate, obj))]
+        """Subjects of (?, predicate, obj) in insertion order."""
+        return [t.subject for t in self._by_object.get(obj, ()) if t.predicate == predicate]
 
     def __repr__(self) -> str:
         return f"Graph({len(self)} triples)"

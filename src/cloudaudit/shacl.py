@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from .rdf import Graph, Iri, Literal, Term, TriplePattern, Var, term_json, term_sort_key
+from .rdf import Graph, Iri, Literal, Term, term_json, term_sort_key
 from .turtle import Document
 from .vocab import (
     RDF_TYPE,
@@ -127,8 +127,17 @@ class ValidationReport:
 
 def _int_value(term: Term, what: str, shape: Iri) -> int:
     if isinstance(term, Literal) and term.lexical.isascii() and term.lexical.isdigit():
-        return int(term.lexical)
+        try:
+            return int(term.lexical)
+        except ValueError:  # more digits than int() converts
+            pass
     raise ShapeError(f"{what} of shape {shape.value} must be a non-negative integer, got {term!r}")
+
+
+def _in_term_order(graph: Graph, node: Term, predicate: Iri) -> list[Term]:
+    # shapes decode the same whatever the load order: holders keep one order,
+    # and of repeated values the last in term order wins
+    return sorted(graph.objects(node, predicate), key=term_sort_key)
 
 
 def parse_shapes(doc: Document) -> list[NodeShape]:
@@ -140,7 +149,7 @@ def parse_shapes(doc: Document) -> list[NodeShape]:
     """
     graph = doc.graph
     shapes = []
-    for subject in graph.subjects(RDF_TYPE, SH_NODE_SHAPE):
+    for subject in sorted(graph.subjects(RDF_TYPE, SH_NODE_SHAPE), key=term_sort_key):
         if not isinstance(subject, Iri):
             raise ShapeError(f"node shapes must be IRIs, got {subject!r}")
         targets = set()
@@ -151,7 +160,7 @@ def parse_shapes(doc: Document) -> list[NodeShape]:
         if not targets:
             raise ShapeError(f"shape {subject.value} has no sh:targetClass")
         constraints = []
-        for holder in graph.objects(subject, SH_PROPERTY):
+        for holder in _in_term_order(graph, subject, SH_PROPERTY):
             paths = graph.objects(holder, SH_PATH)
             if len(paths) != 1 or not isinstance(paths[0], Iri):
                 raise ShapeError(
@@ -161,15 +170,15 @@ def parse_shapes(doc: Document) -> list[NodeShape]:
             min_count = max_count = None
             class_constraint = None
             message = None
-            for term in graph.objects(holder, SH_MIN_COUNT):
+            for term in _in_term_order(graph, holder, SH_MIN_COUNT):
                 min_count = _int_value(term, "sh:minCount", subject)
-            for term in graph.objects(holder, SH_MAX_COUNT):
+            for term in _in_term_order(graph, holder, SH_MAX_COUNT):
                 max_count = _int_value(term, "sh:maxCount", subject)
-            for term in graph.objects(holder, SH_CLASS):
+            for term in _in_term_order(graph, holder, SH_CLASS):
                 if not isinstance(term, Iri):
                     raise ShapeError(f"sh:class of {subject.value} must be an IRI")
                 class_constraint = term
-            for term in graph.objects(holder, SH_MESSAGE):
+            for term in _in_term_order(graph, holder, SH_MESSAGE):
                 if isinstance(term, Literal):
                     message = term.lexical
             constraints.append(
@@ -221,9 +230,7 @@ def validate(data: Graph, shapes: list[NodeShape], class_expander: ClassExpander
         }
         for focus in sorted(focus_nodes, key=term_sort_key):
             for spec in shape.constraints:
-                values = [
-                    t.object for t in data.match(TriplePattern(focus, spec.path, Var("v")))
-                ]
+                values = data.objects(focus, spec.path)
                 if spec.min_count is not None and len(values) < spec.min_count:
                     results.append(
                         ValidationResult(

@@ -239,11 +239,8 @@ def _eval_pattern(graph: Graph, pattern: GraphPattern, seed: dict[str, Term]) ->
         for binding in solutions:
             concrete = tp.substitute(binding)
             for triple in graph.match(concrete):
-                new = concrete.binding(triple)
-                if new is None:
-                    continue
                 merged = dict(binding)
-                merged.update(new)
+                merged.update(concrete.binding(triple))
                 extended.append(merged)
         solutions = extended
         if not solutions:

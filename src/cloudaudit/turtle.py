@@ -538,6 +538,8 @@ class _Serializer:
         by_pred: dict[Iri, list[Term]] = {}
         for t in self.graph.match(TriplePattern(subject, Var("p"), Var("o"))):
             by_pred.setdefault(t.predicate, []).append(t.object)
+        for objects in by_pred.values():
+            objects.sort(key=term_sort_key)
         return sorted(by_pred.items(), key=lambda kv: kv[0].value)
 
     def _subject_block(self, subject: Term) -> str:

@@ -32,10 +32,9 @@ def sec(local: str) -> Iri:
 
 
 def scan_match(graph: Graph, pattern: TriplePattern) -> list[Triple]:
-    """Match by unification over a full linear scan (no indexes)."""
-    hits = [t for t in graph if pattern.binding(t) is not None]
-    hits.sort(key=Triple.sort_key)
-    return hits
+    """Match by unification over a full linear scan (no indexes), in
+    insertion order."""
+    return [t for t in graph if pattern.binding(t) is not None]
 
 
 def type_closure(graph: Graph) -> set[Triple]:

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cloudaudit
 from cloudaudit.cli import main
@@ -234,6 +236,12 @@ SHAPE_TEMPLATE = (
 )
 DEEP_TURTLE = "@prefix e: <http://e.test/> .\ne:s e:p " + "[ e:p " * 3000 + "e:o" + " ]" * 3000 + " .\n"
 DEEP_QUERY = "SELECT * WHERE { ?s ?p ?o " + "FILTER EXISTS { ?s ?p ?o " * 3000 + "}" * 3001 + "\n"
+# the closure adds ex:W rdfs:subClassOf _:b1, a second reference to the blank node
+SHARED_BNODE_CLOSURE = (
+    "@prefix ex: <http://e.test/> .\n"
+    "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+    "ex:W rdfs:subClassOf ex:X . ex:X rdfs:subClassOf [ ex:p ex:q ] .\n"
+)
 
 
 class TestBadInputExitsOne:
@@ -265,9 +273,20 @@ class TestBadInputExitsOne:
             ("query.rq", b"SELECT * WHERE { \xff }", "query", "cannot read {path}: 'utf-8' codec"),
             ("model.ttl", DEEP_TURTLE, "parse", "model.ttl:2:1545: groups nested deeper than 256"),
             ("query.rq", DEEP_QUERY, "query", "query.rq:1:6416: groups nested deeper than 256"),
+            ("shapes.ttl", SHAPE_TEMPLATE.replace("COUNT", "9" * 5000), "validate",
+             "sh:minCount of shape http://example.org/cloudengine#S must be a non-negative integer"),
+            ("model.ttl", SHARED_BNODE_CLOSURE, "infer",
+             "cannot write the inferred graph of {path}: blank node(s) ['b1'] are referenced more than once"),
+            ("arg.txt", "<a b>", "compliance", "'<a b>': IRI contains forbidden character ' '"),
+            ("arg.txt", "<>", "compliance", "'<>': IRI must be non-empty"),
+            ("arg.txt", "http://x y", "compliance", "'http://x y': IRI contains forbidden character ' '"),
+            ("arg.txt", "urn:a b:", "ingest",
+             "instance namespace: IRI contains forbidden character ' ': 'urn:a b:'"),
         ],
         ids=["digit-like count", "digit-like string count", "non-UTF-8 model",
-             "non-UTF-8 query", "deep Turtle", "deep query"],
+             "non-UTF-8 query", "deep Turtle", "deep query", "count past int digits",
+             "shared blank node after inference", "engine with space", "empty engine IRI",
+             "engine URL with space", "namespace with space"],
     )
     def test_error_line_without_traceback(self, tmp_path, model, name, content, command, expected):
         path = tmp_path / name
@@ -279,9 +298,94 @@ class TestBadInputExitsOne:
             "parse": ["parse", str(path)],
             "validate": ["validate", model, str(path)],
             "query": ["query", model, str(path)],
+            "infer": ["infer", str(path)],
+            # these two take the content as an argument, not as a file
+            "compliance": ["compliance", model, "--engine", content],
+            "ingest": ["ingest", "openstack", "--namespace", content],
         }[command]
         code, err = self.cli(*argv)
         assert code == 1
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert expected.format(path=path) in err
+
+
+FUZZ_PREAMBLE = (
+    "@prefix ex: <http://e.test/> .\n"
+    "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+    "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+    "@prefix sec: <http://example.org/security#> .\n"
+    "@prefix cloudeng: <http://example.org/cloudengine#> .\n"
+)
+SUBJECTS = ("ex:a", "ex:b", "ex:c", "[]", "<http://e.test/d>")
+PREDICATES = (
+    "a", "rdfs:subClassOf", "rdfs:label", "sec:hasSecurityPolicy", "sec:compliesWith",
+    "sec:implementsStandard", "sec:encryptsData", "cloudeng:hasDataInterface",
+    "sh:targetClass", "sh:property", "sh:path", "sh:minCount", "sh:maxCount", "sh:class",
+    "sh:message",
+)
+OBJECTS = SUBJECTS + ('"x"', "0", "2", "cloudeng:DataInterface", "sh:NodeShape")
+QUERY_WORDS = (
+    "SELECT", "*", "?x", "?y", "WHERE", "{", "}", "FILTER", "NOT", "EXISTS", ".",
+    "ex:a", "ex:b", "a", "rdfs:subClassOf", "sec:encryptsData", "<http://e.test/a>", '"x"',
+)
+
+objects = st.recursive(
+    st.sampled_from(OBJECTS),
+    lambda inner: st.tuples(st.sampled_from(PREDICATES), inner).map(lambda po: f"[ {po[0]} {po[1]} ]"),
+    max_leaves=4,
+)
+statements = st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(PREDICATES), objects).map(
+    " ".join
+)
+words = st.sampled_from(SUBJECTS + PREDICATES + OBJECTS + ("[", "]", ";", ",", "."))
+# raw text almost never parses, so most models are built from the grammar's words:
+# whole statements, or statements with stray words between them
+turtle_text = st.one_of(
+    st.text(max_size=60),
+    *(
+        st.lists(parts, max_size=12).map(lambda ps: FUZZ_PREAMBLE + " .\n".join(ps) + " .\n")
+        for parts in (statements, st.one_of(statements, words))
+    ),
+)
+query_text = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(QUERY_WORDS), max_size=30).map(
+        lambda picked: "PREFIX ex: <http://e.test/>\n" + " ".join(picked) + "\n"
+    ),
+)
+engine_text = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(["ex:a", "ex:b", "<http://e.test/a>", "urn:x", "<a b>", "<>", "ex:a b"]),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["parse", "infer", "query", "validate", "compliance"]),
+    model_text=turtle_text,
+    query=query_text,
+    shapes_text=turtle_text,
+    engine=engine_text,
+)
+def test_any_input_exits_with_a_contract_code(tmp_path, command, model_text, query, shapes_text, engine):
+    """In process, so any exception the CLI lets escape fails the test."""
+    paths = {}
+    for name, text in (("model.ttl", model_text), ("query.rq", query), ("shapes.ttl", shapes_text)):
+        paths[name] = str(tmp_path / name)
+        # lone surrogates become bytes that are not UTF-8
+        Path(paths[name]).write_text(text, encoding="utf-8", errors="surrogatepass")
+    argv = {
+        "parse": ["parse", paths["model.ttl"]],
+        "infer": ["infer", paths["model.ttl"]],
+        "query": ["query", paths["model.ttl"], paths["query.rq"]],
+        "validate": ["validate", paths["model.ttl"], paths["shapes.ttl"]],
+        # the = form keeps an engine text such as --help from reading as an option
+        "compliance": ["compliance", paths["model.ttl"], f"--engine={engine}"],
+    }[command]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        assert exc.code == 1
+    else:
+        assert code in (0, 1, 2, 3)

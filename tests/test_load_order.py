@@ -14,7 +14,7 @@ import pytest
 from cloudaudit.compliance import coverage, remediation_hints
 from cloudaudit.rdf import Graph
 from cloudaudit.reasoner import materialize, subclasses_of
-from cloudaudit.shacl import parse_shapes, validate
+from cloudaudit.shacl import ShapeError, parse_shapes, validate
 from cloudaudit.turtle import Document, parse_turtle, serialize_turtle
 
 from oracles import ce
@@ -93,3 +93,10 @@ def test_fixture_reports_ignore_load_order(model_doc, shapes_doc, engine):
     forward = _reports(model_doc, shapes_doc, ce(engine))
     backward = _reports(_reversed(model_doc), _reversed(shapes_doc), ce(engine))
     assert forward == backward
+
+
+def test_first_shape_error_ignores_load_order():
+    doc = parse_turtle(PREFIXES + "ex:B a sh:NodeShape .\nex:A a sh:NodeShape .\n")
+    for loaded in (doc, _reversed(doc)):
+        with pytest.raises(ShapeError, match="^shape http://order.test/A has no sh:targetClass$"):
+            parse_shapes(loaded)
