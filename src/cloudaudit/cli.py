@@ -212,7 +212,7 @@ def _cmd_ingest(args) -> int:
     if args.versions:
         try:
             raw = json.loads(_read_text(args.versions))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as in parse_cli_json
             raise _CliError(f"{args.versions}: not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise _CliError(f"{args.versions}: expected an object of service -> version")

@@ -156,7 +156,9 @@ def parse_cli_json(text: str, kind: RecordKind) -> list:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: also an integer past int()'s digit limit; RecursionError:
+    # arrays or objects nested past the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise JsonShapeError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise JsonShapeError(f"expected a JSON array, got {type(payload).__name__}")

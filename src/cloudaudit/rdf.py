@@ -224,16 +224,6 @@ class TriplePattern:
                 names.append(slot.name)
         return names
 
-    def substitute(self, bindings: dict[str, Term]) -> "TriplePattern":
-        """Replace bound variables with their terms."""
-
-        def sub(slot: PatternTerm) -> PatternTerm:
-            if isinstance(slot, Var) and slot.name in bindings:
-                return bindings[slot.name]
-            return slot
-
-        return TriplePattern(sub(self.subject), sub(self.predicate), sub(self.object))
-
 
 class Graph:
     """A set of triples with subject/predicate/object lookup indexes.
@@ -285,20 +275,55 @@ class Graph:
 
     def match(self, pattern: TriplePattern) -> list[Triple]:
         """All triples unifying with the pattern, in insertion order."""
-        return [t for t in self._candidates(pattern) if pattern.binding(t) is not None]
+        slots = (pattern.subject, pattern.predicate, pattern.object)
+        hits = self.triples(*(None if isinstance(slot, Var) else slot for slot in slots))
+        names = [slot.name for slot in slots if isinstance(slot, Var)]
+        if len(set(names)) < len(names):  # a repeated variable binds one term
+            return [t for t in hits if pattern.binding(t) is not None]
+        return list(hits)
 
-    def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
-        # narrow by the most selective concrete position
-        pools = []
-        if not isinstance(pattern.subject, Var):
-            pools.append(self._by_subject.get(pattern.subject, ()))
-        if not isinstance(pattern.predicate, Var):
-            pools.append(self._by_predicate.get(pattern.predicate, ()))
-        if not isinstance(pattern.object, Var):
-            pools.append(self._by_object.get(pattern.object, ()))
-        if not pools:
-            return self._triples
-        return min(pools, key=len)
+    def triples(
+        self,
+        subject: Optional[Term] = None,
+        predicate: Optional[Term] = None,
+        obj: Optional[Term] = None,
+    ) -> Iterator[Triple]:
+        """Triples with the given subject, predicate and object (None matches
+        any), lazily and in insertion order.
+
+        Reads the smallest index pool of the given terms (the subject's on
+        ties, then the predicate's) and compares the other given terms with
+        ==.  The graph must not change while the iterator is in use.
+        """
+        keys = [subject, predicate, obj]
+        pool: Iterable[Triple] = self._triples
+        picked = -1
+        for k, index in enumerate((self._by_subject, self._by_predicate, self._by_object)):
+            if keys[k] is not None:
+                candidate = index.get(keys[k], ())
+                if picked < 0 or len(candidate) < len(pool):
+                    pool, picked = candidate, k
+        if picked >= 0:
+            keys[picked] = None
+        s, p, o = keys
+        if s is None and p is None and o is None:
+            return iter(pool)
+        return (
+            t
+            for t in pool
+            if (s is None or t.subject == s)
+            and (p is None or t.predicate == p)
+            and (o is None or t.object == o)
+        )
+
+    def pool_size(self, position: int, term: Optional[Term] = None) -> float:
+        """Size of the index pool `triples` would read for `term` at
+        `position` (0 subject, 1 predicate, 2 object); with no term, the
+        average pool size of that index."""
+        index = (self._by_subject, self._by_predicate, self._by_object)[position]
+        if term is None:
+            return len(self._triples) / len(index) if index else 0.0
+        return len(index.get(term, ()))
 
     def objects(self, subject: Term, predicate: Iri) -> list[Term]:
         """Objects of (subject, predicate, ?) in insertion order."""
@@ -331,6 +356,7 @@ class PrefixMap:
 
     def __init__(self, bindings: Optional[dict[str, str]] = None):
         self._bindings: dict[str, str] = {}
+        self._compacted: dict[str, Optional[str]] = {}  # IRI string -> compact()
         for label, ns in (bindings or {}).items():
             self.bind(label, ns)
 
@@ -340,6 +366,7 @@ class PrefixMap:
         ns = namespace.value if isinstance(namespace, Iri) else namespace
         Iri(ns)  # validate
         self._bindings[label] = ns
+        self._compacted.clear()
 
     def namespace(self, label: str) -> str:
         try:
@@ -359,8 +386,13 @@ class PrefixMap:
 
         Picks the longest bound namespace that prefixes the IRI (smallest
         label on ties) and requires the remainder to be a writable local
-        name, so expand(compact(iri)) round-trips exactly.
+        name, so expand(compact(iri)) round-trips exactly.  Answers are
+        remembered per IRI until the next bind.
         """
+        try:
+            return self._compacted[iri.value]
+        except KeyError:
+            pass
         best: Optional[tuple[int, str, str]] = None
         for label, ns in self._bindings.items():
             if not iri.value.startswith(ns):
@@ -371,9 +403,9 @@ class PrefixMap:
             key = (-len(ns), label, local)
             if best is None or key < best:
                 best = key
-        if best is None:
-            return None
-        return f"{best[1]}:{best[2]}"
+        answer = None if best is None else f"{best[1]}:{best[2]}"
+        self._compacted[iri.value] = answer
+        return answer
 
     def render(self, term: Term) -> str:
         """A term as the text reports show it: an IRI in its prefixed form

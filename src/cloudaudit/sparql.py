@@ -15,15 +15,22 @@ string literals (objects).  IRIs are resolved at parse time.  The text is
 split by the Turtle module's `tokenize`, so lexical errors are the Turtle
 ones.
 
-Evaluation is a left-to-right nested-loop join seeded by the graph's
-indexed matcher; there is no optimizer.  Solution rows are deduplicated and
-sorted, so repeated evaluation of one query is byte-stable.
+Evaluation plans each group once per query: its triple patterns are
+joined greedily, most bound positions first (constants and variables bound
+by earlier patterns), then fewest estimated candidates (the index pool of a
+constant, the average pool of a bound variable), ties in text order.  Each
+pattern reads `Graph.triples` lazily per row and binds only its new
+variables; a group's FILTERs run after its patterns, and EXISTS / NOT
+EXISTS stop at the first inner solution.  Solution rows are deduplicated
+and sorted, so repeated evaluation of one query is byte-stable.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from .rdf import (
     Graph,
@@ -31,6 +38,7 @@ from .rdf import (
     PatternTerm,
     PrefixMap,
     Term,
+    Triple,
     TriplePattern,
     Var,
     term_json,
@@ -232,27 +240,117 @@ def parse_query(text: str) -> Query:
     return _QueryParser(text).parse()
 
 
-def _eval_pattern(graph: Graph, pattern: GraphPattern, seed: dict[str, Term]) -> list[dict[str, Term]]:
-    solutions = [dict(seed)]
-    for tp in pattern.triples:
-        extended: list[dict[str, Term]] = []
-        for binding in solutions:
-            concrete = tp.substitute(binding)
-            for triple in graph.match(concrete):
-                merged = dict(binding)
-                merged.update(concrete.binding(triple))
-                extended.append(merged)
-        solutions = extended
-        if not solutions:
-            break
-    for flt in pattern.filters:
-        kept = []
-        for binding in solutions:
-            matched = bool(_eval_pattern(graph, flt.inner, binding))
-            if matched == (flt.polarity is Polarity.EXISTS):
-                kept.append(binding)
-        solutions = kept
-    return solutions
+_ATTRS = ("subject", "predicate", "object")
+
+
+@dataclass
+class _Step:
+    """One triple pattern of a plan.  A row is a tuple of terms aligned with
+    the plan's layout; a hit of the lookup appends the new variables' terms."""
+
+    given: list[Term | None]  # constants by position, else None (free or from the row)
+    from_row: tuple[tuple[int, int], ...]  # (position, row index) of bound variables
+    take: Callable[[Triple], tuple] | None  # new variables' terms of a hit, or None
+    same: tuple[tuple[str, str], ...]  # attributes a repeated new variable binds
+
+
+@dataclass
+class _Plan:
+    steps: list[_Step]
+    filters: list[tuple[bool, "_Plan"]]  # (keep rows that have a solution, inner plan)
+    layout: list[str]  # variable name at each row index after the steps
+
+
+def _rank(graph: Graph, tp: TriplePattern, layout: list[str]) -> tuple[int, float]:
+    """Order key for the next pattern to join: most given positions first
+    (constants and variables bound so far), then fewest estimated candidates."""
+    given = 0
+    estimate: float = len(graph)
+    for position, slot in enumerate((tp.subject, tp.predicate, tp.object)):
+        if not isinstance(slot, Var):
+            given += 1
+            estimate = min(estimate, graph.pool_size(position, slot))
+        elif slot.name in layout:
+            given += 1
+            estimate = min(estimate, graph.pool_size(position))
+    return -given, estimate
+
+
+def _step(tp: TriplePattern, layout: list[str]) -> _Step:
+    """Compile a pattern against the variables bound so far; appends its new
+    variables to `layout`."""
+    given: list[Term | None] = [None, None, None]
+    from_row = []
+    first: dict[str, str] = {}  # new variable -> attribute that binds it
+    same = []
+    for position, slot in enumerate((tp.subject, tp.predicate, tp.object)):
+        attr = _ATTRS[position]
+        if not isinstance(slot, Var):
+            given[position] = slot
+        elif slot.name in layout:
+            from_row.append((position, layout.index(slot.name)))
+        elif slot.name in first:
+            same.append((first[slot.name], attr))
+        else:
+            first[slot.name] = attr
+    layout.extend(first)
+    take = None
+    if len(first) == 1:
+        (attr,) = first.values()
+        take = lambda t, attr=attr: (getattr(t, attr),)  # noqa: E731
+    elif first:
+        take = attrgetter(*first.values())
+    return _Step(given, tuple(from_row), take, tuple(same))
+
+
+def _plan(graph: Graph, pattern: GraphPattern, bound: list[str]) -> _Plan:
+    """Order a group's patterns greedily by `_rank`, ties in text order, and
+    plan its filters against every variable the group binds."""
+    layout = list(bound)
+    remaining = list(pattern.triples)
+    steps = []
+    while remaining:
+        best = 0
+        if len(remaining) > 1:
+            best = min(range(len(remaining)), key=lambda k: _rank(graph, remaining[k], layout))
+        steps.append(_step(remaining.pop(best), layout))
+    filters = [
+        (flt.polarity is Polarity.EXISTS, _plan(graph, flt.inner, layout))
+        for flt in pattern.filters
+    ]
+    return _Plan(steps, filters, layout)
+
+
+def _extend(lookup, step: _Step, rows: Iterator[tuple]) -> Iterator[tuple]:
+    given, from_row, take, same = step.given, step.from_row, step.take, step.same
+    for row in rows:
+        args = given
+        if from_row:
+            args = given.copy()
+            for position, index in from_row:
+                args[position] = row[index]
+        for t in lookup(*args):
+            if same and any(getattr(t, a) != getattr(t, b) for a, b in same):
+                continue
+            yield row if take is None else row + take(t)
+
+
+def _keep(lookup, plan: _Plan, want: bool, rows: Iterator[tuple]) -> Iterator[tuple]:
+    for row in rows:
+        # the first inner solution decides
+        if (next(_solve(lookup, plan, row), None) is not None) is want:
+            yield row
+
+
+def _solve(lookup, plan: _Plan, seed: tuple) -> Iterator[tuple]:
+    """Lazy solutions of a plan extending one row: the steps, then the
+    correlated filters, as a chain of generators."""
+    rows: Iterator[tuple] = iter((seed,))
+    for step in plan.steps:
+        rows = _extend(lookup, step, rows)
+    for want, inner in plan.filters:
+        rows = _keep(lookup, inner, want, rows)
+    return rows
 
 
 def evaluate(query: Query, graph: Graph) -> SolutionTable:
@@ -262,7 +360,7 @@ def evaluate(query: Query, graph: Graph) -> SolutionTable:
     An empty WHERE group yields a single empty solution, so `SELECT *
     WHERE { }` has one row of no columns.
     """
-    solutions = _eval_pattern(graph, query.where, {})
+    plan = _plan(graph, query.where, [])
     if query.projection is None:
         variables = []
         for tp in query.where.triples:
@@ -271,13 +369,11 @@ def evaluate(query: Query, graph: Graph) -> SolutionTable:
                     variables.append(name)
     else:
         variables = list(query.projection)
-    seen = set()
-    rows: list[tuple[Term | None, ...]] = []
-    for binding in solutions:
-        row = tuple(binding.get(v) for v in variables)
-        key = tuple("" if t is None else term_sort_key(t) for t in row)
-        if key not in seen:
-            seen.add(key)
-            rows.append(row)
-    rows.sort(key=lambda row: tuple("" if t is None else term_sort_key(t) for t in row))
+    # a variable that occurs only inside filters is never bound
+    columns = [plan.layout.index(v) if v in plan.layout else None for v in variables]
+    unique = dict.fromkeys(
+        tuple(None if c is None else solution[c] for c in columns)
+        for solution in _solve(graph.triples, plan, ())
+    )
+    rows = sorted(unique, key=lambda row: tuple("" if t is None else term_sort_key(t) for t in row))
     return SolutionTable(variables=variables, rows=rows)

@@ -51,9 +51,7 @@ from .rdf import (
     PrefixMap,
     Term,
     Triple,
-    TriplePattern,
     UnknownPrefixError,
-    Var,
     XSD_INTEGER,
     XSD_STRING,
     is_prefix_label,
@@ -536,7 +534,7 @@ class _Serializer:
 
     def _grouped(self, subject: Term) -> list[tuple[Iri, list[Term]]]:
         by_pred: dict[Iri, list[Term]] = {}
-        for t in self.graph.match(TriplePattern(subject, Var("p"), Var("o"))):
+        for t in self.graph.triples(subject):
             by_pred.setdefault(t.predicate, []).append(t.object)
         for objects in by_pred.values():
             objects.sort(key=term_sort_key)

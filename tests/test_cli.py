@@ -236,6 +236,8 @@ SHAPE_TEMPLATE = (
 )
 DEEP_TURTLE = "@prefix e: <http://e.test/> .\ne:s e:p " + "[ e:p " * 3000 + "e:o" + " ]" * 3000 + " .\n"
 DEEP_QUERY = "SELECT * WHERE { ?s ?p ?o " + "FILTER EXISTS { ?s ?p ?o " * 3000 + "}" * 3001 + "\n"
+HUGE_JSON_INT = '[{"id": ' + "9" * 5000 + "}]"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 # the closure adds ex:W rdfs:subClassOf _:b1, a second reference to the blank node
 SHARED_BNODE_CLOSURE = (
     "@prefix ex: <http://e.test/> .\n"
@@ -282,11 +284,20 @@ class TestBadInputExitsOne:
             ("arg.txt", "http://x y", "compliance", "'http://x y': IRI contains forbidden character ' '"),
             ("arg.txt", "urn:a b:", "ingest",
              "instance namespace: IRI contains forbidden character ' ': 'urn:a b:'"),
+            ("endpoints.json", HUGE_JSON_INT, "ingest --endpoints",
+             "{path}: not valid JSON: Exceeds the limit (4300 digits) for integer string"),
+            ("versions.json", HUGE_JSON_INT, "ingest --versions",
+             "{path}: not valid JSON: Exceeds the limit (4300 digits) for integer string"),
+            ("users.json", DEEP_JSON, "ingest --users",
+             "{path}: not valid JSON: maximum recursion depth"),
+            ("versions.json", DEEP_JSON, "ingest --versions",
+             "{path}: not valid JSON: maximum recursion depth"),
         ],
         ids=["digit-like count", "digit-like string count", "non-UTF-8 model",
              "non-UTF-8 query", "deep Turtle", "deep query", "count past int digits",
              "shared blank node after inference", "engine with space", "empty engine IRI",
-             "engine URL with space", "namespace with space"],
+             "engine URL with space", "namespace with space", "huge integer in records",
+             "huge integer in versions", "deep array in records", "deep array in versions"],
     )
     def test_error_line_without_traceback(self, tmp_path, model, name, content, command, expected):
         path = tmp_path / name
@@ -302,6 +313,9 @@ class TestBadInputExitsOne:
             # these two take the content as an argument, not as a file
             "compliance": ["compliance", model, "--engine", content],
             "ingest": ["ingest", "openstack", "--namespace", content],
+            "ingest --endpoints": ["ingest", "openstack", "--endpoints", str(path)],
+            "ingest --users": ["ingest", "openstack", "--users", str(path)],
+            "ingest --versions": ["ingest", "openstack", "--versions", str(path)],
         }[command]
         code, err = self.cli(*argv)
         assert code == 1
@@ -389,3 +403,40 @@ def test_any_input_exits_with_a_contract_code(tmp_path, command, model_text, que
         assert exc.code == 1
     else:
         assert code in (0, 1, 2, 3)
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=4,
+)
+# every required key of every record kind, so that records reach ingest
+REQUIRED_KEYS = ("id", "name", "service_name", "service_type", "interface", "url", "role")
+OPTIONAL_KEYS = ("Region", "enabled", "domain_id", "user", "group_id", "project")
+records = st.lists(
+    st.fixed_dictionaries(
+        {key: json_scalars for key in REQUIRED_KEYS},
+        optional={key: json_values for key in OPTIONAL_KEYS},
+    ),
+    max_size=3,
+)
+ingest_json = st.one_of(
+    st.none(), st.text(max_size=40), json_values.map(json.dumps), records.map(json.dumps)
+)
+INGEST_OPTIONS = ("--endpoints", "--projects", "--users", "--assignments", "--versions")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=st.fixed_dictionaries({option: ingest_json for option in INGEST_OPTIONS}))
+def test_any_ingest_input_exits_with_a_contract_code(tmp_path, files):
+    """In process, so any exception the CLI lets escape fails the test."""
+    argv = ["ingest", "openstack"]
+    for option, text in files.items():
+        if text is not None:
+            path = tmp_path / f"{option.strip('-')}.json"
+            path.write_text(text, encoding="utf-8", errors="surrogatepass")
+            argv += [option, str(path)]
+    assert main(argv) in (0, 1)

@@ -140,6 +140,13 @@ class TestGraph:
     def test_match_equals_linear_scan(self, triples, pattern):
         g = Graph(triples)
         assert g.match(pattern) == scan_match(g, pattern)
+        # the lookup under match, with a fresh variable in every free position
+        given = [None if isinstance(slot, Var) else slot
+                 for slot in (pattern.subject, pattern.predicate, pattern.object)]
+        fresh = TriplePattern(
+            *(Var(f"v{k}") if term is None else term for k, term in enumerate(given))
+        )
+        assert list(g.triples(*given)) == scan_match(g, fresh)
 
     def test_match_on_empty_graph(self):
         assert Graph().match(TriplePattern(Var("s"), Var("p"), Var("o"))) == []
@@ -269,6 +276,16 @@ class TestPrefixMap:
         pm = PrefixMap({"p": "http://x.test/"})
         assert pm.compact(Iri("http://x.test/a/b")) is None
         assert pm.compact(Iri("http://x.test/trailing.")) is None
+
+    def test_bind_after_compact_changes_the_answer(self):
+        pm = PrefixMap({"p": "http://x.test/"})
+        deep = Iri("http://x.test/a/b")
+        assert pm.compact(deep) is None
+        pm.bind("a", "http://x.test/a/")
+        assert pm.compact(deep) == "a:b"
+        assert pm.compact(Iri("http://x.test/c")) == "p:c"
+        pm.bind("p", "http://y.test/")
+        assert pm.compact(Iri("http://x.test/c")) is None
 
     def test_expand_compact_round_trip_over_model(self, model_doc):
         pm = model_doc.prefixes

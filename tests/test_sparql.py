@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudaudit.rdf import Graph, Iri, Literal, Triple, TriplePattern, Var
+from cloudaudit.rdf import Graph, Iri, Literal, Triple, TriplePattern, Var, term_sort_key
 from cloudaudit.sparql import (
     FilterExistence,
     GraphPattern,
@@ -32,6 +32,12 @@ WHERE {
 
 
 UNEXPECTED = ErrorKind.UNEXPECTED_TOKEN
+
+
+def nested(depth: int, polarity: str = "EXISTS") -> str:
+    """`depth` groups, each but the innermost holding the next in a FILTER."""
+    inner = f"FILTER {polarity} {{ ?s ?p ?o "
+    return "SELECT * WHERE { ?s ?p ?o " + inner * (depth - 1) + "}" * depth
 
 
 def error_for(text: str) -> ParseError:
@@ -132,9 +138,6 @@ class TestParse:
         assert position(error_for(text)) == expected
 
     def test_nesting_bound(self):
-        def nested(depth: int) -> str:
-            return "SELECT * WHERE { ?s ?p ?o " + "FILTER EXISTS { ?s ?p ?o " * (depth - 1) + "}" * depth
-
         q = parse_query(nested(MAX_NESTING))
         assert len(q.where.filters) == 1
         err = error_for(nested(3000))
@@ -222,6 +225,20 @@ class TestEvaluate:
         second = evaluate(q, model_graph)
         assert first.rows == second.rows and first.variables == second.variables
 
+    def test_deepest_filter_chains(self, model_graph):
+        every_triple = sorted(
+            tuple(term_sort_key(term) for term in (t.subject, t.predicate, t.object))
+            for t in model_graph
+        )
+
+        def rows(depth, polarity):
+            return table_rows(evaluate(parse_query(nested(depth, polarity)), model_graph))
+
+        assert rows(MAX_NESTING, "EXISTS") == every_triple
+        # the innermost group holds for every triple, so NOT EXISTS alternates
+        assert rows(MAX_NESTING, "NOT EXISTS") == []
+        assert rows(MAX_NESTING - 1, "NOT EXISTS") == every_triple
+
     def test_json_rendering(self, gap_graph):
         payload = evaluate(parse_query(B1_QUERY), gap_graph).to_json_dict()
         assert payload == {
@@ -236,7 +253,7 @@ class TestEvaluate:
 
 # --- randomized equivalence against exhaustive enumeration -------------------
 
-_IRIS = [Iri(f"http://q.test/{c}") for c in "abcdefgh"]
+_IRIS = [Iri(f"http://q.test/{c}") for c in "abcd"]
 _OBJECTS = _IRIS + [Literal("1"), Literal("2")]
 _triples_st = st.builds(
     Triple,
@@ -244,35 +261,36 @@ _triples_st = st.builds(
     st.sampled_from(_IRIS),
     st.sampled_from(_OBJECTS),
 )
-_VARS = [Var("x"), Var("y")]
+_VARS = [Var("x"), Var("y"), Var("z")]
 
 
 def _slot_st(concrete):
-    return st.one_of(st.sampled_from(_VARS), st.sampled_from(concrete))
+    return st.one_of(st.sampled_from(_VARS), st.sampled_from(_VARS), st.sampled_from(concrete))
 
 
+# three variables in three slots, so repeats such as ?x ?p ?x are common
 _pattern_st = st.builds(
     TriplePattern, _slot_st(_IRIS), _slot_st(_IRIS), _slot_st(_OBJECTS)
 )
 
 
 @st.composite
-def _query_st(draw):
-    triples = draw(st.lists(_pattern_st, min_size=1, max_size=3))
+def _group_st(draw, depth=0):
+    """Up to four patterns, and FILTER groups nested two deep whose
+    patterns share the variables of the groups around them."""
+    triples = draw(st.lists(_pattern_st, min_size=1, max_size=4 if depth == 0 else 2))
     filters = []
-    if draw(st.booleans()):
+    for _ in range(draw(st.integers(0, 2 - depth))):
         polarity = draw(st.sampled_from([Polarity.EXISTS, Polarity.NOT_EXISTS]))
-        inner = GraphPattern(triples=draw(st.lists(_pattern_st, min_size=1, max_size=2)))
-        filters.append(FilterExistence(polarity=polarity, inner=inner))
-    return Query(
-        prefixes=PrefixMap(),
-        projection=None,
-        where=GraphPattern(triples=triples, filters=filters),
-    )
+        filters.append(FilterExistence(polarity=polarity, inner=draw(_group_st(depth + 1))))
+    return GraphPattern(triples=triples, filters=filters)
 
 
-@given(st.lists(_triples_st, max_size=25), _query_st())
-@settings(max_examples=60, deadline=None)
+_query_st = st.builds(Query, st.builds(PrefixMap), st.none(), _group_st())
+
+
+@given(st.lists(_triples_st, min_size=8, max_size=30), _query_st)
+@settings(max_examples=300, deadline=None)
 def test_matches_brute_force_enumeration(triples, query):
     g = Graph(triples)
     assert table_rows(evaluate(query, g)) == brute_rows(g, query)
@@ -293,3 +311,63 @@ def test_exists_and_not_exists_partition_the_rows(triples, outer, inner):
     not_exists = run([FilterExistence(Polarity.NOT_EXISTS, GraphPattern(triples=list(inner)))])
     assert exists | not_exists == unfiltered
     assert not (exists & not_exists)
+
+
+# --- work done: triples the evaluator reads through Graph.triples -----------
+
+
+def count_reads(graph: Graph, monkeypatch) -> list[int]:
+    """Wrap the graph's lookup; the returned cell counts triples read."""
+    reads = [0]
+    lookup = graph.triples
+
+    def counting(*given):
+        for t in lookup(*given):
+            reads[0] += 1
+            yield t
+
+    monkeypatch.setattr(graph, "triples", counting)
+    return reads
+
+
+def _ex(name: str) -> Iri:
+    return Iri(f"http://w.test/{name}")
+
+
+@pytest.mark.parametrize("selective", [
+    "?m <http://w.test/scope> <http://w.test/AtRest>",  # more given positions
+    "?m <http://w.test/atRest> ?t",  # as many, but the smallest pool
+])
+def test_join_reads_the_same_triples_in_either_text_order(monkeypatch, selective):
+    # 20 engines with 10 data interfaces each; one method in ten is at rest
+    g = Graph()
+    for e in range(20):
+        for d in range(10):
+            g.add(Triple(_ex(f"e{e}"), _ex("has"), _ex(f"d{e}.{d}")))
+            g.add(Triple(_ex(f"d{e}.{d}"), _ex("enc"), _ex(f"m{e}.{d}")))
+            g.add(Triple(_ex(f"m{e}.{d}"), _ex("scope"), _ex("AtRest" if d == 0 else "InTransit")))
+            if d == 0:
+                g.add(Triple(_ex(f"m{e}.{d}"), _ex("atRest"), Literal("true")))
+    patterns = ["?e <http://w.test/has> ?d", "?d <http://w.test/enc> ?m", selective]
+    reads = count_reads(g, monkeypatch)
+
+    def run(order):
+        before = reads[0]
+        table = evaluate(parse_query(f"SELECT ?e ?d WHERE {{ {' . '.join(order)} }}"), g)
+        return table.rows, reads[0] - before
+
+    (rows_a, reads_a), (rows_b, reads_b) = run(patterns), run(patterns[::-1])
+    assert rows_a == rows_b and len(rows_a) == 20
+    assert reads_a == reads_b
+    assert reads_a < 200  # fewer than the attachments alone: the plan starts at rest
+
+
+def test_exists_stops_at_the_first_witness(monkeypatch):
+    g = Graph([Triple(_ex("s"), RDF_TYPE, _ex("T"))])
+    g.update(Triple(_ex("s"), _ex("p"), _ex(f"w{k}")) for k in range(1000))
+    reads = count_reads(g, monkeypatch)
+    q = parse_query(
+        "SELECT ?s WHERE { ?s a <http://w.test/T> . FILTER EXISTS { ?s <http://w.test/p> ?w } }"
+    )
+    assert evaluate(q, g).rows == [(_ex("s"),)]
+    assert reads[0] <= 2  # the type triple and one witness of the thousand
