@@ -22,7 +22,14 @@ from pathlib import Path
 
 from . import __version__
 from .compliance import NoPolicyError, coverage, remediation_hints
-from .openstack import IngestConfig, IngestError, JsonShapeError, ingest, parse_cli_json
+from .openstack import (
+    IngestConfig,
+    IngestError,
+    JsonShapeError,
+    ingest,
+    load_json,
+    parse_cli_json,
+)
 from .rdf import Iri, UnknownPrefixError
 from .reasoner import materialize, subclasses_of
 from .shacl import ShapeError, parse_shapes, validate
@@ -211,9 +218,9 @@ def _cmd_ingest(args) -> int:
     versions: dict[str, str] = {}
     if args.versions:
         try:
-            raw = json.loads(_read_text(args.versions))
-        except (ValueError, RecursionError) as exc:  # as in parse_cli_json
-            raise _CliError(f"{args.versions}: not valid JSON: {exc}") from exc
+            raw = load_json(_read_text(args.versions))
+        except JsonShapeError as exc:
+            raise _CliError(f"{args.versions}: {exc}") from exc
         if not isinstance(raw, dict):
             raise _CliError(f"{args.versions}: expected an object of service -> version")
         versions = {str(k): str(v) for k, v in raw.items()}

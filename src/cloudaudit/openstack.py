@@ -148,18 +148,23 @@ def _as_bool(value, default: bool | None):
     return str(value).lower() == "true"
 
 
+def load_json(text: str):
+    """Decode JSON text; raises JsonShapeError when it is not valid JSON."""
+    try:
+        return json.loads(text)
+    # ValueError: also an integer past int()'s digit limit; RecursionError:
+    # arrays or objects nested past the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise JsonShapeError(f"not valid JSON: {exc}") from exc
+
+
 def parse_cli_json(text: str, kind: RecordKind) -> list:
     """Decode one CLI export into typed records.
 
     Raises JsonShapeError when the payload is not a JSON array of objects
     or a required key is absent under every accepted spelling.
     """
-    try:
-        payload = json.loads(text)
-    # ValueError: also an integer past int()'s digit limit; RecursionError:
-    # arrays or objects nested past the interpreter's recursion limit
-    except (ValueError, RecursionError) as exc:
-        raise JsonShapeError(f"not valid JSON: {exc}") from exc
+    payload = load_json(text)
     if not isinstance(payload, list):
         raise JsonShapeError(f"expected a JSON array, got {type(payload).__name__}")
     records = []

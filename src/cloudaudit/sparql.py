@@ -308,12 +308,19 @@ def _plan(graph: Graph, pattern: GraphPattern, bound: list[str]) -> _Plan:
     plan its filters against every variable the group binds."""
     layout = list(bound)
     remaining = list(pattern.triples)
+    ranks = None  # of `remaining`, until the layout grows
     steps = []
     while remaining:
         best = 0
         if len(remaining) > 1:
-            best = min(range(len(remaining)), key=lambda k: _rank(graph, remaining[k], layout))
+            if ranks is None:
+                ranks = [_rank(graph, tp, layout) for tp in remaining]
+            best = min(range(len(remaining)), key=ranks.__getitem__)
+            ranks.pop(best)
+        width = len(layout)
         steps.append(_step(remaining.pop(best), layout))
+        if len(layout) > width:  # new variables give more positions
+            ranks = None
     filters = [
         (flt.polarity is Polarity.EXISTS, _plan(graph, flt.inner, layout))
         for flt in pattern.filters
@@ -321,36 +328,50 @@ def _plan(graph: Graph, pattern: GraphPattern, bound: list[str]) -> _Plan:
     return _Plan(steps, filters, layout)
 
 
-def _extend(lookup, step: _Step, rows: Iterator[tuple]) -> Iterator[tuple]:
-    given, from_row, take, same = step.given, step.from_row, step.take, step.same
-    for row in rows:
-        args = given
-        if from_row:
-            args = given.copy()
-            for position, index in from_row:
-                args[position] = row[index]
-        for t in lookup(*args):
-            if same and any(getattr(t, a) != getattr(t, b) for a, b in same):
-                continue
-            yield row if take is None else row + take(t)
-
-
-def _keep(lookup, plan: _Plan, want: bool, rows: Iterator[tuple]) -> Iterator[tuple]:
-    for row in rows:
-        # the first inner solution decides
-        if (next(_solve(lookup, plan, row), None) is not None) is want:
-            yield row
+def _passes(lookup, filters: list[tuple[bool, _Plan]], row: tuple) -> bool:
+    """Whether a row satisfies every filter of its group; the first inner
+    solution decides each one."""
+    for want, inner in filters:
+        if (next(_solve(lookup, inner, row), None) is not None) is not want:
+            return False
+    return True
 
 
 def _solve(lookup, plan: _Plan, seed: tuple) -> Iterator[tuple]:
-    """Lazy solutions of a plan extending one row: the steps, then the
-    correlated filters, as a chain of generators."""
-    rows: Iterator[tuple] = iter((seed,))
-    for step in plan.steps:
-        rows = _extend(lookup, step, rows)
-    for want, inner in plan.filters:
-        rows = _keep(lookup, inner, want, rows)
-    return rows
+    """Lazy solutions of a plan extending one row: the steps depth first,
+    one live lookup per step, then the correlated filters.  The stack does
+    not grow with the number of patterns or filters in a group."""
+    steps, filters = plan.steps, plan.filters
+    last = len(steps) - 1
+    if last < 0:
+        if not filters or _passes(lookup, filters, seed):
+            yield seed
+        return
+    rows = [seed] * len(steps)  # rows[k]: the row step k extends
+    live: list[Iterator[Triple]] = [iter(())] * len(steps)  # step k's lookup
+    k = 0
+    opening: tuple | None = seed  # a row for step k to start a lookup on
+    while k >= 0:
+        step = steps[k]
+        if opening is not None:
+            args = step.given
+            if step.from_row:
+                args = args.copy()
+                for position, index in step.from_row:
+                    args[position] = opening[index]
+            rows[k], live[k], opening = opening, iter(lookup(*args)), None
+        take, same = step.take, step.same
+        for t in live[k]:
+            if same and any(getattr(t, a) != getattr(t, b) for a, b in same):
+                continue
+            row = rows[k] if take is None else rows[k] + take(t)
+            if k < last:
+                k, opening = k + 1, row
+                break
+            if not filters or _passes(lookup, filters, row):
+                yield row
+        else:
+            k -= 1
 
 
 def evaluate(query: Query, graph: Graph) -> SolutionTable:

@@ -34,9 +34,10 @@ WHERE {
 UNEXPECTED = ErrorKind.UNEXPECTED_TOKEN
 
 
-def nested(depth: int, polarity: str = "EXISTS") -> str:
-    """`depth` groups, each but the innermost holding the next in a FILTER."""
-    inner = f"FILTER {polarity} {{ ?s ?p ?o "
+def nested(depth: int, polarity: str = "EXISTS", siblings: int = 0) -> str:
+    """`depth` groups, each but the innermost holding the next in a FILTER,
+    after `siblings` one-pattern FILTER EXISTS groups."""
+    inner = "FILTER EXISTS { ?s ?p ?o } " * siblings + f"FILTER {polarity} {{ ?s ?p ?o "
     return "SELECT * WHERE { ?s ?p ?o " + inner * (depth - 1) + "}" * depth
 
 
@@ -239,6 +240,15 @@ class TestEvaluate:
         assert rows(MAX_NESTING, "NOT EXISTS") == []
         assert rows(MAX_NESTING - 1, "NOT EXISTS") == every_triple
 
+    def test_long_groups_do_not_deepen_the_stack(self, model_graph):
+        def rows(text):
+            return table_rows(evaluate(parse_query(text), model_graph))
+
+        one = rows("SELECT * WHERE { ?s ?p ?o }")
+        assert rows("SELECT * WHERE { " + "?s ?p ?o . " * 2000 + "}") == one
+        assert rows("SELECT * WHERE { ?s ?p ?o " + "FILTER EXISTS { ?s ?p ?o } " * 2000 + "}") == one
+        assert rows(nested(MAX_NESTING, siblings=4)) == one
+
     def test_json_rendering(self, gap_graph):
         payload = evaluate(parse_query(B1_QUERY), gap_graph).to_json_dict()
         assert payload == {
@@ -289,7 +299,7 @@ def _group_st(draw, depth=0):
 _query_st = st.builds(Query, st.builds(PrefixMap), st.none(), _group_st())
 
 
-@given(st.lists(_triples_st, min_size=8, max_size=30), _query_st)
+@given(st.lists(_triples_st, max_size=30), _query_st)
 @settings(max_examples=300, deadline=None)
 def test_matches_brute_force_enumeration(triples, query):
     g = Graph(triples)
