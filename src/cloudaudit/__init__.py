@@ -3,51 +3,73 @@
 Parses RDF/Turtle models of cloud engines, materializes RDFS subclass
 entailments, answers SELECT queries, validates node shapes, computes
 standards-coverage gap reports and ingests OpenStack inventory exports.
+
+The names below are imported from their layer on first use (PEP 562), so
+importing the package, or running one CLI command, loads only the layers
+that are used.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .rdf import (  # noqa: F401
-    BlankNode,
-    Graph,
-    Iri,
-    Literal,
-    PrefixMap,
-    Term,
-    Triple,
-    TriplePattern,
-    Var,
-    isomorphic,
-)
-from .turtle import Document, ParseError, parse_turtle, serialize_turtle  # noqa: F401
-from .reasoner import ClosureResult, materialize, subclasses_of  # noqa: F401
-from .sparql import Query, SolutionTable, evaluate, parse_query  # noqa: F401
-from .shacl import (  # noqa: F401
-    NodeShape,
-    PropertyConstraint,
-    ShapeError,
-    ValidationReport,
-    parse_shapes,
-    validate,
-)
-from .compliance import (  # noqa: F401
-    ComplianceReport,
-    CoverageEvidence,
-    NoPolicyError,
-    attached_interfaces,
-    coverage,
-    coverage_queries,
-    remediation_hints,
-    standards_of,
-)
-from .openstack import (  # noqa: F401
-    EndpointRecord,
-    IngestConfig,
-    IngestError,
-    JsonShapeError,
-    ProjectRecord,
-    RoleAssignmentRecord,
-    UserRecord,
-    ingest,
-    parse_cli_json,
-)
+_LAYER_EXPORTS = {
+    "rdf": (
+        "BlankNode",
+        "Graph",
+        "Iri",
+        "Literal",
+        "PrefixMap",
+        "Term",
+        "Triple",
+        "TriplePattern",
+        "Var",
+        "isomorphic",
+    ),
+    "turtle": ("Document", "ParseError", "parse_turtle", "serialize_turtle"),
+    "reasoner": ("ClosureResult", "materialize", "subclasses_of"),
+    "sparql": ("Query", "SolutionTable", "evaluate", "parse_query"),
+    "shacl": (
+        "NodeShape",
+        "PropertyConstraint",
+        "ShapeError",
+        "ValidationReport",
+        "parse_shapes",
+        "validate",
+    ),
+    "compliance": (
+        "ComplianceReport",
+        "CoverageEvidence",
+        "NoPolicyError",
+        "attached_interfaces",
+        "coverage",
+        "coverage_queries",
+        "remediation_hints",
+        "standards_of",
+    ),
+    "openstack": (
+        "EndpointRecord",
+        "IngestConfig",
+        "IngestError",
+        "JsonShapeError",
+        "ProjectRecord",
+        "RoleAssignmentRecord",
+        "UserRecord",
+        "ingest",
+        "parse_cli_json",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{layer}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAYER_OF})

@@ -11,29 +11,19 @@ CI-friendly:
 Unless --no-inference is given, query/validate/compliance run against the
 RDFS-materialized graph so type queries also see instances typed via
 subclasses.
+
+Each command handler imports the layers it runs, so a command pays the
+start-up cost of those layers only.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .compliance import NoPolicyError, coverage, remediation_hints
-from .openstack import (
-    IngestConfig,
-    IngestError,
-    JsonShapeError,
-    ingest,
-    load_json,
-    parse_cli_json,
-)
 from .rdf import Iri, UnknownPrefixError
-from .reasoner import materialize, subclasses_of
-from .shacl import ShapeError, parse_shapes, validate
-from .sparql import evaluate, parse_query
 from .turtle import Document, ParseError, parse_turtle, serialize_turtle
 
 EXIT_OK = 0
@@ -85,6 +75,8 @@ def _write_output(text: str, out_path: str | None):
 
 
 def _emit_json(payload: dict, out_path: str | None):
+    import json
+
     _write_output(json.dumps(payload, indent=2) + "\n", out_path)
 
 
@@ -104,6 +96,8 @@ def _resolve_iri(text: str, doc: Document) -> Iri:
 
 
 def _working_graph(doc: Document, no_inference: bool):
+    from .reasoner import materialize
+
     return doc.graph if no_inference else materialize(doc.graph).graph
 
 
@@ -123,6 +117,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    from .reasoner import materialize
+
     doc = _load_document(args.file)
     closure = materialize(doc.graph)
     try:
@@ -137,6 +133,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .sparql import evaluate, parse_query
+
     doc = _load_document(args.file)
     try:
         query = parse_query(_read_text(args.query))
@@ -151,6 +149,9 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .reasoner import subclasses_of
+    from .shacl import ShapeError, parse_shapes, validate
+
     doc = _load_document(args.file)
     shapes_doc = _load_document(args.shapes)
     try:
@@ -166,6 +167,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compliance(args) -> int:
+    from .compliance import NoPolicyError, coverage, remediation_hints
+
     doc = _load_document(args.file)
     engine = _resolve_iri(args.engine, doc)
     graph = _working_graph(doc, args.no_inference)
@@ -199,6 +202,15 @@ def _parse_policy_file_args(pairs: list[str]) -> dict[str, str]:
 
 
 def _cmd_ingest(args) -> int:
+    from .openstack import (
+        IngestConfig,
+        IngestError,
+        JsonShapeError,
+        ingest,
+        load_json,
+        parse_cli_json,
+    )
+
     if args.source != "openstack":
         raise _CliError(f"unknown ingest source {args.source!r}")
 

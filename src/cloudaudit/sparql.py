@@ -21,7 +21,10 @@ by earlier patterns), then fewest estimated candidates (the index pool of a
 constant, the average pool of a bound variable), ties in text order.  Each
 pattern reads `Graph.triples` lazily per row and binds only its new
 variables; a group's FILTERs run after its patterns, and EXISTS / NOT
-EXISTS stop at the first inner solution.  Solution rows are deduplicated
+EXISTS stop at the first inner solution.  A FILTER group that reads only
+some of the row's variables remembers its answer for each combination of
+their terms, so an uncorrelated group is solved once per query, and a
+chain of them costs time linear in its depth.  Solution rows are deduplicated
 and sorted, so repeated evaluation of one query is byte-stable.
 """
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator
 
 from .rdf import (
@@ -44,7 +47,7 @@ from .rdf import (
     term_json,
     term_sort_key,
 )
-from .turtle import Token, TokenStream
+from .turtle import Token, TokenStream, tokenize
 from .vocab import RDF_TYPE
 
 
@@ -137,7 +140,7 @@ class _QueryParser(TokenStream):
     as 'var' and '*' as 'star'."""
 
     def __init__(self, text: str):
-        super().__init__(text, query=True)
+        super().__init__(text, tokenize(text, query=True))
         self.prefixes = PrefixMap()
 
     def _expect(self, kind: str) -> Token:
@@ -257,8 +260,11 @@ class _Step:
 @dataclass
 class _Plan:
     steps: list[_Step]
-    filters: list[tuple[bool, "_Plan"]]  # (keep rows that have a solution, inner plan)
+    # (keep rows that have a solution, inner plan, the row's terms the inner
+    # plan reads or None for the whole row, answers by those terms)
+    filters: list[tuple[bool, "_Plan", Callable[[tuple], object] | None, dict]]
     layout: list[str]  # variable name at each row index after the steps
+    reads: set[int]  # indices of the seed row that the steps and filters read
 
 
 def _rank(graph: Graph, tp: TriplePattern, layout: list[str]) -> tuple[int, float]:
@@ -321,18 +327,40 @@ def _plan(graph: Graph, pattern: GraphPattern, bound: list[str]) -> _Plan:
         steps.append(_step(remaining.pop(best), layout))
         if len(layout) > width:  # new variables give more positions
             ranks = None
-    filters = [
-        (flt.polarity is Polarity.EXISTS, _plan(graph, flt.inner, layout))
-        for flt in pattern.filters
-    ]
-    return _Plan(steps, filters, layout)
+    # A filter that reads only part of the row remembers its answer for
+    # each combination of the terms it reads, so rows that agree on them,
+    # or all rows when it reads none, share one evaluation.  A filter that
+    # reads the whole row keeps no answers: no row reaches it twice.
+    filters = []
+    for flt in pattern.filters:
+        inner = _plan(graph, flt.inner, layout)
+        key = None
+        if len(inner.reads) < len(layout):
+            key = itemgetter(*inner.reads) if inner.reads else _no_terms
+        filters.append((flt.polarity is Polarity.EXISTS, inner, key, {}))
+    seed = len(bound)
+    reads = {index for step in steps for _, index in step.from_row if index < seed}
+    for _, inner, _, _ in filters:
+        reads.update(index for index in inner.reads if index < seed)
+    return _Plan(steps, filters, layout, reads)
 
 
-def _passes(lookup, filters: list[tuple[bool, _Plan]], row: tuple) -> bool:
+def _no_terms(row: tuple) -> tuple:
+    return ()
+
+
+def _passes(lookup, filters: list[tuple], row: tuple) -> bool:
     """Whether a row satisfies every filter of its group; the first inner
     solution decides each one."""
-    for want, inner in filters:
-        if (next(_solve(lookup, inner, row), None) is not None) is not want:
+    for want, inner, key, answers in filters:
+        if key is None:
+            found = next(_solve(lookup, inner, row), None) is not None
+        else:
+            terms = key(row)
+            found = answers.get(terms)
+            if found is None:
+                found = answers[terms] = next(_solve(lookup, inner, row), None) is not None
+        if found is not want:
             return False
     return True
 

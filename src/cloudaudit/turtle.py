@@ -32,6 +32,18 @@ offset; line and column are worked out only when a ParseError is raised.
 When no token matches, `_lex_error` reads the offending construct again to
 name the error and its position.
 
+`parse_turtle` reads a statement at a time.  A statement of prefixed names,
+``a`` and strings without escapes, in ``,`` and ``;`` lists, is read by the
+step regexes (subject, predicate and object steps, each ending at its
+``[;,.]``), which build its triples from the match groups with no Token
+objects.  Any other statement (``[ ... ]``, ``<iri>``, integers, escapes,
+``@prefix``, a trailing ``;``) is tokenized on its own, up to its ``.``,
+and parsed by the token parser; the two paths share the IRI table, the
+prefix map and the blank node counter, and a statement's triples are added
+only once it is read whole.  Any error throws the partial Document away
+and parses the whole text again through `tokenize` and the token parser,
+so every error, and which error comes first, is what that path reports.
+
 Parsing is pure: the same input always yields the same Document, with blank
 node labels minted as b1, b2, ... in encounter order.
 """
@@ -132,6 +144,19 @@ _TOKEN_RE = re.compile(
       |(?P<error>))""",
     re.VERBOSE,
 )
+
+# The statement steps parse_turtle tries first.  A gap is whitespace and
+# whole comment lines, so a step that fails backtracks through it once
+# instead of in every way its whitespace could be split.  Each token they
+# read is the one tokenize would read there: ASCII prefix labels only, and
+# the 'a' keyword and plain strings (no escapes) end where the words and
+# strings of _TOKEN_RE end.
+_GAP = r"\s*(?:#[^\n]*\n\s*)*"
+_PNAME = rf"(?:[A-Za-z_][A-Za-z0-9_-]*)?:{_LOCAL}"
+_OBJECT_STEP_RE = re.compile(rf'{_GAP}({_PNAME}|"[^"\\\n]*"){_GAP}([;,.])')
+_PREDICATE_STEP_RE = re.compile(rf"{_GAP}({_PNAME}|a(?![\w:-])){_OBJECT_STEP_RE.pattern}")
+_SUBJECT_STEP_RE = re.compile(rf"{_GAP}({_PNAME}){_PREDICATE_STEP_RE.pattern}")
+
 _IRI_PREFIX_RE = re.compile(_IRI_BODY)
 _STRING_PREFIX_RE = re.compile(_STRING_BODY)
 _LOCAL_RUN_RE = re.compile(r"[A-Za-z0-9_.-]*")
@@ -151,9 +176,10 @@ def _unexpected_character(text: str, offset: int) -> ParseError:
     )
 
 
-def tokenize(text: str, query: bool = False) -> list[Token]:
-    """Split Turtle text, or query text when `query` is set, into tokens
-    ending with an 'eof' token.
+def tokenize(text: str, query: bool = False, pos: int = 0, statement: bool = False) -> list[Token]:
+    """Split Turtle text, or query text when `query` is set, from offset
+    `pos` into tokens ending with an 'eof' token.  With `statement`, the
+    tokens stop after the first '.' as if the input ended there.
 
     Raises ParseError at the first lexical error; in Turtle the query-only
     tokens are lexical errors.
@@ -161,7 +187,6 @@ def tokenize(text: str, query: bool = False) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     match = _TOKEN_RE.match
-    pos = 0
     while True:
         m = match(text, pos)
         kind = m.lastgroup
@@ -180,6 +205,9 @@ def tokenize(text: str, query: bool = False) -> list[Token]:
                 if c == "*":
                     c = "star"
             append(Token(c, start))
+            if statement and c == ".":
+                append(Token("eof", pos))
+                return tokens
         elif kind == "iriref":
             value = m[kind][1:-1]
             if "\\" in value:
@@ -279,9 +307,9 @@ def _lex_error(text: str, offset: int, query: bool) -> ParseError:
 class TokenStream:
     """A cursor over the tokens of one text, shared by the Turtle and query parsers."""
 
-    def __init__(self, text: str, query: bool = False):
+    def __init__(self, text: str, tokens: list[Token]):
         self.text = text
-        self.tokens = tokenize(text, query)
+        self.tokens = tokens
         self.i = 0
         self.depth = 0
         self.iris: dict[str, Iri] = {}  # one Iri object per distinct IRI of the text
@@ -333,10 +361,13 @@ class TokenStream:
 
 
 class _Parser(TokenStream):
-    def __init__(self, text: str):
-        super().__init__(text)
+    def __init__(self, text: str, tokens: list[Token]):
+        super().__init__(text, tokens)
         self.doc = Document()
         self._bnodes = 0
+        # step token -> term, until the next @prefix: prefixed names, 'a'
+        # and plain strings as the step regexes read them
+        self._terms: dict[str, Term] = {"a": RDF_TYPE}
 
     def _expect(self, kind: str) -> Token:
         tok = self._cur()
@@ -355,12 +386,87 @@ class _Parser(TokenStream):
         return BlankNode(f"b{self._bnodes}")
 
     def parse(self) -> Document:
+        """Parse the whole token list."""
         while self._cur().kind != "eof":
             if self._cur().kind == "@prefix":
                 self._directive()
             else:
                 self._statement()
         return self.doc
+
+    def parse_by_statement(self) -> Document:
+        """Parse the text one statement at a time: by the step regexes when
+        they match it, else through the token parser on its own tokens."""
+        pos = 0
+        while pos is not None:
+            end = self._step_statement(pos)
+            pos = self._token_statement(pos) if end is None else end
+        return self.doc
+
+    def _step_statement(self, pos: int) -> int | None:
+        """Add the statement at `pos` if the step regexes read all of it:
+        prefixed names, 'a' and plain strings, with ',' and ';' lists.
+        Returns the offset after its '.', or None having added nothing."""
+        text, terms = self.text, self._terms
+        m = _SUBJECT_STEP_RE.match(text, pos)
+        if m is None:
+            return None
+        s, v, o, punct = m.groups()
+        subject = terms.get(s) or self._step_term(s)
+        verb = terms.get(v) or self._step_term(v)
+        triples = []
+        while True:
+            obj = terms.get(o) or self._step_term(o)
+            if subject is None or verb is None or obj is None:
+                return None
+            triples.append(Triple(subject, verb, obj))
+            if punct == ".":
+                break
+            if punct == ",":
+                m = _OBJECT_STEP_RE.match(text, m.end())
+                if m is None:
+                    return None
+                o, punct = m.groups()
+            else:
+                m = _PREDICATE_STEP_RE.match(text, m.end())
+                if m is None:
+                    return None
+                v, o, punct = m.groups()
+                verb = terms.get(v) or self._step_term(v)
+        add = self.doc.graph.add
+        for t in triples:
+            add(t)
+        return m.end()
+
+    def _step_term(self, token: str) -> Term | None:
+        """The term of a prefixed name or plain string a step read, or None
+        when its prefix is not bound."""
+        if token[0] == '"':
+            term: Term = Literal(token[1:-1])
+        else:
+            label, _, local = token.partition(":")
+            try:
+                value = self.doc.prefixes.namespace(label) + local
+            except UnknownPrefixError:
+                return None
+            term = self.iris.get(value) or self.iris.setdefault(value, Iri(value))
+        self._terms[token] = term
+        return term
+
+    def _token_statement(self, pos: int) -> int | None:
+        """Parse the directive or statement at `pos` from its tokens; the
+        offset after its '.', or None at the end of the input."""
+        self.tokens = tokenize(self.text, pos=pos, statement=True)
+        self.i = 0
+        kind = self._cur().kind
+        if kind == "eof":
+            return None
+        if kind == "@prefix":
+            self._directive()
+            self._terms = {"a": RDF_TYPE}
+        else:
+            self._statement()
+        return self.tokens[self.i - 1].offset + 1
 
     def _directive(self):
         self._take()  # @prefix
@@ -445,7 +551,11 @@ def parse_turtle(text: str) -> Document:
     Raises ParseError with a 1-based position for anything outside the
     supported subset.
     """
-    return _Parser(text).parse()
+    try:
+        return _Parser(text, []).parse_by_statement()
+    except ParseError:
+        # the whole-text lexer reports the first lexical error of the text
+        return _Parser(text, tokenize(text)).parse()
 
 
 def _escape_literal(lexical: str) -> str:

@@ -7,7 +7,10 @@ of joins, BFS reachability instead of fixpoint iteration.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from itertools import product
+from pathlib import Path
 
 from cloudaudit.rdf import Graph, Iri, Term, Triple, TriplePattern, term_sort_key
 from cloudaudit.sparql import GraphPattern, Polarity, Query
@@ -142,3 +145,19 @@ def table_rows(table) -> list[tuple[str, ...]]:
     return sorted(
         tuple("" if t is None else term_sort_key(t) for t in row) for row in table.rows
     )
+
+
+def _load_generator():
+    """The benchmark's model generator, whose Turtle reader shares no code
+    with cloudaudit's."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+read_turtle = _load_generator().read_turtle
+"""Triples of a Turtle text by perfbench/gen.py's token-list reader: IRIs
+as strings, ("L", text) strings, ("I", digits) integers and ("B", n) blank
+nodes numbered from 0 in document order, duplicates kept."""

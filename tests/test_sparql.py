@@ -381,3 +381,24 @@ def test_exists_stops_at_the_first_witness(monkeypatch):
     )
     assert evaluate(q, g).rows == [(_ex("s"),)]
     assert reads[0] <= 2  # the type triple and one witness of the thousand
+
+
+def _not_exists_chain(depth: int) -> str:
+    """SELECT over `depth` nested NOT EXISTS groups that share no variable."""
+    opened = "".join(f"FILTER NOT EXISTS {{ ?s{k} ?p{k} ?o{k} " for k in range(1, depth + 1))
+    return f"SELECT * WHERE {{ ?s0 ?p0 ?o0 {opened}" + "}" * (depth + 1)
+
+
+def test_uncorrelated_filter_chains_read_linearly_in_depth(monkeypatch):
+    g = Graph(Triple(_ex(f"s{k}"), _ex("p"), _ex(f"o{k}")) for k in range(20))
+    reads = count_reads(g, monkeypatch)
+    counts = []
+    for depth in range(1, 9):
+        before = reads[0]
+        rows = evaluate(parse_query(_not_exists_chain(depth)), g).rows
+        assert len(rows) == (20 if depth % 2 == 0 else 0)
+        counts.append(reads[0] - before)
+    # each group is solved once, whatever the number of outer rows: per
+    # level, at most one pass over the 20 triples and one witness
+    assert all(n <= 21 * depth for depth, n in enumerate(counts, 1)), counts
+    assert counts[-1] - counts[-3] == counts[-3] - counts[-5], counts

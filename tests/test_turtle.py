@@ -1,5 +1,7 @@
 """Parser/serializer behavior: supported subset, rejections, round-trips."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from cloudaudit.rdf import (
     XSD_INTEGER,
     isomorphic,
 )
+from cloudaudit import turtle
 from cloudaudit.turtle import (
     MAX_NESTING,
     Document,
@@ -27,6 +30,7 @@ from cloudaudit.turtle import (
 from cloudaudit.vocab import RDF_TYPE, RDFS_DOMAIN, RDFS_RESOURCE, RDFS_SUBCLASS_OF
 
 from oracles import CLOUDENG, SEC, ce, sec
+from oracles import read_turtle as oracle_read_turtle
 
 # triple counts confirmed once against an independent statement counter
 MODEL_TRIPLES = 282
@@ -473,3 +477,196 @@ def test_injected_stray_character_positions(fixtures_text, data):
 @pytest.fixture(scope="module")
 def fixtures_text(fixtures_dir):
     return (fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")
+
+
+# --- statement steps against the whole-text token parser ---------------------
+#
+# parse_turtle reads plain statements with its step regexes and any other
+# statement from that statement's tokens.  Whatever the mix, the Document or
+# the error must be the one the token parser gives for the whole text.
+
+
+def _parse_whole_text(text: str) -> Document:
+    return turtle._Parser(text, turtle.tokenize(text)).parse()
+
+
+def _outcome(parse, text: str) -> tuple:
+    try:
+        doc = parse(text)
+    except ParseError as err:
+        return ("error", *position(err))
+    triples = [(t.subject, t.predicate, t.object) for t in doc.graph]
+    return ("document", triples, list(doc.prefixes.bindings.items()))
+
+
+def _as_oracle_triples(doc: Document) -> list[tuple]:
+    """The graph in the terms of oracles.read_turtle, which reads integers
+    by value, without duplicates."""
+
+    def term(t):
+        if isinstance(t, Iri):
+            return t.value
+        if isinstance(t, BlankNode):
+            return ("B", int(t.label[1:]) - 1)
+        if t.datatype == XSD_INTEGER:
+            return ("I", str(int(t.lexical)))
+        return ("L", t.lexical)
+
+    triples = ((term(t.subject), term(t.predicate), term(t.object)) for t in doc.graph)
+    return list(dict.fromkeys(triples))
+
+
+_LABELS = ["ex", "a", "b_2", "n-s", ""]
+_NAMESPACES = ["http://ex.test/a#", "http://ex.test/b/", "urn:x:"]
+_LOCAL_NAMES = ["x", "y1", "A.9.4.1", "AC-3", "z_z", "", "1st"]
+_PLAIN_SEPARATORS = [" ", "\n", "\t", "  \n    ", "\u00a0", "\r\n"]
+_COMMENTS = ["# note\n", " # a ; b , c . [ ] \" < @ #\n", "\n# one\n# two\n  "]
+
+
+@st.composite
+def _turtle_texts(draw):
+    """Token lists of the supported subset, joined by random spacing and
+    comments: prefixed names, IRIREFs, 'a', strings with and without
+    escapes, integers, nested blank-node lists, object and predicate lists
+    with trailing ';', and @prefix directives anywhere, rebinding labels."""
+    labels = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=3, unique=True))
+    tokens: list[str] = []
+
+    def directive(label):
+        tokens.extend(["@prefix", f"{label}:", f"<{draw(st.sampled_from(_NAMESPACES))}>", "."])
+
+    def iri():
+        if draw(st.integers(0, 3)) == 0:
+            return f"<{draw(st.sampled_from(_NAMESPACES))}{draw(st.sampled_from(_LOCAL_NAMES))}>"
+        return f"{draw(st.sampled_from(labels))}:{draw(st.sampled_from(_LOCAL_NAMES))}"
+
+    def node(depth):
+        tokens.append("[")
+        if draw(st.booleans()):
+            predicate_objects(depth + 1)
+        tokens.append("]")
+
+    def obj(depth):
+        kind = draw(st.integers(0, 9))
+        if kind <= 4:
+            tokens.append(iri())
+        elif kind <= 6:
+            body = draw(st.text(alphabet='ab #.;,"\\\n\t<', max_size=5))
+            if draw(st.booleans()) or any(c in body for c in '"\\\n'):
+                body = body.replace("\\", "\\\\").replace('"', '\\"')
+                body = body.replace("\n", "\\n").replace("\t", "\\t")
+            tokens.append(f'"{body}"')
+        elif kind == 7:
+            tokens.append(draw(st.sampled_from(["0", "7", "42", "007"])))
+        elif depth < 3:
+            node(depth)
+        else:
+            tokens.append(iri())
+
+    def predicate_objects(depth):
+        for k in range(draw(st.integers(1, 3))):
+            if k:
+                tokens.append(";")
+            tokens.append("a" if draw(st.integers(0, 3)) == 0 else iri())
+            for j in range(draw(st.integers(1, 3))):
+                if j:
+                    tokens.append(",")
+                obj(depth)
+        tokens.extend([";"] * draw(st.sampled_from([0, 0, 0, 1, 2])))
+
+    for label in labels:
+        directive(label)
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            directive(draw(st.sampled_from(labels)))
+            continue
+        if draw(st.integers(0, 4)) == 0:
+            node(0)
+            if draw(st.booleans()):
+                predicate_objects(0)
+        else:
+            tokens.append(iri())
+            predicate_objects(0)
+        tokens.append(".")
+
+    text = ""
+    for before, token in zip([None] + tokens, tokens):
+        tight = before is not None and before != "." and (
+            before in ";,[]" or token in ".;,[]" or '"' in (before[0], token[0])
+        )
+        choice = draw(st.integers(0, 9))
+        if tight and choice < 4:
+            sep = ""
+        elif choice < 8:
+            sep = draw(st.sampled_from(_PLAIN_SEPARATORS))
+        else:
+            sep = draw(st.sampled_from(_COMMENTS))
+        text += sep + token
+    return text + draw(st.sampled_from(["", "\n", " # end", "\n# end\n"]))
+
+
+@given(_turtle_texts())
+@settings(max_examples=200, deadline=None)
+def test_statement_steps_match_the_token_parser(text):
+    expected = _outcome(_parse_whole_text, text)
+    assert _outcome(parse_turtle, text) == expected
+    assert expected[0] == "document", expected
+    doc = parse_turtle(text)
+    assert _as_oracle_triples(doc) == list(dict.fromkeys(oracle_read_turtle(text)))
+
+
+@given(documents())
+@settings(max_examples=60, deadline=None)
+def test_statement_steps_read_serialized_graphs(doc):
+    text = serialize_turtle(doc)
+    assert _outcome(parse_turtle, text) == _outcome(_parse_whole_text, text)
+    again = parse_turtle(text)
+    assert _as_oracle_triples(again) == list(dict.fromkeys(oracle_read_turtle(text)))
+
+
+_MUTATION_CHARACTERS = list('.;,[]<>"\\#@:a0_- \n') + ["\u00b2", "\u00e9", "{", "%", "\\u", ":x"]
+
+
+@given(_turtle_texts(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_statement_steps_fail_like_the_token_parser(text, data):
+    k = data.draw(st.integers(0, len(text)))
+    how = data.draw(st.sampled_from(["insert", "delete", "replace", "truncate", "repeat"]))
+    if how == "insert":
+        text = text[:k] + data.draw(st.sampled_from(_MUTATION_CHARACTERS)) + text[k:]
+    elif how == "delete":
+        text = text[:k] + text[k + 1:]
+    elif how == "replace":
+        text = text[:k] + data.draw(st.sampled_from(_MUTATION_CHARACTERS)) + text[k + 1:]
+    elif how == "truncate":
+        text = text[:k]
+    else:
+        j = data.draw(st.integers(k, len(text)))
+        text = text[:j] + text[k:]
+    assert _outcome(parse_turtle, text) == _outcome(_parse_whole_text, text)
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [" " * 100_000, "# a comment line\n" * 20_000, "\t\n" * 50_000],
+    ids=["spaces", "comment-lines", "line-breaks"],
+)
+@pytest.mark.parametrize(
+    "template, bad",
+    [
+        ("sec:S{gap}sec:p{gap}sec:O{gap}%", "%"),
+        ("sec:S sec:p sec:O ,{gap}%", "%"),
+        ("sec:S sec:p sec:O ;{gap}sec:q{gap}sec:O{gap}sec:X .", "sec:X"),
+        ("sec:S sec:p sec:O .{gap}sec:T{gap}a{gap}\"x\"{gap}\"y\" .", '"y"'),
+    ],
+    ids=["lexical", "after-comma", "grammar", "next-statement"],
+)
+def test_long_gaps_fail_in_linear_time(gap, template, bad):
+    text = HEADER + template.replace("{gap}", gap)
+    offset = text.rindex(bad)
+    start = time.perf_counter()
+    err = error_for(text)
+    assert time.perf_counter() - start < 1.0
+    assert (err.line, err.column) == (
+        text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    )

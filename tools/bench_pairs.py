@@ -1,0 +1,97 @@
+"""Paired benchmark runs of two checkouts, written to a BENCH_*.json file.
+
+Runs `perfbench/run.py` of a base checkout and of a changed one on the same
+seeds, alternating which side goes first, and records the JSON result line
+each run prints, both sides, with a per-metric summary: each side's
+quartiles and how many pairs the change won.  Results for other workloads
+already in the output file are kept, and their summaries recomputed, so one
+file can collect several workloads:
+
+    python3 tools/bench_pairs.py --base ../parent --change . \\
+        --workload cli_gate --pairs 10 --seconds 30 --out BENCH_6.json
+
+With `--trace 1` the runs report per-layer metrics, filed under
+"<workload> --trace 1".
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The last stdout line of one perfbench run, decoded."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """First quartile, median and third quartile."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summary(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: both sides' quartiles, and in how many pairs the change
+    was better in the direction BENCHMARK.json gives."""
+    out = {}
+    for name in pairs[0]["base"]["metrics"]:
+        base = [p["base"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        lower = better.get(name, "lower") == "lower"
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        out[name] = {
+            "base_quartiles": quartiles(base),
+            "change_quartiles": quartiles(change),
+            "better": "lower" if lower else "higher",
+            "change_wins": wins,
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
+    parser.add_argument("--change", type=Path, required=True, help="checkout with the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    pairs = []
+    for k in range(args.pairs):
+        seed = args.first_seed + k
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        pair: dict = {"seed": seed, "first": order[0]}
+        for side in order:
+            checkout = args.base if side == "base" else args.change
+            pair[side] = run_once(checkout, args.workload, seed, args.seconds, args.trace)
+        pairs.append(pair)
+        print(f"{args.workload} seed {seed}: done", file=sys.stderr)
+
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    key = args.workload + (" --trace 1" if args.trace else "")
+    results = json.loads(args.out.read_text()) if args.out.exists() else {}
+    results[key] = {"seconds": args.seconds, "pairs": pairs}
+    for entry in results.values():
+        entry["summary"] = summary(entry["pairs"], better)
+    args.out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
