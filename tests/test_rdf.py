@@ -23,6 +23,7 @@ from cloudaudit.rdf import (
     UnknownPrefixError,
     Var,
     isomorphic,
+    term_sort_key,
 )
 from cloudaudit.vocab import RDF_TYPE
 
@@ -39,6 +40,15 @@ objects_st = st.one_of(
     st.builds(Literal, st.text(alphabet="xyz", max_size=2)),
 )
 triples_st = st.builds(Triple, subjects_st, predicates_st, objects_st)
+
+# terms of every kind whose strings collide on purpose
+COLLIDING = ["x", "_:x", "http://x/a"]
+colliding_st = st.one_of(
+    st.builds(Iri, st.sampled_from(COLLIDING)),
+    st.builds(BlankNode, st.sampled_from(COLLIDING)),
+    st.builds(Literal, st.sampled_from(COLLIDING)),
+    st.builds(Literal, st.sampled_from(COLLIDING), st.builds(Iri, st.sampled_from(COLLIDING))),
+)
 
 
 def pattern_slot(concrete_st):
@@ -105,6 +115,29 @@ class TestTerms:
         assert len({Iri("x"), BlankNode("x"), Literal("x")}) == 3
         assert Iri("x") != "x"
         assert Triple(Iri("s"), Iri("p"), Iri("x")) != Triple(Iri("s"), Iri("p"), BlankNode("x"))
+
+    @given(st.lists(colliding_st, min_size=2, max_size=8))
+    def test_terms_are_equal_iff_kind_and_sort_key_are(self, terms):
+        def identity(term):
+            return type(term), term_sort_key(term)
+
+        for a in terms:
+            for b in terms:
+                assert (a == b) == (identity(a) == identity(b)), (a, b)
+                if a == b:
+                    assert hash(a) == hash(b)
+        keyed = {term: identity(term) for term in terms}
+        assert len(keyed) == len({identity(term) for term in terms})
+        assert all(identity(term) == key for term, key in keyed.items())
+
+    @given(colliding_st, colliding_st, colliding_st)
+    def test_a_triple_never_equals_a_term_or_pattern(self, s, p, o):
+        s = s if isinstance(s, (Iri, BlankNode)) else Iri("http://x/s")
+        p = p if isinstance(p, Iri) else Iri("http://x/p")
+        t = Triple(s, p, o)
+        for other in (s, p, o, TriplePattern(s, p, o)):
+            assert t != other and other != t
+        assert len({t, s, p, o, TriplePattern(s, p, o)}) == len({s, p, o}) + 2
 
     def test_var_requires_name(self):
         with pytest.raises(ValueError):
