@@ -5,16 +5,20 @@ Terms compare by byte equality of their string parts; IRIs are opaque keys
 subject/predicate/object indexes consistent with the triple set.  A graph is
 single-writer during construction and safe for concurrent reads afterwards.
 
-Hashing is paid once per object: a term hashes through the hash its str
-parts already cache, and a triple computes its hash when it is built.  The
-str hash changes with the interpreter's hash seed, so a pickled triple is
-rebuilt through its constructor, never restored with its stored hash.
+Terms and triples are tuples, validated when built: an `Iri` is
+``(value,)``, a `BlankNode` ``(label, None)``, a `Literal`
+``(lexical, datatype)`` and a `Triple` ``(subject, predicate, object)``.  So
+hashing and equality are the tuple's own, run natively with no stored hash,
+and no two kinds can compare equal.  A term equals the plain tuple of the
+same items.  Pickling goes through `__getnewargs__`, so an unpickled term or
+triple is validated and hashed again by the process that loads it, under
+that process's hash seed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 # str.isspace() characters and the delimiters '<', '>' and '"'
@@ -32,48 +36,43 @@ class UnknownPrefixError(KeyError):
         return f"unknown prefix: {self.label!r}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Iri:
-    """An absolute IRI, compared byte-for-byte."""
+class Iri(tuple):
+    """An absolute IRI, compared byte-for-byte: the tuple ``(value,)``."""
 
-    value: str
+    __slots__ = ()
+    value = property(itemgetter(0))
 
-    def __post_init__(self):
-        if not self.value:
+    def __new__(cls, value: str):
+        if not value:
             raise ValueError("IRI must be non-empty")
-        bad = _IRI_FORBIDDEN_RE.search(self.value)
+        bad = _IRI_FORBIDDEN_RE.search(value)
         if bad:
-            raise ValueError(f"IRI contains forbidden character {bad[0]!r}: {self.value!r}")
+            raise ValueError(f"IRI contains forbidden character {bad[0]!r}: {value!r}")
+        return tuple.__new__(cls, (value,))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self) -> str:
         return f"Iri({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class BlankNode:
-    """Graph-local anonymous node; identity is meaningful only within one graph."""
+class BlankNode(tuple):
+    """Graph-local anonymous node; identity is meaningful only within one
+    graph.  The tuple ``(label, None)``."""
 
-    label: str
+    __slots__ = ()
+    label = property(itemgetter(0))
 
-    def __post_init__(self):
-        if not self.label:
+    def __new__(cls, label: str):
+        if not isinstance(label, str):
+            raise TypeError(f"blank node label must be a string, got {label!r}")
+        if not label:
             raise ValueError("blank node label must be non-empty")
+        return tuple.__new__(cls, (label, None))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.label == other.label
-
-    def __hash__(self) -> int:
-        return hash(self.label)
+    def __getnewargs__(self):
+        return self[:1]
 
     def __repr__(self) -> str:
         return f"BlankNode({self.label!r})"
@@ -83,24 +82,27 @@ XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
 XSD_INTEGER = Iri("http://www.w3.org/2001/XMLSchema#integer")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Literal:
-    """A literal with a lexical form and a datatype (plain strings by default).
+class Literal(tuple):
+    """A literal with a lexical form and a datatype (plain strings by
+    default): the tuple ``(lexical, datatype)``.
 
     Comparison is pairwise byte equality of (lexical, datatype); no
     datatype-aware value comparison is performed.
     """
 
-    lexical: str
-    datatype: Iri = XSD_STRING
+    __slots__ = ()
+    lexical = property(itemgetter(0))
+    datatype = property(itemgetter(1))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lexical == other.lexical and self.datatype == other.datatype
+    def __new__(cls, lexical: str, datatype: Iri = XSD_STRING):
+        if not isinstance(lexical, str):
+            raise TypeError(f"literal lexical form must be a string, got {lexical!r}")
+        if not isinstance(datatype, Iri):
+            raise TypeError(f"literal datatype must be an IRI, got {datatype!r}")
+        return tuple.__new__(cls, (lexical, datatype))
 
-    def __hash__(self) -> int:
-        return hash((self.lexical, self.datatype))
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self) -> str:
         if self.datatype == XSD_STRING:
@@ -132,67 +134,78 @@ def term_json(term: Term) -> dict:
     return {"type": "literal", "value": term.lexical}
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Triple:
-    """An immutable RDF triple; well-formedness is enforced at construction.
+class Triple(tuple):
+    """An immutable RDF triple, the tuple ``(subject, predicate, object)``;
+    well-formedness is enforced at construction."""
 
-    The hash is computed once, when the triple is built.  Pickling stores
-    only the three terms, so an unpickled triple recomputes its hash under
-    the hash seed of the process that loads it.
-    """
+    __slots__ = ()
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
 
-    subject: Term
-    predicate: Iri
-    object: Term
-    _hash: int = field(init=False, repr=False)
+    def __new__(cls, subject: Term, predicate: Iri, object: Term):
+        if not isinstance(subject, (Iri, BlankNode)):
+            raise TypeError(f"subject must be an IRI or blank node, got {subject!r}")
+        if not isinstance(predicate, Iri):
+            raise TypeError(f"predicate must be an IRI, got {predicate!r}")
+        if not isinstance(object, (Iri, BlankNode, Literal)):
+            raise TypeError(f"object must be a term, got {object!r}")
+        return tuple.__new__(cls, (subject, predicate, object))
 
-    def __post_init__(self):
-        if not isinstance(self.subject, (Iri, BlankNode)):
-            raise TypeError(f"subject must be an IRI or blank node, got {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
-            raise TypeError(f"predicate must be an IRI, got {self.predicate!r}")
-        if not isinstance(self.object, (Iri, BlankNode, Literal)):
-            raise TypeError(f"object must be a term, got {self.object!r}")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
+
+
+class Var:
+    """A named variable slot in a triple pattern."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        if not name:
+            raise ValueError("variable name must be non-empty")
+        self.name = name
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.subject == other.subject
-            and self.predicate == other.predicate
-            and self.object == other.object
-        )
+        return self.name == other.name
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.name)
 
-    def __reduce__(self):
-        return self.__class__, (self.subject, self.predicate, self.object)
-
-
-@dataclass(frozen=True)
-class Var:
-    """A named variable slot in a triple pattern."""
-
-    name: str
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("variable name must be non-empty")
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
 
 PatternTerm = Union[Term, Var]
 
 
-@dataclass(frozen=True)
 class TriplePattern:
     """A triple with variables allowed in any position."""
 
-    subject: PatternTerm
-    predicate: PatternTerm
-    object: PatternTerm
+    __slots__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm):
+        self.subject = subject
+        self.predicate = predicate
+        self.object = object
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subject, self.predicate, self.object) == (
+            other.subject, other.predicate, other.object)
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.predicate, self.object))
+
+    def __repr__(self) -> str:
+        return (f"TriplePattern(subject={self.subject!r}, predicate={self.predicate!r}, "
+                f"object={self.object!r})")
 
     def binding(self, triple: Triple) -> Optional[dict[str, Term]]:
         """Unify against a concrete triple; returns variable bindings or None.

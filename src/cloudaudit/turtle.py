@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .rdf import (
@@ -102,12 +101,23 @@ class ParseError(Exception):
         return cls(line, offset - text.rfind("\n", 0, offset), kind, detail)
 
 
-@dataclass
 class Document:
     """A parsed Turtle file: its graph plus the prefix map it declared."""
 
-    graph: Graph = field(default_factory=Graph)
-    prefixes: PrefixMap = field(default_factory=PrefixMap)
+    __slots__ = ("graph", "prefixes")
+    __hash__ = None
+
+    def __init__(self, graph: Graph | None = None, prefixes: PrefixMap | None = None):
+        self.graph = Graph() if graph is None else graph
+        self.prefixes = PrefixMap() if prefixes is None else prefixes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.prefixes) == (other.graph, other.prefixes)
+
+    def __repr__(self) -> str:
+        return f"Document(graph={self.graph!r}, prefixes={self.prefixes!r})"
 
 
 class Token(NamedTuple):

@@ -61,6 +61,18 @@ def test_importing_the_package_loads_no_layer():
     assert not LAYERS & set(out["modules"])
 
 
+def run_cli(argv: list[str]) -> dict:
+    """`run_fresh` of `cloudaudit.cli.main(argv)`, with fixture names made
+    paths and stdout swallowed."""
+    paths = [str(FIXTURES / a) if a.endswith((".ttl", ".rq")) else a for a in argv]
+    return run_fresh(
+        "import contextlib, io\n"
+        "from cloudaudit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    result = main({paths!r})\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, loads",
     [
@@ -75,16 +87,17 @@ def test_importing_the_package_loads_no_layer():
     ids=["parse", "query", "validate", "compliance"],
 )
 def test_a_command_loads_only_its_layers(argv, loads):
-    paths = [str(FIXTURES / a) if a.endswith((".ttl", ".rq")) else a for a in argv]
-    out = run_fresh(
-        "import contextlib, io\n"
-        "from cloudaudit.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    result = main({paths!r})\n"
-    )
+    out = run_cli(argv)
     assert out["result"] in (0, 2, 3)
     assert LAYERS & set(out["modules"]) == {f"cloudaudit.{layer}" for layer in loads}
     assert "hashlib" not in out["modules"]
+
+
+@pytest.mark.parametrize("command", ["parse", "infer"])
+def test_parse_and_infer_load_no_dataclasses(command):
+    out = run_cli([command, "cloudengine.ttl"])
+    assert out["result"] == 0
+    assert not {"dataclasses", "inspect"} & set(out["modules"])
 
 
 def test_every_export_imports_from_the_package():

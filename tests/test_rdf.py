@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -95,10 +94,32 @@ class TestTerms:
         with pytest.raises(TypeError):
             Triple(IRIS[0], BlankNode("b"), IRIS[1])
 
+    @pytest.mark.parametrize(
+        "kind, args, message",
+        [
+            (Literal, ("x", "http://www.w3.org/2001/XMLSchema#string"), "datatype must be an IRI"),
+            (Literal, ("x", BlankNode("b")), "datatype must be an IRI"),
+            (Literal, (5,), "lexical form must be a string"),
+            (Literal, (None, Iri("http://x/t")), "lexical form must be a string"),
+            (BlankNode, (5,), "label must be a string"),
+            (BlankNode, (Iri("x"),), "label must be a string"),
+        ],
+        ids=["str-datatype", "bnode-datatype", "int-lexical", "none-lexical", "int-label",
+             "iri-label"],
+    )
+    def test_malformed_term_parts_raise_type_error(self, kind, args, message):
+        with pytest.raises(TypeError, match=message):
+            kind(*args)
+
     @given(st.lists(st.one_of(subjects_st, objects_st), min_size=2, max_size=2))
     def test_equal_terms_hash_equal(self, pair):
         a, b = pair
-        rebuilt = replace(a)
+        if isinstance(a, Iri):
+            rebuilt = Iri(a.value)
+        elif isinstance(a, BlankNode):
+            rebuilt = BlankNode(a.label)
+        else:
+            rebuilt = Literal(a.lexical, a.datatype)
         assert rebuilt == a and hash(rebuilt) == hash(a)
         if a == b:
             assert hash(a) == hash(b)
