@@ -5,14 +5,12 @@ Terms compare by byte equality of their string parts; IRIs are opaque keys
 subject/predicate/object indexes consistent with the triple set.  A graph is
 single-writer during construction and safe for concurrent reads afterwards.
 
-Terms and triples are tuples, validated when built: an `Iri` is
-``(value,)``, a `BlankNode` ``(label, None)``, a `Literal`
-``(lexical, datatype)`` and a `Triple` ``(subject, predicate, object)``.  So
-hashing and equality are the tuple's own, run natively with no stored hash,
-and no two kinds can compare equal.  A term equals the plain tuple of the
-same items.  Pickling goes through `__getnewargs__`, so an unpickled term or
-triple is validated and hashed again by the process that loads it, under
-that process's hash seed.
+Terms and triples are tuples, validated when built: `Iri` is ``(value,)``,
+`BlankNode` ``(label, None)``, `Literal` ``(lexical, datatype)`` and `Triple`
+``(subject, predicate, object)``.  Hashing and equality are the tuple's own,
+run natively; no hash is stored.  No two kinds compare equal, though a term
+equals the plain tuple of its items.  Pickling goes through `__getnewargs__`,
+so the loading process validates and hashes again, under its own hash seed.
 """
 
 from __future__ import annotations
@@ -20,6 +18,11 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
+
+try:  # namedtuple's field descriptor: reads the item with no call in between
+    from _collections import _tuplegetter
+except ImportError:
+    _tuplegetter = lambda index, doc: property(itemgetter(index), doc=doc)  # noqa: E731
 
 # str.isspace() characters and the delimiters '<', '>' and '"'
 _IRI_FORBIDDEN_RE = re.compile(r'[\s<>"]')
@@ -40,7 +43,7 @@ class Iri(tuple):
     """An absolute IRI, compared byte-for-byte: the tuple ``(value,)``."""
 
     __slots__ = ()
-    value = property(itemgetter(0))
+    value = _tuplegetter(0, "The IRI string.")
 
     def __new__(cls, value: str):
         if not value:
@@ -62,7 +65,7 @@ class BlankNode(tuple):
     graph.  The tuple ``(label, None)``."""
 
     __slots__ = ()
-    label = property(itemgetter(0))
+    label = _tuplegetter(0, "The label, unique within its graph.")
 
     def __new__(cls, label: str):
         if not isinstance(label, str):
@@ -83,16 +86,12 @@ XSD_INTEGER = Iri("http://www.w3.org/2001/XMLSchema#integer")
 
 
 class Literal(tuple):
-    """A literal with a lexical form and a datatype (plain strings by
-    default): the tuple ``(lexical, datatype)``.
-
-    Comparison is pairwise byte equality of (lexical, datatype); no
-    datatype-aware value comparison is performed.
-    """
+    """A literal ``(lexical, datatype)``, a plain string by default.  Equal by
+    the bytes of both parts; no datatype-aware value comparison is made."""
 
     __slots__ = ()
-    lexical = property(itemgetter(0))
-    datatype = property(itemgetter(1))
+    lexical = _tuplegetter(0, "The lexical form.")
+    datatype = _tuplegetter(1, "The datatype IRI.")
 
     def __new__(cls, lexical: str, datatype: Iri = XSD_STRING):
         if not isinstance(lexical, str):
@@ -135,13 +134,12 @@ def term_json(term: Term) -> dict:
 
 
 class Triple(tuple):
-    """An immutable RDF triple, the tuple ``(subject, predicate, object)``;
-    well-formedness is enforced at construction."""
+    """An RDF triple ``(subject, predicate, object)``, well-formed when built."""
 
     __slots__ = ()
-    subject = property(itemgetter(0))
-    predicate = property(itemgetter(1))
-    object = property(itemgetter(2))
+    subject = _tuplegetter(0, "An IRI or blank node.")
+    predicate = _tuplegetter(1, "An IRI.")
+    object = _tuplegetter(2, "Any term.")
 
     def __new__(cls, subject: Term, predicate: Iri, object: Term):
         if not isinstance(subject, (Iri, BlankNode)):
@@ -159,7 +157,29 @@ class Triple(tuple):
         return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
 
 
-class Var:
+class Record:
+    """Equality, hashing and repr by the fields named in `__slots__`, as a
+    dataclass has them; an instance equals only one of its own class."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Var(Record):
     """A named variable slot in a triple pattern."""
 
     __slots__ = ("name",)
@@ -169,43 +189,17 @@ class Var:
             raise ValueError("variable name must be non-empty")
         self.name = name
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __repr__(self) -> str:
-        return f"Var(name={self.name!r})"
-
 
 PatternTerm = Union[Term, Var]
 
 
-class TriplePattern:
+class TriplePattern(Record):
     """A triple with variables allowed in any position."""
 
     __slots__ = ("subject", "predicate", "object")
 
     def __init__(self, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm):
-        self.subject = subject
-        self.predicate = predicate
-        self.object = object
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.subject, self.predicate, self.object) == (
-            other.subject, other.predicate, other.object)
-
-    def __hash__(self) -> int:
-        return hash((self.subject, self.predicate, self.object))
-
-    def __repr__(self) -> str:
-        return (f"TriplePattern(subject={self.subject!r}, predicate={self.predicate!r}, "
-                f"object={self.object!r})")
+        self.subject, self.predicate, self.object = subject, predicate, object
 
     def binding(self, triple: Triple) -> Optional[dict[str, Term]]:
         """Unify against a concrete triple; returns variable bindings or None.
@@ -437,23 +431,12 @@ class PrefixMap:
     def items(self) -> list[tuple[str, str]]:
         return sorted(self._bindings.items())
 
-    def copy(self) -> "PrefixMap":
-        return PrefixMap(self._bindings)
-
     def __len__(self) -> int:
         return len(self._bindings)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._bindings
-
 
 def _bnode_labels(triple: Triple) -> list[str]:
-    out = []
-    if isinstance(triple.subject, BlankNode):
-        out.append(triple.subject.label)
-    if isinstance(triple.object, BlankNode):
-        out.append(triple.object.label)
-    return out
+    return [term.label for term in (triple.subject, triple.object) if isinstance(term, BlankNode)]
 
 
 def _rename(triple: Triple, mapping: dict[str, str]) -> Triple:

@@ -31,30 +31,18 @@ from __future__ import annotations
 
 from collections import deque
 
-from .rdf import Graph, Iri, Term, Triple
+from .rdf import Graph, Iri, Record, Term, Triple
 from .vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
 
-class ClosureResult:
+class ClosureResult(Record):
     """Materialized graph with bookkeeping about the run."""
 
     __slots__ = ("graph", "inferred_count", "iterations")
     __hash__ = None
 
     def __init__(self, graph: Graph, inferred_count: int, iterations: int):
-        self.graph = graph
-        self.inferred_count = inferred_count
-        self.iterations = iterations
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.inferred_count, self.iterations) == (
-            other.graph, other.inferred_count, other.iterations)
-
-    def __repr__(self) -> str:
-        return (f"ClosureResult(graph={self.graph!r}, inferred_count={self.inferred_count!r}, "
-                f"iterations={self.iterations!r})")
+        self.graph, self.inferred_count, self.iterations = graph, inferred_count, iterations
 
 
 def materialize(asserted: Graph) -> ClosureResult:

@@ -60,6 +60,7 @@ from .rdf import (
     Iri,
     Literal,
     PrefixMap,
+    Record,
     Term,
     Triple,
     UnknownPrefixError,
@@ -101,7 +102,7 @@ class ParseError(Exception):
         return cls(line, offset - text.rfind("\n", 0, offset), kind, detail)
 
 
-class Document:
+class Document(Record):
     """A parsed Turtle file: its graph plus the prefix map it declared."""
 
     __slots__ = ("graph", "prefixes")
@@ -110,14 +111,6 @@ class Document:
     def __init__(self, graph: Graph | None = None, prefixes: PrefixMap | None = None):
         self.graph = Graph() if graph is None else graph
         self.prefixes = PrefixMap() if prefixes is None else prefixes
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.prefixes) == (other.graph, other.prefixes)
-
-    def __repr__(self) -> str:
-        return f"Document(graph={self.graph!r}, prefixes={self.prefixes!r})"
 
 
 class Token(NamedTuple):
