@@ -163,16 +163,16 @@ class Record:
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
+    def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -208,11 +208,7 @@ class TriplePattern(Record):
         every position.
         """
         bound: dict[str, Term] = {}
-        for slot, actual in (
-            (self.subject, triple.subject),
-            (self.predicate, triple.predicate),
-            (self.object, triple.object),
-        ):
+        for slot, actual in zip(self._values(), triple):
             if isinstance(slot, Var):
                 seen = bound.get(slot.name)
                 if seen is None:
@@ -436,7 +432,12 @@ class PrefixMap:
 
 
 def _bnode_labels(triple: Triple) -> list[str]:
-    return [term.label for term in (triple.subject, triple.object) if isinstance(term, BlankNode)]
+    out = []
+    if isinstance(triple.subject, BlankNode):
+        out.append(triple.subject.label)
+    if isinstance(triple.object, BlankNode):
+        out.append(triple.object.label)
+    return out
 
 
 def _rename(triple: Triple, mapping: dict[str, str]) -> Triple:

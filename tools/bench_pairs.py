@@ -3,12 +3,13 @@
 Runs `perfbench/run.py` of a base checkout and of a changed one on the same
 seeds, alternating which side goes first, and records the JSON result line
 each run prints, both sides, with a per-metric summary: each side's
-quartiles and how many pairs the change won.  Results for other workloads
+quartiles, how many pairs the change won and a verdict (see `verdict`), and
+each side's attempted and failed operations.  Results for other workloads
 already in the output file are kept, and their summaries recomputed, so one
 file can collect several workloads:
 
     python3 tools/bench_pairs.py --base ../parent --change . \\
-        --workload cli_gate --pairs 10 --seconds 30 --out BENCH_6.json
+        --workload cli_gate --pairs 10 --seconds 30 --out BENCH_7.json
 
 With `--trace 1` the runs report per-layer metrics, filed under
 "<workload> --trace 1".
@@ -22,6 +23,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The last stdout line of one perfbench run, decoded."""
@@ -40,14 +42,39 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summary(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' quartiles, and in how many pairs the change
-    was better in the direction BENCHMARK.json gives."""
+def verdict(base: list[float], change: list[float], wins: int, lower: bool,
+            bound: float | None) -> str:
+    """`gain` when the change won at least 9 pairs in 10, of at least 10,
+    and its median is better by more than the base's interquartile range;
+    `regression` when its median is worse than the base's by more than
+    `bound` (a fraction of the base median); `unresolved` when the base's
+    own interquartile range, as a fraction of its median, exceeds `bound`,
+    unless every run of the change reads better than every run of the base;
+    else `no change`.  A metric with no bound is only ever `gain` or
+    `no change`."""
+    q1, b_median, q3 = quartiles(base)
+    c_median = quartiles(change)[1]
+    gained = b_median - c_median if lower else c_median - b_median
+    if len(base) >= 10 and wins >= 0.9 * len(base) and gained > q3 - q1:
+        return "gain"
+    if bound is not None and b_median:
+        if -gained / abs(b_median) > bound:
+            return "regression"
+        all_better = max(change) < min(base) if lower else min(change) > max(base)
+        if (q3 - q1) / abs(b_median) > bound and not all_better:
+            return "unresolved"
+    return "no change"
+
+
+def summary(pairs: list[dict], declared: dict[str, dict]) -> dict:
+    """Per metric: both sides' quartiles, in how many pairs the change was
+    better in the direction BENCHMARK.json gives, and the verdict."""
     out = {}
     for name in pairs[0]["base"]["metrics"]:
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
-        lower = better.get(name, "lower") == "lower"
+        spec = declared.get(name, {})
+        lower = spec.get("better", "lower") == "lower"
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         out[name] = {
             "base_quartiles": quartiles(base),
@@ -55,8 +82,17 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
             "better": "lower" if lower else "higher",
             "change_wins": wins,
             "pairs": len(pairs),
+            "verdict": verdict(base, change, wins, lower, spec.get("bound")),
         }
     return out
+
+
+def outcomes(pairs: list[dict]) -> dict:
+    """Operations attempted and failed over all runs of each side."""
+    return {
+        side: {key: sum(p[side][key] for p in pairs) for key in ("attempted", "failed")}
+        for side in ("base", "change")
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,13 +118,14 @@ def main(argv: list[str] | None = None) -> int:
         pairs.append(pair)
         print(f"{args.workload} seed {seed}: done", file=sys.stderr)
 
-    declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    declared = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     key = args.workload + (" --trace 1" if args.trace else "")
     results = json.loads(args.out.read_text()) if args.out.exists() else {}
     results[key] = {"seconds": args.seconds, "pairs": pairs}
     for entry in results.values():
-        entry["summary"] = summary(entry["pairs"], better)
+        entry["summary"] = summary(entry["pairs"], declared)
+        entry["outcomes"] = outcomes(entry["pairs"])
     args.out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     return 0
 
