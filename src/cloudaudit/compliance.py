@@ -16,9 +16,8 @@ hints naming the model nodes that do implement the missing standard.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-from .rdf import Graph, Iri, Literal, PrefixMap, Triple, term_sort_key
+from .rdf import Graph, Iri, Literal, PrefixMap, Record, Triple, iriref, term_sort_key
 from .vocab import (
     ATTACHMENT_PROPERTIES,
     COMPLIES_WITH,
@@ -47,8 +46,7 @@ class EvidenceKind(enum.Enum):
     MECHANISM = "Mechanism"
 
 
-@dataclass(frozen=True)
-class CoverageEvidence:
+class CoverageEvidence(Record):
     """One replayable reason a standard is covered.
 
     Direct evidence cites (interface, implementsStandard, standard);
@@ -56,16 +54,15 @@ class CoverageEvidence:
     mechanism) followed by (mechanism, implementsStandard, standard).
     """
 
-    standard: Iri
-    interface: Iri
-    via: EvidenceKind
-    mechanism: Iri | None = None
-    linking_property: Iri | None = None
+    __slots__ = ("standard", "interface", "via", "mechanism", "linking_property")
 
-    def __post_init__(self):
-        mediated = self.via is EvidenceKind.MECHANISM
-        if mediated != (self.mechanism is not None and self.linking_property is not None):
+    def __init__(self, standard: Iri, interface: Iri, via: EvidenceKind,
+                 mechanism: Iri | None = None, linking_property: Iri | None = None):
+        mediated = via is EvidenceKind.MECHANISM
+        if mediated != (mechanism is not None and linking_property is not None):
             raise ValueError("mechanism evidence requires mechanism and linking property")
+        self.standard, self.interface, self.via = standard, interface, via
+        self.mechanism, self.linking_property = mechanism, linking_property
 
     def cited_triples(self) -> list[Triple]:
         if self.via is EvidenceKind.DIRECT:
@@ -83,21 +80,23 @@ class CoverageEvidence:
         return out
 
 
-@dataclass(frozen=True)
-class StandardStatus:
-    standard: Iri
-    label: str | None
-    state: CoverageState
-    evidence: tuple[CoverageEvidence, ...]
+class StandardStatus(Record):
+    __slots__ = ("standard", "label", "state", "evidence")
+
+    def __init__(self, standard: Iri, label: str | None, state: CoverageState,
+                 evidence: tuple[CoverageEvidence, ...]):
+        self.standard, self.label, self.state, self.evidence = standard, label, state, evidence
 
 
-@dataclass
-class ComplianceReport:
-    engine: Iri
-    policy: Iri
-    statuses: list[StandardStatus]
-    gap_count: int
-    warnings: list[str] = field(default_factory=list)
+class ComplianceReport(Record):
+    __slots__ = ("engine", "policy", "statuses", "gap_count", "warnings")
+    __hash__ = None
+
+    def __init__(self, engine: Iri, policy: Iri, statuses: list[StandardStatus], gap_count: int,
+                 warnings: list[str] | None = None):
+        self.engine, self.policy, self.statuses = engine, policy, statuses
+        self.gap_count = gap_count
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def gaps(self) -> list[Iri]:
@@ -258,20 +257,22 @@ def coverage_queries(engine: Iri, standard: Iri) -> list[str]:
     the standard is covered exactly when at least one query returns a row.
     Used as an independent cross-check of `coverage`.
     """
+    engine_ref, standard_ref = iriref(engine), iriref(standard)
+    implements = iriref(IMPLEMENTS_STANDARD)
     queries = []
-    for attach in ATTACHMENT_PROPERTIES:
+    for attach in map(iriref, ATTACHMENT_PROPERTIES):
         queries.append(
             "SELECT ?i WHERE { "
-            f"<{engine.value}> <{attach.value}> ?i . "
-            f"FILTER EXISTS {{ ?i <{IMPLEMENTS_STANDARD.value}> <{standard.value}> }} "
+            f"{engine_ref} {attach} ?i . "
+            f"FILTER EXISTS {{ ?i {implements} {standard_ref} }} "
             "}"
         )
-        for link in MECHANISM_PROPERTIES:
+        for link in map(iriref, MECHANISM_PROPERTIES):
             queries.append(
                 "SELECT ?i WHERE { "
-                f"<{engine.value}> <{attach.value}> ?i . "
-                f"FILTER EXISTS {{ ?i <{link.value}> ?m . "
-                f"?m <{IMPLEMENTS_STANDARD.value}> <{standard.value}> }} "
+                f"{engine_ref} {attach} ?i . "
+                f"FILTER EXISTS {{ ?i {link} ?m . "
+                f"?m {implements} {standard_ref} }} "
                 "}"
             )
     return queries

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal as TypingLiteral, Sequence
 from urllib.parse import quote
 
-from .rdf import Graph, Iri, Literal, PrefixMap, Triple
+from .rdf import Graph, Iri, Literal, PrefixMap, Record, Triple
 from .turtle import Document
 from . import vocab
 
@@ -47,39 +46,38 @@ class IngestError(ValueError):
     """A record breaks an invariant; names the record index and field."""
 
 
-@dataclass(frozen=True)
-class EndpointRecord:
-    id: str
-    service_name: str
-    service_type: str
-    interface: str
-    url: str
-    region: str | None = None
-    enabled: bool = True
+class EndpointRecord(Record):
+    __slots__ = ("id", "service_name", "service_type", "interface", "url", "region", "enabled")
+
+    def __init__(self, id: str, service_name: str, service_type: str, interface: str, url: str,
+                 region: str | None = None, enabled: bool = True):
+        self.id, self.service_name, self.service_type = id, service_name, service_type
+        self.interface, self.url, self.region, self.enabled = interface, url, region, enabled
 
 
-@dataclass(frozen=True)
-class ProjectRecord:
-    id: str
-    name: str
-    domain_id: str | None = None
-    enabled: bool | None = None
+class ProjectRecord(Record):
+    __slots__ = ("id", "name", "domain_id", "enabled")
+
+    def __init__(self, id: str, name: str, domain_id: str | None = None,
+                 enabled: bool | None = None):
+        self.id, self.name, self.domain_id, self.enabled = id, name, domain_id, enabled
 
 
-@dataclass(frozen=True)
-class UserRecord:
-    id: str
-    name: str
-    domain_id: str | None = None
-    enabled: bool | None = None
+class UserRecord(Record):
+    __slots__ = ("id", "name", "domain_id", "enabled")
+
+    def __init__(self, id: str, name: str, domain_id: str | None = None,
+                 enabled: bool | None = None):
+        self.id, self.name, self.domain_id, self.enabled = id, name, domain_id, enabled
 
 
-@dataclass(frozen=True)
-class RoleAssignmentRecord:
-    role: str
-    user_id: str | None = None
-    group_id: str | None = None
-    project_id: str | None = None
+class RoleAssignmentRecord(Record):
+    __slots__ = ("role", "user_id", "group_id", "project_id")
+
+    def __init__(self, role: str, user_id: str | None = None, group_id: str | None = None,
+                 project_id: str | None = None):
+        self.role, self.user_id = role, user_id
+        self.group_id, self.project_id = group_id, project_id
 
 
 DEFAULT_SERVICE_TYPE_MAP: dict[str, Iri] = {
@@ -92,14 +90,16 @@ DEFAULT_SERVICE_TYPE_MAP: dict[str, Iri] = {
 }
 
 
-@dataclass
-class IngestConfig:
-    instance_namespace: str = "urn:cloudeng:inst:"
-    service_type_map: dict[str, Iri] = field(
-        default_factory=lambda: dict(DEFAULT_SERVICE_TYPE_MAP)
-    )
-    version_metadata: dict[str, str] = field(default_factory=dict)
-    policy_files: dict[str, str | Path] = field(default_factory=dict)
+class IngestConfig(Record):
+    __slots__ = ("instance_namespace", "version_metadata", "policy_files")
+    __hash__ = None
+
+    def __init__(self, instance_namespace: str = "urn:cloudeng:inst:",
+                 version_metadata: dict[str, str] | None = None,
+                 policy_files: dict[str, str | Path] | None = None):
+        self.instance_namespace = instance_namespace
+        self.version_metadata = {} if version_metadata is None else version_metadata
+        self.policy_files = {} if policy_files is None else policy_files
 
 
 RecordKind = TypingLiteral["endpoints", "projects", "users", "assignments"]
@@ -249,7 +249,7 @@ def ingest(
         if not ep.url:
             raise IngestError(f"endpoints[{i}].url: must be non-empty")
         service = service_node(ep.service_name)
-        cls = config.service_type_map.get(ep.service_type, vocab.INTERFACE)
+        cls = DEFAULT_SERVICE_TYPE_MAP.get(ep.service_type, vocab.INTERFACE)
         graph.add(Triple(service, vocab.RDF_TYPE, cls))
         graph.add(Triple(service, vocab.RDFS_LABEL, Literal(ep.service_name)))
         endpoint = _mint(ns, "endpoint", ep.id)

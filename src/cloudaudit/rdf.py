@@ -133,6 +133,12 @@ def term_json(term: Term) -> dict:
     return {"type": "literal", "value": term.lexical}
 
 
+def iriref(iri: Iri) -> str:
+    """An IRI as Turtle and SPARQL text write it, `<...>`, so that it reads
+    back as the same IRI: a backslash becomes the escape \\u005C."""
+    return "<" + iri.value.replace("\\", "\\u005C") + ">"
+
+
 class Triple(tuple):
     """An RDF triple ``(subject, predicate, object)``, well-formed when built."""
 
@@ -159,7 +165,8 @@ class Triple(tuple):
 
 class Record:
     """Equality, hashing and repr by the fields named in `__slots__`, as a
-    dataclass has them; an instance equals only one of its own class."""
+    dataclass has them; an instance equals only one of its own class.  Only
+    the class's own `__slots__` count, so each class names all its fields."""
 
     __slots__ = ()
 

@@ -13,10 +13,9 @@ pipeline uses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from .rdf import Graph, Iri, Literal, Term, term_json, term_sort_key
+from .rdf import Graph, Iri, Literal, Record, Term, term_json, term_sort_key
 from .turtle import Document
 from .vocab import (
     RDF_TYPE,
@@ -43,41 +42,35 @@ class ConstraintKind(enum.Enum):
     CLASS = "Class"
 
 
-@dataclass(frozen=True)
-class PropertyConstraint:
-    path: Iri
-    min_count: int | None = None
-    max_count: int | None = None
-    class_constraint: Iri | None = None
-    message: str | None = None
+class PropertyConstraint(Record):
+    __slots__ = ("path", "min_count", "max_count", "class_constraint", "message")
 
-    def __post_init__(self):
-        if (
-            self.min_count is not None
-            and self.max_count is not None
-            and self.min_count > self.max_count
-        ):
+    def __init__(self, path: Iri, min_count: int | None = None, max_count: int | None = None,
+                 class_constraint: Iri | None = None, message: str | None = None):
+        if min_count is not None and max_count is not None and min_count > max_count:
             raise ShapeError(
-                f"minCount {self.min_count} exceeds maxCount {self.max_count} "
-                f"for path {self.path.value}"
+                f"minCount {min_count} exceeds maxCount {max_count} for path {path.value}"
             )
+        self.path, self.min_count, self.max_count = path, min_count, max_count
+        self.class_constraint, self.message = class_constraint, message
 
 
-@dataclass(frozen=True)
-class NodeShape:
-    shape_iri: Iri
-    target_classes: frozenset[Iri]
-    constraints: tuple[PropertyConstraint, ...] = ()
+class NodeShape(Record):
+    __slots__ = ("shape_iri", "target_classes", "constraints")
+
+    def __init__(self, shape_iri: Iri, target_classes: frozenset[Iri],
+                 constraints: tuple[PropertyConstraint, ...] = ()):
+        self.shape_iri, self.target_classes = shape_iri, target_classes
+        self.constraints = constraints
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    focus: Term
-    path: Iri
-    shape: Iri
-    constraint: ConstraintKind
-    message: str
-    observed: Union[int, Term]
+class ValidationResult(Record):
+    __slots__ = ("focus", "path", "shape", "constraint", "message", "observed")
+
+    def __init__(self, focus: Term, path: Iri, shape: Iri, constraint: ConstraintKind, message: str,
+                 observed: Union[int, Term]):
+        self.focus, self.path, self.shape = focus, path, shape
+        self.constraint, self.message, self.observed = constraint, message, observed
 
     def sort_key(self) -> tuple:
         observed = (
@@ -94,10 +87,13 @@ class ValidationResult:
         )
 
 
-@dataclass
-class ValidationReport:
-    conforms: bool
-    results: list[ValidationResult] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("conforms", "results")
+    __hash__ = None
+
+    def __init__(self, conforms: bool, results: list[ValidationResult] | None = None):
+        self.conforms = conforms
+        self.results = [] if results is None else results
 
     def to_json_dict(self) -> dict:
         return {
@@ -209,6 +205,12 @@ def _default_message(constraint: ConstraintKind, spec: PropertyConstraint) -> st
     return f"values of <{spec.path.value}> must be instances of <{spec.class_constraint.value}>"
 
 
+def _violation(shape: NodeShape, focus: Term, spec: PropertyConstraint, constraint: ConstraintKind,
+               observed: Union[int, Term]) -> ValidationResult:
+    message = spec.message or _default_message(constraint, spec)
+    return ValidationResult(focus, spec.path, shape.shape_iri, constraint, message, observed)
+
+
 def validate(data: Graph, shapes: list[NodeShape], class_expander: ClassExpander) -> ValidationReport:
     """Check every shape against the data graph and report violations.
 
@@ -223,50 +225,31 @@ def validate(data: Graph, shapes: list[NodeShape], class_expander: ClassExpander
             for cls in class_expander(data, target):
                 for subject in data.subjects(RDF_TYPE, cls):
                     focus_nodes.add(subject)
-        allowed_by_spec = {
-            spec: class_expander(data, spec.class_constraint)
+        if not focus_nodes:
+            continue
+        # each constraint with the classes its sh:class allows, or None
+        checks = [
+            (spec, None if spec.class_constraint is None
+             else class_expander(data, spec.class_constraint))
             for spec in shape.constraints
-            if spec.class_constraint is not None and focus_nodes
-        }
+        ]
         for focus in sorted(focus_nodes, key=term_sort_key):
-            for spec in shape.constraints:
+            for spec, allowed in checks:
                 values = data.objects(focus, spec.path)
                 if spec.min_count is not None and len(values) < spec.min_count:
                     results.append(
-                        ValidationResult(
-                            focus=focus,
-                            path=spec.path,
-                            shape=shape.shape_iri,
-                            constraint=ConstraintKind.MIN_COUNT,
-                            message=spec.message or _default_message(ConstraintKind.MIN_COUNT, spec),
-                            observed=len(values),
-                        )
+                        _violation(shape, focus, spec, ConstraintKind.MIN_COUNT, len(values))
                     )
                 if spec.max_count is not None and len(values) > spec.max_count:
                     results.append(
-                        ValidationResult(
-                            focus=focus,
-                            path=spec.path,
-                            shape=shape.shape_iri,
-                            constraint=ConstraintKind.MAX_COUNT,
-                            message=spec.message or _default_message(ConstraintKind.MAX_COUNT, spec),
-                            observed=len(values),
-                        )
+                        _violation(shape, focus, spec, ConstraintKind.MAX_COUNT, len(values))
                     )
-                if spec.class_constraint is not None:
+                if allowed is not None:
                     for value in values:
                         types = set(data.objects(value, RDF_TYPE))
-                        if types.isdisjoint(allowed_by_spec[spec]):
+                        if types.isdisjoint(allowed):
                             results.append(
-                                ValidationResult(
-                                    focus=focus,
-                                    path=spec.path,
-                                    shape=shape.shape_iri,
-                                    constraint=ConstraintKind.CLASS,
-                                    message=spec.message
-                                    or _default_message(ConstraintKind.CLASS, spec),
-                                    observed=value,
-                                )
+                                _violation(shape, focus, spec, ConstraintKind.CLASS, value)
                             )
     results.sort(key=ValidationResult.sort_key)
     return ValidationReport(conforms=not results, results=results)

@@ -31,7 +31,6 @@ and sorted, so repeated evaluation of one query is byte-stable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator
 
@@ -40,6 +39,7 @@ from .rdf import (
     Literal,
     PatternTerm,
     PrefixMap,
+    Record,
     Term,
     Triple,
     TriplePattern,
@@ -56,16 +56,22 @@ class Polarity(enum.Enum):
     NOT_EXISTS = "NotExists"
 
 
-@dataclass
-class FilterExistence:
-    polarity: Polarity
-    inner: "GraphPattern"
+class FilterExistence(Record):
+    __slots__ = ("polarity", "inner")
+    __hash__ = None
+
+    def __init__(self, polarity: Polarity, inner: GraphPattern):
+        self.polarity, self.inner = polarity, inner
 
 
-@dataclass
-class GraphPattern:
-    triples: list[TriplePattern] = field(default_factory=list)
-    filters: list[FilterExistence] = field(default_factory=list)
+class GraphPattern(Record):
+    __slots__ = ("triples", "filters")
+    __hash__ = None
+
+    def __init__(self, triples: list[TriplePattern] | None = None,
+                 filters: list[FilterExistence] | None = None):
+        self.triples = [] if triples is None else triples
+        self.filters = [] if filters is None else filters
 
     def variable_names(self) -> list[str]:
         """Variables of the pattern in first-appearance order, filters included."""
@@ -83,33 +89,28 @@ class GraphPattern:
         return names
 
 
-@dataclass
-class Query:
-    prefixes: PrefixMap
-    projection: list[str] | None  # None means SELECT *
-    where: GraphPattern
+class Query(Record):
+    __slots__ = ("prefixes", "projection", "where")
+    __hash__ = None
+
+    def __init__(self, prefixes: PrefixMap, projection: list[str] | None, where: GraphPattern):
+        self.prefixes = prefixes
+        self.projection = projection  # None means SELECT *
+        self.where = where
 
 
-@dataclass
-class SolutionTable:
+class SolutionTable(Record):
     """Projected query solutions: deduplicated, deterministically ordered rows.
 
     Each row is a tuple aligned with `variables`; a None entry means the
     variable was not bound in that solution.
     """
 
-    variables: list[str]
-    rows: list[tuple[Term | None, ...]]
+    __slots__ = ("variables", "rows")
+    __hash__ = None
 
-    def as_dicts(self) -> list[dict[str, Term]]:
-        return [
-            {v: t for v, t in zip(self.variables, row) if t is not None}
-            for row in self.rows
-        ]
-
-    def column(self, variable: str) -> list[Term | None]:
-        idx = self.variables.index(variable)
-        return [row[idx] for row in self.rows]
+    def __init__(self, variables: list[str], rows: list[tuple[Term | None, ...]]):
+        self.variables, self.rows = variables, rows
 
     def to_json_dict(self) -> dict:
         bindings = []
@@ -246,25 +247,34 @@ def parse_query(text: str) -> Query:
 _ATTRS = ("subject", "predicate", "object")
 
 
-@dataclass
-class _Step:
+class _Step(Record):
     """One triple pattern of a plan.  A row is a tuple of terms aligned with
     the plan's layout; a hit of the lookup appends the new variables' terms."""
 
-    given: list[Term | None]  # constants by position, else None (free or from the row)
-    from_row: tuple[tuple[int, int], ...]  # (position, row index) of bound variables
-    take: Callable[[Triple], tuple] | None  # new variables' terms of a hit, or None
-    same: tuple[tuple[str, str], ...]  # attributes a repeated new variable binds
+    __slots__ = ("given", "from_row", "take", "same")
+    __hash__ = None
+
+    def __init__(self, given: list[Term | None], from_row: tuple[tuple[int, int], ...],
+                 take: Callable[[Triple], tuple] | None, same: tuple[tuple[str, str], ...]):
+        self.given = given  # constants by position, else None (free or from the row)
+        self.from_row = from_row  # (position, row index) of bound variables
+        self.take = take  # new variables' terms of a hit, or None
+        self.same = same  # attributes a repeated new variable binds
 
 
-@dataclass
-class _Plan:
-    steps: list[_Step]
-    # (keep rows that have a solution, inner plan, the row's terms the inner
-    # plan reads or None for the whole row, answers by those terms)
-    filters: list[tuple[bool, "_Plan", Callable[[tuple], object] | None, dict]]
-    layout: list[str]  # variable name at each row index after the steps
-    reads: set[int]  # indices of the seed row that the steps and filters read
+class _Plan(Record):
+    __slots__ = ("steps", "filters", "layout", "reads")
+    __hash__ = None
+
+    def __init__(self, steps: list[_Step],
+                 filters: list[tuple[bool, _Plan, Callable[[tuple], object] | None, dict]],
+                 layout: list[str], reads: set[int]):
+        self.steps = steps
+        # (keep rows that have a solution, inner plan, the row's terms the inner
+        # plan reads or None for the whole row, answers by those terms)
+        self.filters = filters
+        self.layout = layout  # variable name at each row index after the steps
+        self.reads = reads  # indices of the seed row that the steps and filters read
 
 
 def _rank(graph: Graph, tp: TriplePattern, layout: list[str]) -> tuple[int, float]:

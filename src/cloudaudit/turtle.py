@@ -66,6 +66,7 @@ from .rdf import (
     UnknownPrefixError,
     XSD_INTEGER,
     XSD_STRING,
+    iriref,
     is_prefix_label,
     term_sort_key,
 )
@@ -577,10 +578,6 @@ def _escape_literal(lexical: str) -> str:
     return '"' + "".join(out) + '"'
 
 
-def _iriref(iri: Iri) -> str:
-    return "<" + iri.value.replace("\\", "\\u005C") + ">"
-
-
 class _Serializer:
     def __init__(self, doc: Document):
         self.graph = doc.graph
@@ -624,7 +621,7 @@ class _Serializer:
                 "as anonymous property lists"
             )
 
-        header = [f"@prefix {label}: {_iriref(Iri(ns))} ." for label, ns in self.prefixes.items()]
+        header = [f"@prefix {label}: {iriref(Iri(ns))} ." for label, ns in self.prefixes.items()]
         parts = []
         if header:
             parts.append("\n".join(header))
@@ -636,7 +633,7 @@ class _Serializer:
             if predicate_position and term == RDF_TYPE:
                 return "a"
             compact = self.prefixes.compact(term)
-            return compact if compact is not None else _iriref(term)
+            return compact if compact is not None else iriref(term)
         if isinstance(term, BlankNode):
             return self._inline_bnode(term)
         if term.datatype == XSD_STRING:

@@ -200,3 +200,12 @@ def test_coverage_agrees_with_generated_queries(model_graph):
                 for text in coverage_queries(engine, status.standard)
             )
             assert hit == (status.state is CoverageState.COVERED), status.standard
+
+
+@pytest.mark.parametrize("value", ["urn:x:eng\\u0041", "urn:x:a\\b"], ids=["escape", "backslash"])
+def test_generated_queries_read_back_the_same_iris(value):
+    engine, standard = Iri(value), Iri(value + "#std")
+    for text in coverage_queries(engine, standard):
+        where = parse_query(text).where
+        assert where.triples[0].subject == engine
+        assert where.filters[0].inner.triples[-1].object == standard

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudaudit.openstack import (
+    DEFAULT_SERVICE_TYPE_MAP,
     EndpointRecord,
     IngestConfig,
     IngestError,
@@ -233,7 +234,7 @@ def test_only_vocabulary_and_instance_terms_are_emitted(endpoints, projects, use
     config = IngestConfig()
     doc = ingest(endpoints=endpoints, projects=projects, users=users,
                  assignments=assignments, config=config)
-    known_classes = set(config.service_type_map.values()) | {vocab.INTERFACE}
+    known_classes = set(DEFAULT_SERVICE_TYPE_MAP.values()) | {vocab.INTERFACE}
     for t in doc.graph:
         for term in (t.subject, t.predicate, t.object):
             if not isinstance(term, Iri):
