@@ -46,6 +46,15 @@ so every error, and which error comes first, is what that path reports.
 
 Parsing is pure: the same input always yields the same Document, with blank
 node labels minted as b1, b2, ... in encounter order.
+
+`serialize_turtle` writes the same subset back: the prefix directives by
+label, then one statement per IRI subject in `term_sort_key` order, then
+one ``[ ... ] .`` statement per blank node that is no triple's object, in
+text order.  Predicates sort by IRI (rdf:type is written ``a``), objects by
+`term_sort_key`, and each blank node object is written inline where it is
+used, ``[]`` when it has no triples.  A graph the subset cannot express is
+refused, in this order: a blank node that is the object of two triples, a
+literal the reader would not take back, and blank nodes in a cycle.
 """
 
 from __future__ import annotations
@@ -562,128 +571,69 @@ def parse_turtle(text: str) -> Document:
         return _Parser(text, tokenize(text)).parse()
 
 
-def _escape_literal(lexical: str) -> str:
-    out = []
-    for c in lexical:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\t":
-            out.append("\\t")
-        else:
-            out.append(c)
-    return '"' + "".join(out) + '"'
-
-
-class _Serializer:
-    def __init__(self, doc: Document):
-        self.graph = doc.graph
-        self.prefixes = doc.prefixes
-        self.emitted = 0
-
-    def run(self) -> str:
-        blocks = []
-        object_count: dict[str, int] = {}
-        for t in self.graph:
-            if isinstance(t.object, BlankNode):
-                object_count[t.object.label] = object_count.get(t.object.label, 0) + 1
-        over_shared = [lbl for lbl, n in object_count.items() if n > 1]
-        if over_shared:
-            raise ValueError(
-                f"blank node(s) {sorted(over_shared)} are referenced more than once; "
-                "not expressible with anonymous property lists"
-            )
-        self._object_count = object_count
-
-        iri_subjects = sorted(
-            {t.subject for t in self.graph if isinstance(t.subject, Iri)},
-            key=term_sort_key,
-        )
-        for subj in iri_subjects:
-            blocks.append(self._subject_block(subj))
-        # blank nodes never used as an object become their own statements
-        bnode_roots = sorted(
-            {
-                t.subject.label
-                for t in self.graph
-                if isinstance(t.subject, BlankNode) and not object_count.get(t.subject.label)
-            }
-        )
-        root_blocks = sorted(self._bnode_root_block(lbl) for lbl in bnode_roots)
-        blocks.extend(root_blocks)
-
-        if self.emitted != len(self.graph):
-            raise ValueError(
-                "graph contains blank node cycles that cannot be written "
-                "as anonymous property lists"
-            )
-
-        header = [f"@prefix {label}: {iriref(Iri(ns))} ." for label, ns in self.prefixes.items()]
-        parts = []
-        if header:
-            parts.append("\n".join(header))
-        parts.extend(blocks)
-        return "\n\n".join(parts) + "\n" if parts else ""
-
-    def _term(self, term: Term, predicate_position: bool = False) -> str:
-        if isinstance(term, Iri):
-            if predicate_position and term == RDF_TYPE:
-                return "a"
-            compact = self.prefixes.compact(term)
-            return compact if compact is not None else iriref(term)
-        if isinstance(term, BlankNode):
-            return self._inline_bnode(term)
-        if term.datatype == XSD_STRING:
-            return _escape_literal(term.lexical)
-        if term.datatype == XSD_INTEGER and term.lexical.isascii() and term.lexical.isdigit():
-            return term.lexical
-        raise ValueError(f"literal datatype {term.datatype.value} is not writable in this subset")
-
-    def _grouped(self, subject: Term) -> list[tuple[Iri, list[Term]]]:
-        by_pred: dict[Iri, list[Term]] = {}
-        for t in self.graph.triples(subject):
-            by_pred.setdefault(t.predicate, []).append(t.object)
-        for objects in by_pred.values():
-            objects.sort(key=term_sort_key)
-        return sorted(by_pred.items(), key=lambda kv: kv[0].value)
-
-    def _subject_block(self, subject: Term) -> str:
-        lines = []
-        groups = self._grouped(subject)
-        for predicate, objects in groups:
-            rendered = ", ".join(map(self._term, objects))
-            lines.append((self._term(predicate, predicate_position=True), rendered))
-            self.emitted += len(objects)
-        subj = self._term(subject)
-        body = [f"{subj} {lines[0][0]} {lines[0][1]}"]
-        body.extend(f"  {p} {o}" for p, o in lines[1:])
-        return " ;\n".join(body) + " ."
-
-    def _bnode_root_block(self, label: str) -> str:
-        rendered = self._inline_bnode(BlankNode(label))
-        return f"{rendered} ."
-
-    def _inline_bnode(self, node: BlankNode) -> str:
-        groups = self._grouped(node)
-        if not groups:
-            return "[]"
-        parts = []
-        for predicate, objects in groups:
-            rendered = ", ".join(map(self._term, objects))
-            parts.append(f"{self._term(predicate, predicate_position=True)} {rendered}")
-            self.emitted += len(objects)
-        return "[ " + " ; ".join(parts) + " ]"
+# The string escapes the reader decodes, as one str.translate table.
+_LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
 
 
 def serialize_turtle(doc: Document) -> str:
-    """Write a Document as deterministic Turtle.
-
-    Subjects, predicates within a subject, objects within a predicate and
-    prefix directives are all emitted in sorted order, so identical
-    documents produce byte-identical output.  Re-parsing the output yields
-    a graph isomorphic to the input.
+    """Write a Document as deterministic Turtle in the module docstring's
+    order: identical documents give byte-identical output, which re-parses
+    to an isomorphic graph.  Raises ValueError for the first of the module
+    docstring's three refusals that the graph meets.
     """
-    return _Serializer(doc).run()
+    graph, compact = doc.graph, doc.prefixes.compact
+    subjects: set[Term] = set()
+    referenced: set[BlankNode] = set()  # blank nodes used as an object
+    shared: set[str] = set()
+    for t in graph:
+        subjects.add(t.subject)
+        if isinstance(t.object, BlankNode):
+            if t.object in referenced:
+                shared.add(t.object.label)
+            referenced.add(t.object)
+    if shared:
+        raise ValueError(
+            f"blank node(s) {sorted(shared)} are referenced more than once; "
+            "not expressible with anonymous property lists"
+        )
+    emitted = 0
+
+    def term(t: Term) -> str:
+        if isinstance(t, Iri):
+            return compact(t) or iriref(t)
+        if isinstance(t, BlankNode):
+            inner = body(t, " ; ")
+            return f"[ {inner} ]" if inner else "[]"
+        if t.datatype == XSD_STRING:
+            return '"' + t.lexical.translate(_LITERAL_ESCAPES) + '"'
+        if t.datatype == XSD_INTEGER and t.lexical.isascii() and t.lexical.isdigit():
+            return t.lexical
+        raise ValueError(f"literal datatype {t.datatype.value} is not writable in this subset")
+
+    def body(subject: Term, separator: str) -> str:
+        """The subject's predicate-object list, one predicate per `separator`."""
+        nonlocal emitted
+        by_predicate: dict[Iri, list[Term]] = {}
+        for t in graph.triples(subject):
+            by_predicate.setdefault(t.predicate, []).append(t.object)
+        parts = []
+        for predicate in sorted(by_predicate):  # an Iri sorts by its value
+            objects = sorted(by_predicate[predicate], key=term_sort_key)
+            emitted += len(objects)
+            rendered = ", ".join(map(term, objects))
+            parts.append(f"{'a' if predicate == RDF_TYPE else term(predicate)} {rendered}")
+        return separator.join(parts)
+
+    iri_subjects = sorted((s for s in subjects if isinstance(s, Iri)), key=term_sort_key)
+    blocks = [term(s) + " " + body(s, " ;\n  ") + " ." for s in iri_subjects]
+    # blank nodes never used as an object become their own statements
+    roots = sorted(s for s in subjects if isinstance(s, BlankNode) and s not in referenced)
+    blocks.extend(sorted(term(s) + " ." for s in roots))
+    if emitted != len(graph):  # triples of blank nodes no statement reaches
+        raise ValueError(
+            "graph contains blank node cycles that cannot be written "
+            "as anonymous property lists"
+        )
+    header = [f"@prefix {label}: {iriref(Iri(ns))} ." for label, ns in doc.prefixes.items()]
+    parts = ["\n".join(header)] + blocks if header else blocks
+    return "\n\n".join(parts) + "\n" if parts else ""
