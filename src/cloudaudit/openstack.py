@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 from typing import Literal as TypingLiteral, Sequence
 from urllib.parse import quote
@@ -104,6 +105,9 @@ class IngestConfig(Record):
 
 RecordKind = TypingLiteral["endpoints", "projects", "users", "assignments"]
 
+# the JSON escape of a UTF-16 surrogate, lone or one of a pair
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
 # accepted key spellings, CLI header first
 _KEYS = {
     "id": ("ID", "id"),
@@ -149,13 +153,21 @@ def _as_bool(value, default: bool | None):
 
 
 def load_json(text: str):
-    """Decode JSON text; raises JsonShapeError when it is not valid JSON."""
+    """Decode JSON text; raises JsonShapeError when it is not valid JSON or
+    an escape in it decodes to a lone surrogate, which is no Unicode text
+    and cannot be written."""
     try:
-        return json.loads(text)
+        payload = json.loads(text)
+        if _SURROGATE_ESCAPE_RE.search(text):  # a pair decodes to one character
+            json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        surrogate = exc.object[exc.start]
+        raise JsonShapeError(f"not valid JSON: lone surrogate {surrogate!r}") from exc
     # ValueError: also an integer past int()'s digit limit; RecursionError:
     # arrays or objects nested past the interpreter's recursion limit
     except (ValueError, RecursionError) as exc:
         raise JsonShapeError(f"not valid JSON: {exc}") from exc
+    return payload
 
 
 def parse_cli_json(text: str, kind: RecordKind) -> list:
@@ -216,7 +228,10 @@ def parse_cli_json(text: str, kind: RecordKind) -> list:
 
 
 def _mint(namespace: str, category: str, raw: str) -> Iri:
-    return Iri(f"{namespace}{category}/{quote(raw, safe='')}")
+    try:
+        return Iri(f"{namespace}{category}/{quote(raw, safe='')}")
+    except UnicodeEncodeError as exc:
+        raise IngestError(f"cannot mint a {category} IRI from {raw!r}: {exc.reason}") from exc
 
 
 def ingest(
@@ -229,14 +244,16 @@ def ingest(
     """Build the instance Document for a set of inventory records.
 
     Raises IngestError (naming record index and field) for invariant
-    breaches, for policy files that cannot be read, and for an instance
-    namespace that is not an IRI.
+    breaches, for policy files that cannot be read, for an instance
+    namespace that is not an IRI of UTF-8 text, and for a name that holds
+    a lone surrogate.
     """
     config = config or IngestConfig()
     ns = config.instance_namespace
     try:
         Iri(ns)
-    except ValueError as exc:
+        ns.encode("utf-8")
+    except ValueError as exc:  # UnicodeEncodeError is a ValueError
         raise IngestError(f"instance namespace: {exc}") from exc
     graph = Graph()
 

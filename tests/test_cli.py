@@ -244,6 +244,12 @@ SHARED_BNODE_CLOSURE = (
     "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
     "ex:W rdfs:subClassOf ex:X . ex:X rdfs:subClassOf [ ex:p ex:q ] .\n"
 )
+# JSON escapes of lone surrogates, which decode to no Unicode text
+SURROGATE_ID = (
+    '[{"ID": "\\ud800", "Service Name": "s", "Service Type": "identity",'
+    ' "Interface": "public", "URL": "http://x.test/"}]'
+)
+SURROGATE_NAME = '[{"ID": "u1", "Name": "\\ud800"}]'
 
 
 class TestBadInputExitsOne:
@@ -292,12 +298,28 @@ class TestBadInputExitsOne:
              "{path}: not valid JSON: maximum recursion depth"),
             ("versions.json", DEEP_JSON, "ingest --versions",
              "{path}: not valid JSON: maximum recursion depth"),
+            ("endpoints.json", SURROGATE_ID, "ingest --endpoints",
+             "{path}: not valid JSON: lone surrogate '\\ud800'"),
+            ("users.json", SURROGATE_NAME, "ingest --users",
+             "{path}: not valid JSON: lone surrogate '\\ud800'"),
+            ("users.json", SURROGATE_NAME, "ingest --users -o",
+             "{path}: not valid JSON: lone surrogate '\\ud800'"),
+            ("versions.json", '{"s": "\\udc80"}', "ingest --versions",
+             "{path}: not valid JSON: lone surrogate '\\udc80'"),
+            # bytes go to the command line as they are
+            ("arg.txt", b"urn:x\x80:", "ingest -o",
+             "instance namespace: 'utf-8' codec can't encode character '\\udc80'"),
+            ("arg.txt", b"\x80", "ingest --policy-file",
+             "cannot mint a service IRI from '\\udc80': surrogates not allowed"),
         ],
         ids=["digit-like count", "digit-like string count", "non-UTF-8 model",
              "non-UTF-8 query", "deep Turtle", "deep query", "count past int digits",
              "shared blank node after inference", "engine with space", "empty engine IRI",
              "engine URL with space", "namespace with space", "huge integer in records",
-             "huge integer in versions", "deep array in records", "deep array in versions"],
+             "huge integer in versions", "deep array in records", "deep array in versions",
+             "lone surrogate in record id", "lone surrogate in record name",
+             "lone surrogate in record name to file", "lone surrogate in version",
+             "non-UTF-8 namespace to file", "non-UTF-8 policy service name"],
     )
     def test_error_line_without_traceback(self, tmp_path, model, name, content, command, expected):
         path = tmp_path / name
@@ -305,6 +327,7 @@ class TestBadInputExitsOne:
             path.write_bytes(content)
         else:
             path.write_text(content, encoding="utf-8")
+        out = tmp_path / "out.ttl"
         argv = {
             "parse": ["parse", str(path)],
             "validate": ["validate", model, str(path)],
@@ -316,6 +339,10 @@ class TestBadInputExitsOne:
             "ingest --endpoints": ["ingest", "openstack", "--endpoints", str(path)],
             "ingest --users": ["ingest", "openstack", "--users", str(path)],
             "ingest --versions": ["ingest", "openstack", "--versions", str(path)],
+            "ingest --users -o": ["ingest", "openstack", "--users", str(path), "-o", str(out)],
+            "ingest -o": ["ingest", "openstack", "--namespace", content, "-o", str(out)],
+            "ingest --policy-file": ["ingest", "openstack", "--policy-file",
+                                     os.fsencode(content) + b"=" + os.fsencode(path)],
         }[command]
         code, err = self.cli(*argv)
         assert code == 1
