@@ -47,14 +47,13 @@ so every error, and which error comes first, is what that path reports.
 Parsing is pure: the same input always yields the same Document, with blank
 node labels minted as b1, b2, ... in encounter order.
 
-`serialize_turtle` writes the same subset back: the prefix directives by
-label, then one statement per IRI subject in `term_sort_key` order, then
-one ``[ ... ] .`` statement per blank node that is no triple's object, in
-text order.  Predicates sort by IRI (rdf:type is written ``a``), objects by
-`term_sort_key`, and each blank node object is written inline where it is
-used, ``[]`` when it has no triples.  A graph the subset cannot express is
-refused, in this order: a blank node that is the object of two triples, a
-literal the reader would not take back, and blank nodes in a cycle.
+`serialize_turtle` writes the subset back: prefix directives by label, one
+statement per IRI subject in `term_sort_key` order, then a ``[ ... ] .``
+statement per blank node that is no triple's object, in text order, with
+predicates by IRI (rdf:type as ``a``) and objects by `term_sort_key`.  A
+blank node object is written inline where it is used, ``[]`` when empty.
+It refuses, in this order, a blank node that is the object of two triples,
+a literal the reader would not take back, and blank nodes in a cycle.
 """
 
 from __future__ import annotations
@@ -625,9 +624,10 @@ def serialize_turtle(doc: Document) -> str:
         return separator.join(parts)
 
     iri_subjects = sorted((s for s in subjects if isinstance(s, Iri)), key=term_sort_key)
-    blocks = [term(s) + " " + body(s, " ;\n  ") + " ." for s in iri_subjects]
     # blank nodes never used as an object become their own statements
     roots = sorted(s for s in subjects if isinstance(s, BlankNode) and s not in referenced)
+    del subjects  # not held while the text is built, when memory peaks
+    blocks = [term(s) + " " + body(s, " ;\n  ") + " ." for s in iri_subjects]
     blocks.extend(sorted(term(s) + " ." for s in roots))
     if emitted != len(graph):  # triples of blank nodes no statement reaches
         raise ValueError(

@@ -13,8 +13,6 @@ from cloudaudit.rdf import (
     Literal,
     PrefixMap,
     Triple,
-    Var,
-    TriplePattern,
     XSD_INTEGER,
     isomorphic,
 )
