@@ -369,6 +369,7 @@ OBJECTS = SUBJECTS + ('"x"', "0", "2", "cloudeng:DataInterface", "sh:NodeShape")
 QUERY_WORDS = (
     "SELECT", "*", "?x", "?y", "WHERE", "{", "}", "FILTER", "NOT", "EXISTS", ".",
     "ex:a", "ex:b", "a", "rdfs:subClassOf", "sec:encryptsData", "<http://e.test/a>", '"x"',
+    "PREFIX ex: <http://e.test/>", "PREFIX sec: <http://example.org/security#>", "# c\n",
 )
 
 objects = st.recursive(

@@ -4,18 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudaudit.compliance import coverage_queries
 from cloudaudit.rdf import Graph, Iri, Literal, Triple, TriplePattern, Var, term_sort_key
 from cloudaudit.sparql import (
     FilterExistence,
     GraphPattern,
     Polarity,
     Query,
+    _QueryParser,
     evaluate,
     parse_query,
 )
 from cloudaudit.rdf import PrefixMap
 from cloudaudit.turtle import MAX_NESTING, ErrorKind, ParseError
-from cloudaudit.vocab import RDF_TYPE
+from cloudaudit.vocab import CLOUD_ENGINE, COMPLIES_WITH, IMPLEMENTS_STANDARD, RDF_TYPE
 
 from oracles import CLOUDENG, SEC, brute_rows, ce, sec, table_rows
 
@@ -402,3 +404,228 @@ def test_uncorrelated_filter_chains_read_linearly_in_depth(monkeypatch):
     # level, at most one pass over the 20 triples and one witness
     assert all(n <= 21 * depth for depth, n in enumerate(counts, 1)), counts
     assert counts[-1] - counts[-3] == counts[-3] - counts[-5], counts
+
+
+# --- query steps against the whole-text token parser -------------------------
+#
+# parse_query reads the queries it can with its step regexes and hands any
+# other text to the token parser.  Either way, the Query or the error must
+# be the one the token parser gives for the whole text.
+
+
+def _groups(pattern: GraphPattern) -> list[tuple]:
+    """A WHERE tree's groups in preorder as (depth, polarity, triples),
+    walked without recursion, so 256-deep trees compare too."""
+    out, stack = [], [(0, None, pattern)]
+    while stack:
+        depth, polarity, group = stack.pop()
+        out.append((depth, polarity, group.triples))
+        stack.extend((depth + 1, f.polarity, f.inner) for f in reversed(group.filters))
+    return out
+
+
+def _outcome(parse, text: str) -> tuple:
+    try:
+        query = parse(text)
+    except ParseError as err:
+        return ("error", *position(err))
+    return ("query", query.projection, _groups(query.where), query.prefixes.items())
+
+
+def _token_parse(text: str) -> Query:
+    return _QueryParser(text).parse()
+
+
+_Q_LABELS = ["ex", "a", "b_2", "n-s", "", "select", "filter"]
+_Q_NAMESPACES = ["http://ex.test/a#", "http://ex.test/b/", "urn:x:"]
+_Q_LOCALS = ["x", "y1", "A.9.4.1", "AC-3", "z_z", "", "1st"]
+_Q_VARS = ["s", "o", "x_1", "\u00e9", "where", "a"]
+# prefixed names with this label are never bound, so they are errors
+_UNBOUND_LABEL = "\u00f1"
+_Q_SEPARATORS = [" ", "\n", "\t", "  \n    ", "\u00a0", "\r\n", "\u2003"]
+_Q_COMMENTS = ["# note\n", " # ?x { } . * \" < # WHERE\n", "\n# one\n# two\n  "]
+
+
+@st.composite
+def _query_texts(draw):
+    """Token lists of the supported subset, joined by random spacing and
+    comments: PREFIX lines (the empty label, rebinding), SELECT of variables
+    or '*' with keywords in random case, variables (non-ASCII too), prefixed
+    names (dotted locals, an unbound non-ASCII label), IRIREFs and strings
+    with and without escapes, 'a', optional '.', and FILTER [NOT] EXISTS
+    groups nested up to three deep."""
+    labels = draw(st.lists(st.sampled_from(_Q_LABELS), min_size=1, max_size=3, unique=True))
+    tokens: list[str] = []
+    used: list[str] = []
+
+    def keyword(word):
+        style = draw(st.integers(0, 3))
+        if style == 3:
+            word = "".join(c.upper() if draw(st.booleans()) else c for c in word)
+        tokens.append([word.upper(), word, word.capitalize(), word][style])
+
+    def prefix(label):
+        keyword("prefix")
+        tokens.extend([f"{label}:", f"<{draw(st.sampled_from(_Q_NAMESPACES))}>"])
+
+    def iri():
+        kind = draw(st.integers(0, 9))
+        local = draw(st.sampled_from(_Q_LOCALS))
+        if kind == 0:
+            return f"<{draw(st.sampled_from(_Q_NAMESPACES))}{local}>"
+        if kind == 1:
+            return f"<{draw(st.sampled_from(_Q_NAMESPACES))}\\u0041{local}>"
+        if kind == 2 and draw(st.integers(0, 3)) == 0:
+            return f"{_UNBOUND_LABEL}:{local}"
+        return f"{draw(st.sampled_from(labels))}:{local}"
+
+    def var():
+        name = draw(st.sampled_from(_Q_VARS))
+        used.append(name)
+        return "?" + name
+
+    def term(position):
+        kind = draw(st.integers(0, 5))
+        if kind <= 1:
+            return var()
+        if position == "p" and kind == 2:
+            return "a"
+        if position == "o" and kind == 2:
+            body = draw(st.text(alphabet='ab #.{}"\\\n\t<?', max_size=5))
+            if draw(st.booleans()) or any(c in body for c in '"\\\n'):
+                body = body.replace("\\", "\\\\").replace('"', '\\"')
+                body = body.replace("\n", "\\n").replace("\t", "\\t")
+            return f'"{body}"'
+        return iri()
+
+    def group(depth):
+        tokens.append("{")
+        for _ in range(draw(st.integers(0, 3))):
+            if depth < 3 and draw(st.integers(0, 3)) == 0:
+                keyword("filter")
+                if draw(st.booleans()):
+                    keyword("not")
+                keyword("exists")
+                group(depth + 1)
+                continue
+            tokens.extend([term("s"), term("p"), term("o")])
+            if draw(st.booleans()):
+                tokens.append(".")
+        tokens.append("}")
+
+    for label in labels:
+        prefix(label)
+    if draw(st.integers(0, 3)) == 0:
+        prefix(draw(st.sampled_from(labels)))  # rebinding: the last one wins
+    keyword("select")
+    select_at = len(tokens)
+    keyword("where")
+    group(1)
+    if used and draw(st.integers(0, 3)):
+        projection = draw(st.lists(st.sampled_from(used), min_size=1, max_size=3))
+        tokens[select_at:select_at] = ["?" + name for name in projection]
+    else:
+        tokens.insert(select_at, "*")
+
+    text = ""
+    for before, token in zip([None] + tokens, tokens):
+        # a '.' runs into a local name when a word follows it
+        tight = before is not None and (
+            before in "{}*" or token in "{}." or before[-1] in '">' or token[0] in '"<?'
+        )
+        choice = draw(st.integers(0, 9))
+        if tight and choice < 4:
+            sep = ""
+        elif choice < 8:
+            sep = draw(st.sampled_from(_Q_SEPARATORS))
+        else:
+            sep = draw(st.sampled_from(_Q_COMMENTS))
+        text += sep + token
+    return text + draw(st.sampled_from(["", "\n", " # end", "\n# end\n", "#"]))
+
+
+@given(_query_texts())
+@settings(max_examples=300, deadline=None)
+def test_query_steps_match_the_token_parser(text):
+    expected = _outcome(_token_parse, text)
+    assert _outcome(parse_query, text) == expected
+    assert expected[0] == "query" or _UNBOUND_LABEL in text, expected
+
+
+_Q_MUTATIONS = list('{}.*?<>"\\#:a_- \n') + [
+    "\u00e9", "\u00b2", "\u017f", "ex:", "select", "WHERE", "FILTER", "not", "EXISTS",
+    "PREFIX", "\\u0041", "{ ?s ?p ?o }", "@prefix",
+]
+
+
+@given(_query_texts(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_query_steps_fail_like_the_token_parser(text, data):
+    k = data.draw(st.integers(0, len(text)))
+    how = data.draw(st.sampled_from(["insert", "delete", "replace", "truncate", "repeat"]))
+    if how == "insert":
+        text = text[:k] + data.draw(st.sampled_from(_Q_MUTATIONS)) + text[k:]
+    elif how == "delete":
+        text = text[:k] + text[k + 1:]
+    elif how == "replace":
+        text = text[:k] + data.draw(st.sampled_from(_Q_MUTATIONS)) + text[k + 1:]
+    elif how == "truncate":
+        text = text[:k]
+    else:
+        j = data.draw(st.integers(k, len(text)))
+        text = text[:j] + text[k:]
+    assert _outcome(parse_query, text) == _outcome(_token_parse, text)
+
+
+_EX = "PREFIX ex: <http://ex.test/>\n"
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        pytest.param("select ?xwhere{ ?xwhere ?p ?o }", "error", id="variable runs into WHERE"),
+        pytest.param("select ?x where{?x?p?o}", "query", id="tight variables"),
+        pytest.param("PREFIX filter: <http://f.test/>\nSELECT * WHERE { ?s filter:x ?o "
+                     "FILTER EXISTS { filter:x ?p ?s } }", "query", id="filter as a label"),
+        pytest.param("PREFIX select: <http://f.test/>\nSELECT ?s WHERE { ?s ?p select:x }",
+                     "query", id="select as a label"),
+        pytest.param("SELECT * WHERE { a ?p ?o }", "error", id="a as subject"),
+        pytest.param("SELECT * WHERE { ?s A ?o }", "error", id="A as predicate"),
+        pytest.param('SELECT * WHERE { "x" ?p ?o }', "error", id="literal subject"),
+        pytest.param("\u017fELECT * WHERE { }", "error", id="long s in SELECT"),
+        pytest.param(_EX + "SELECT ?ghost WHERE { ?s ?p ex:o }", "error", id="ghost projection"),
+        pytest.param(_EX + "SELECT * WHERE { ?s ?p no:o }", "error", id="unknown prefix"),
+        pytest.param(_EX + "SELECT * WHERE { ?s ?p <> }", "error", id="empty IRI"),
+        pytest.param(_EX + "SELECT * WHERE { ?s ?p <http://x\r> }", "error", id="IRI with CR"),
+        pytest.param(_EX + "SELECT * WHERE { ?s ?p ex:o } # end", "query", id="comment at end"),
+        pytest.param(_EX + "SELECT * WHERE { ?s ?p ex:o } .", "error", id="trailing dot"),
+        pytest.param(_EX + "SELECT * WHERE { ?s ?p ex:o . . }", "error", id="two dots"),
+        pytest.param("PREFIX ex:a <http://ex.test/> SELECT * WHERE { }", "error", id="label with local"),
+        pytest.param(nested(MAX_NESTING), "query", id="deepest nesting"),
+        pytest.param(nested(MAX_NESTING + 1), "error", id="one group too deep"),
+    ],
+)
+def test_query_step_rows(text, kind):
+    expected = _outcome(_token_parse, text)
+    assert expected[0] == kind
+    assert _outcome(parse_query, text) == expected
+
+
+def _fixture_queries(fixtures_dir, graph: Graph) -> list[str]:
+    engines = sorted(t.subject for t in graph.triples(None, RDF_TYPE, CLOUD_ENGINE))
+    standards = sorted({t.object for p in (IMPLEMENTS_STANDARD, COMPLIES_WITH)
+                        for t in graph.triples(None, p, None)})
+    texts = [(fixtures_dir / "q_missing_encryption.rq").read_text(encoding="utf-8")]
+    for engine in engines:
+        for standard in standards:
+            texts.extend(coverage_queries(engine, standard))
+    return texts
+
+
+def test_query_steps_read_every_fixture_query(fixtures_dir, model_graph, gap_graph):
+    texts = _fixture_queries(fixtures_dir, model_graph) + _fixture_queries(fixtures_dir, gap_graph)
+    assert len(texts) > 100
+    for text in texts:
+        expected = _outcome(_token_parse, text)
+        assert expected[0] == "query"
+        assert _outcome(parse_query, text) == expected
