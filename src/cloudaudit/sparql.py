@@ -11,9 +11,19 @@ number of FILTER EXISTS { ... } / FILTER NOT EXISTS { ... } groups, which
 may nest (at most turtle.MAX_NESTING groups deep, WHERE's included) and may
 reference outer variables (correlated semantics).  Terms are variables,
 prefixed names, IRIREFs, the `a` keyword (predicate) and double-quoted
-string literals (objects).  IRIs are resolved at parse time.  The text is
-split by the Turtle module's `tokenize`, so lexical errors are the Turtle
-ones.
+string literals (objects).  IRIs are resolved at parse time.
+
+`parse_query` first reads the text with step regexes: one per PREFIX line,
+one for `SELECT ... WHERE {`, and one per group item (a triple pattern with
+its optional '.', `FILTER [NOT] EXISTS {`, or '}').  They read variables,
+prefixed names with ASCII labels, IRIREFs and strings without escapes, and
+`a` as the predicate, each ending where the Turtle module's `tokenize`
+would end that token, and build the Query from the match groups with no
+Token objects.  Any other text, an unknown prefix, an invalid IRI, nesting
+deeper than the limit or a projected variable that WHERE lacks sends the
+whole text to the token parser, which splits it with `tokenize`: that
+parser is the only one that reports errors, so they are the Turtle
+module's lexical errors and the token parser's grammar errors.
 
 Evaluation plans each group once per query: its triple patterns are
 joined greedily, most bound positions first (constants and variables bound
@@ -31,11 +41,13 @@ and sorted, so repeated evaluation of one query is byte-stable.
 from __future__ import annotations
 
 import enum
+import re
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator
 
 from .rdf import (
     Graph,
+    Iri,
     Literal,
     PatternTerm,
     PrefixMap,
@@ -43,11 +55,12 @@ from .rdf import (
     Term,
     Triple,
     TriplePattern,
+    UnknownPrefixError,
     Var,
     term_json,
     term_sort_key,
 )
-from .turtle import Token, TokenStream, tokenize
+from .turtle import _GAP, _PNAME, MAX_NESTING, Token, TokenStream, tokenize
 from .vocab import RDF_TYPE
 
 
@@ -239,9 +252,108 @@ class _QueryParser(TokenStream):
         raise AssertionError("unreachable")
 
 
+def _keyword(word: str) -> str:
+    # tokenize lower-cases a word to find a keyword, which for these words
+    # is ASCII case folding: 'ſ' does not read as 's'
+    return rf"(?ai:{word})(?![\w:-])"
+
+
+# The steps parse_query tries first.  Each token they read is the one
+# tokenize reads there: a variable takes every word character after '?', so
+# `?xwhere` is one variable; a keyword or `a` ends before a word character,
+# ':' or '-', so `select:x` is a prefixed name; `a` is case-sensitive.
+_VAR = r"\?\w+(?!\w)"
+_IRIREF = r'<[^<>"\\ \t\n]*>'
+_NODE = rf"{_VAR}|{_PNAME}|{_IRIREF}"
+_PREFIX_STEP_RE = re.compile(
+    rf"{_GAP}{_keyword('prefix')}{_GAP}((?:[A-Za-z_][A-Za-z0-9_-]*)?):{_GAP}({_IRIREF})"
+)
+_SELECT_STEP_RE = re.compile(
+    rf"{_GAP}{_keyword('select')}{_GAP}(?:\*{_GAP}|((?:{_VAR}{_GAP})+))"
+    rf"{_keyword('where')}{_GAP}\{{"
+)
+_PROJECTED_RE = re.compile(rf"\?(\w+){_GAP}")
+# groups: subject, predicate, object | NOT of a FILTER | '}'
+_ITEM_STEP_RE = re.compile(
+    rf"{_GAP}(?:({_NODE}){_GAP}({_NODE}|a(?![\w:-])){_GAP}({_NODE}|\"[^\"\\\n]*\"){_GAP}\.?"
+    rf"|{_keyword('filter')}{_GAP}({_keyword('not')}{_GAP})?{_keyword('exists')}{_GAP}\{{"
+    rf"|(\}}))"
+)
+_END_RE = re.compile(rf"{_GAP}(?:#[^\n]*)?\Z")
+
+
+def _step_query(text: str) -> Query | None:
+    """The query, if the step regexes read all of the text and it is valid;
+    else None, with nothing kept."""
+    prefixes = PrefixMap()
+    pos = 0
+    try:
+        while m := _PREFIX_STEP_RE.match(text, pos):
+            prefixes.bind(m[1], m[2][1:-1])
+            pos = m.end()
+        m = _SELECT_STEP_RE.match(text, pos)
+        if m is None:
+            return None
+        projection = None if m[1] is None else _PROJECTED_RE.findall(m[1])
+        terms: dict[str, PatternTerm] = {"a": RDF_TYPE}  # by token text
+
+        def term(token: str) -> PatternTerm:
+            first = token[0]
+            if first == "?":
+                made: PatternTerm = Var(token[1:])
+            elif first == "<":
+                made = Iri(token[1:-1])
+            elif first == '"':
+                made = Literal(token[1:-1])
+            else:
+                label, _, local = token.partition(":")
+                made = Iri(prefixes.namespace(label) + local)
+            terms[token] = made
+            return made
+
+        where = group = GraphPattern()
+        groups = [where]  # open groups, innermost last
+        match, get = _ITEM_STEP_RE.match, terms.get
+        pos = m.end()
+        while True:
+            m = match(text, pos)
+            if m is None:
+                return None
+            pos = m.end()
+            s, p, o, negated, close = m.groups()
+            if s is not None:
+                group.triples.append(TriplePattern(
+                    get(s) or term(s), get(p) or term(p), get(o) or term(o)
+                ))
+            elif close is None:
+                if len(groups) == MAX_NESTING:
+                    return None
+                inner = GraphPattern()
+                polarity = Polarity.EXISTS if negated is None else Polarity.NOT_EXISTS
+                group.filters.append(FilterExistence(polarity, inner))
+                groups.append(inner)
+                group = inner
+            else:
+                groups.pop()
+                if not groups:
+                    break
+                group = groups[-1]
+    except (UnknownPrefixError, ValueError):  # an unbound label, an invalid IRI
+        return None
+    if _END_RE.match(text, pos) is None:
+        return None
+    if projection is not None and any("?" + name not in terms for name in projection):
+        return None
+    return Query(prefixes, projection, where)
+
+
 def parse_query(text: str) -> Query:
-    """Parse a SELECT query in the supported subset; IRIs resolve at parse time."""
-    return _QueryParser(text).parse()
+    """Parse a SELECT query in the supported subset; IRIs resolve at parse time.
+
+    Raises ParseError with a 1-based position for anything outside it.
+    """
+    query = _step_query(text)
+    return _QueryParser(text).parse() if query is None else query
 
 
 _ATTRS = ("subject", "predicate", "object")

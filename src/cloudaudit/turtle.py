@@ -50,8 +50,10 @@ node labels minted as b1, b2, ... in encounter order.
 `serialize_turtle` writes the subset back: prefix directives by label, one
 statement per IRI subject in `term_sort_key` order, then a ``[ ... ] .``
 statement per blank node that is no triple's object, in text order, with
-predicates by IRI (rdf:type as ``a``) and objects by `term_sort_key`.  A
-blank node object is written inline where it is used, ``[]`` when empty.
+predicates by IRI (rdf:type as ``a``) and objects by `term_sort_key`, blank
+nodes last and by their text.  A blank node object is written inline where
+it is used, ``[]`` when empty.  No blank node label reaches the output, so
+writing what was read back gives the same bytes.
 It refuses, in this order, a blank node that is the object of two triples,
 a literal the reader would not take back, and blank nodes in a cycle.
 """
@@ -169,11 +171,11 @@ _OBJECT_STEP_RE = re.compile(rf'{_GAP}({_PNAME}|"[^"\\\n]*"){_GAP}([;,.])')
 _PREDICATE_STEP_RE = re.compile(rf"{_GAP}({_PNAME}|a(?![\w:-])){_OBJECT_STEP_RE.pattern}")
 _SUBJECT_STEP_RE = re.compile(rf"{_GAP}({_PNAME}){_PREDICATE_STEP_RE.pattern}")
 
-_IRI_PREFIX_RE = re.compile(_IRI_BODY)
-_STRING_PREFIX_RE = re.compile(_STRING_BODY)
-_LOCAL_RUN_RE = re.compile(r"[A-Za-z0-9_.-]*")
-_UCHAR_RE = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
-_ECHAR_RE = re.compile(r"\\(.)")
+# Only errors and escapes need these, so they are compiled on first use,
+# through re's cache, not at import.
+_LOCAL_RUN = r"[A-Za-z0-9_.-]*"
+_UCHAR = r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})"
+_ECHAR = r"\\(.)"
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 _KEYWORDS = {"select", "where", "filter", "not", "exists", "prefix"}
 
@@ -228,7 +230,7 @@ def tokenize(text: str, query: bool = False, pos: int = 0, statement: bool = Fal
         elif kind == "string":
             value = m[kind][1:-1]
             if "\\" in value:
-                value = _ECHAR_RE.sub(lambda e: _ESCAPES[e[1]], value)
+                value = re.sub(_ECHAR, lambda e: _ESCAPES[e[1]], value)
             append(Token(kind, start, value))
         elif kind == "word":
             word = m[kind]
@@ -266,14 +268,14 @@ def _unescape_iri(text: str, offset: int, value: str) -> str:
             raise ParseError.at(text, offset + u.start(), ErrorKind.BAD_ESCAPE, detail)
         return chr(code)
 
-    return _UCHAR_RE.sub(uchar, value)
+    return re.sub(_UCHAR, uchar, value)
 
 
 def _lex_error(text: str, offset: int, query: bool) -> ParseError:
     """The error at `offset`, where no token matches."""
     c = text[offset]
     if c == "<":
-        end = _IRI_PREFIX_RE.match(text, offset).end()
+        end = re.compile(_IRI_BODY).match(text, offset).end()
         bad = text[end:end + 1]
         if bad in ("", "\n"):
             return ParseError.at(text, end, ErrorKind.UNTERMINATED_IRI, "IRI not closed with '>'")
@@ -287,7 +289,7 @@ def _lex_error(text: str, offset: int, query: bool) -> ParseError:
             text, end, ErrorKind.UNEXPECTED_TOKEN, f"character {bad!r} not allowed inside IRI"
         )
     if c == '"':
-        end = _STRING_PREFIX_RE.match(text, offset).end()
+        end = re.compile(_STRING_BODY).match(text, offset).end()
         if text[end:end + 1] == "\\" and end + 1 < len(text):
             return ParseError.at(
                 text, end, ErrorKind.BAD_ESCAPE, f"unsupported string escape \\{text[end + 1]}"
@@ -311,7 +313,7 @@ def _lex_error(text: str, offset: int, query: bool) -> ParseError:
     elif c == ":" or _is_word_start(c):
         # a prefixed name whose local part starts with '.' or '-'
         start = text.index(":", offset) + 1
-        chunk = _LOCAL_RUN_RE.match(text, start)[0].rstrip(".")
+        chunk = re.compile(_LOCAL_RUN).match(text, start)[0].rstrip(".")
         return ParseError.at(text, start, ErrorKind.BAD_LOCAL_NAME, f"invalid local name {chunk!r}")
     return _unexpected_character(text, offset)
 
@@ -617,9 +619,17 @@ def serialize_turtle(doc: Document) -> str:
             by_predicate.setdefault(t.predicate, []).append(t.object)
         parts = []
         for predicate in sorted(by_predicate):  # an Iri sorts by its value
-            objects = sorted(by_predicate[predicate], key=term_sort_key)
+            objects = by_predicate[predicate]
             emitted += len(objects)
-            rendered = ", ".join(map(term, objects))
+            if len(objects) == 1:
+                rendered = term(objects[0])
+            else:
+                # a blank node sorts by its text, which no label is part of
+                keyed = []
+                for o in objects:
+                    text = term(o)
+                    keyed.append((text if isinstance(o, BlankNode) else term_sort_key(o), text))
+                rendered = ", ".join(text for _, text in sorted(keyed))
             parts.append(f"{'a' if predicate == RDF_TYPE else term(predicate)} {rendered}")
         return separator.join(parts)
 

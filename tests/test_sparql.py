@@ -12,6 +12,7 @@ from cloudaudit.sparql import (
     Polarity,
     Query,
     _QueryParser,
+    _step_query,
     evaluate,
     parse_query,
 )
@@ -629,3 +630,4 @@ def test_query_steps_read_every_fixture_query(fixtures_dir, model_graph, gap_gra
         expected = _outcome(_token_parse, text)
         assert expected[0] == "query"
         assert _outcome(parse_query, text) == expected
+        assert _step_query(text) is not None  # not left to the token parser
