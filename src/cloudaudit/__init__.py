@@ -24,7 +24,6 @@ _LAYER_EXPORTS = {
         "Triple",
         "TriplePattern",
         "Var",
-        "isomorphic",
     ),
     "turtle": ("Document", "ParseError", "parse_turtle", "serialize_turtle"),
     "reasoner": ("ClosureResult", "materialize", "subclasses_of"),

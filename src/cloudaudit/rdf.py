@@ -347,18 +347,21 @@ class Graph:
         return f"Graph({len(self)} triples)"
 
 
-# Local names our Turtle subset can write: start with alnum/underscore, may
-# contain '.' and '-' inside, never end with '.'; empty is allowed.
-_LOCAL_RE = re.compile(r"^(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?$")
-_PREFIX_LABEL_RE = re.compile(r"^(?:[A-Za-z_][A-Za-z0-9_-]*)?$")
+# Prefix labels and local names our Turtle subset writes, as pattern text the
+# readers build on.  A label starts with a letter or '_'; a local name starts
+# with alnum or '_', never ends with '.', and may be empty, as may a label.
+PREFIX_LABEL = r"(?:[A-Za-z_][A-Za-z0-9_-]*)?"
+LOCAL_NAME = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?"
+_PREFIX_LABEL_RE = re.compile(PREFIX_LABEL)
+_LOCAL_RE = re.compile(LOCAL_NAME)
 
 
 def is_local_name(text: str) -> bool:
-    return bool(_LOCAL_RE.match(text))
+    return _LOCAL_RE.fullmatch(text) is not None
 
 
 def is_prefix_label(text: str) -> bool:
-    return bool(_PREFIX_LABEL_RE.match(text))
+    return _PREFIX_LABEL_RE.fullmatch(text) is not None
 
 
 class PrefixMap:
@@ -437,138 +440,3 @@ class PrefixMap:
     def __len__(self) -> int:
         return len(self._bindings)
 
-
-def _bnode_labels(triple: Triple) -> list[str]:
-    out = []
-    if isinstance(triple.subject, BlankNode):
-        out.append(triple.subject.label)
-    if isinstance(triple.object, BlankNode):
-        out.append(triple.object.label)
-    return out
-
-
-def _rename(triple: Triple, mapping: dict[str, str]) -> Triple:
-    s = triple.subject
-    o = triple.object
-    if isinstance(s, BlankNode):
-        s = BlankNode(mapping[s.label])
-    if isinstance(o, BlankNode):
-        o = BlankNode(mapping[o.label])
-    return Triple(s, triple.predicate, o)
-
-
-def _signature(label: str, triples: list[Triple]) -> tuple:
-    """Relabeling-invariant profile of one blank node's occurrences."""
-    marks = []
-    for t in triples:
-        s_is = isinstance(t.subject, BlankNode) and t.subject.label == label
-        o_is = isinstance(t.object, BlankNode) and t.object.label == label
-        if not (s_is or o_is):
-            continue
-        other_s = "*" if isinstance(t.subject, BlankNode) else term_sort_key(t.subject)
-        other_o = "*" if isinstance(t.object, BlankNode) else term_sort_key(t.object)
-        marks.append((s_is, o_is, term_sort_key(t.predicate), other_s, other_o))
-    marks.sort()
-    return tuple(marks)
-
-
-def _by_node(triples: list[Triple]) -> dict[str, list[Triple]]:
-    """Each blank node label with the triples it occurs in."""
-    out: dict[str, list[Triple]] = {}
-    for t in triples:
-        for label in dict.fromkeys(_bnode_labels(t)):
-            out.setdefault(label, []).append(t)
-    return out
-
-
-def _search_order(by_node: dict[str, list[Triple]]) -> list[str]:
-    """Blank nodes breadth-first over shared triples, so each node after the
-    first of its connected component shares a triple with an earlier one."""
-    order: list[str] = []
-    seen: set[str] = set()
-    for start in sorted(by_node):
-        if start in seen:
-            continue
-        seen.add(start)
-        order.append(start)
-        k = len(order) - 1
-        while k < len(order):
-            for t in by_node[order[k]]:
-                for label in _bnode_labels(t):
-                    if label not in seen:
-                        seen.add(label)
-                        order.append(label)
-            k += 1
-    return order
-
-
-def isomorphic(a: Graph, b: Graph) -> bool:
-    """True iff some bijective blank-node relabeling maps a exactly onto b.
-
-    Blank nodes of `a` are mapped one at a time, each where it can be next to
-    one already mapped.  Its candidates are the nodes of `b` with the same
-    signature that share a triple with that neighbour's image, and a partial
-    mapping is abandoned as soon as a triple whose blank nodes are all
-    mapped has no image in `b`.  So symmetric structures that do not match
-    fail early instead of at every leaf of a factorial search.
-    """
-    if len(a) != len(b):
-        return False
-    a_bn = [t for t in a if _bnode_labels(t)]
-    b_bn = [t for t in b if _bnode_labels(t)]
-    if {t for t in a if not _bnode_labels(t)} != {t for t in b if not _bnode_labels(t)}:
-        return False
-    if len(a_bn) != len(b_bn):
-        return False
-    a_by_node = _by_node(a_bn)
-    b_by_node = _by_node(b_bn)
-    if len(a_by_node) != len(b_by_node):
-        return False
-    a_sig = {n: _signature(n, ts) for n, ts in a_by_node.items()}
-    b_sig = {n: _signature(n, ts) for n, ts in b_by_node.items()}
-    if sorted(a_sig.values()) != sorted(b_sig.values()):
-        return False
-    with_sig: dict[tuple, list[str]] = {}
-    for n in sorted(b_sig):
-        with_sig.setdefault(b_sig[n], []).append(n)
-    order = _search_order(a_by_node)
-    b_set = set(b_bn)
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def candidates(node: str) -> Iterator[str]:
-        for t in a_by_node[node]:
-            for label in _bnode_labels(t):
-                if label != node and label in mapping:
-                    near = {n: None for bt in b_by_node[mapping[label]] for n in _bnode_labels(bt)}
-                    return (n for n in near if b_sig[n] == a_sig[node])
-        return iter(with_sig[a_sig[node]])
-
-    def consistent(node: str) -> bool:
-        return all(
-            _rename(t, mapping) in b_set
-            for t in a_by_node[node]
-            if all(label in mapping for label in _bnode_labels(t))
-        )
-
-    # iterative backtracking: pending[k] yields the untried candidates for order[k]
-    pending = [candidates(order[0])] if order else []
-    while pending:
-        node = order[len(pending) - 1]
-        if node in mapping:
-            used.remove(mapping.pop(node))
-        for cand in pending[-1]:
-            if cand in used:
-                continue
-            mapping[node] = cand
-            if consistent(node):
-                break
-            del mapping[node]
-        else:
-            pending.pop()
-            continue
-        used.add(mapping[node])
-        if len(pending) == len(order):
-            return True
-        pending.append(candidates(order[len(pending)]))
-    return not order

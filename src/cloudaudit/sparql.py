@@ -49,6 +49,7 @@ from .rdf import (
     Graph,
     Iri,
     Literal,
+    PREFIX_LABEL,
     PatternTerm,
     PrefixMap,
     Record,
@@ -266,7 +267,7 @@ _VAR = r"\?\w+(?!\w)"
 _IRIREF = r'<[^<>"\\ \t\n]*>'
 _NODE = rf"{_VAR}|{_PNAME}|{_IRIREF}"
 _PREFIX_STEP_RE = re.compile(
-    rf"{_GAP}{_keyword('prefix')}{_GAP}((?:[A-Za-z_][A-Za-z0-9_-]*)?):{_GAP}({_IRIREF})"
+    rf"{_GAP}{_keyword('prefix')}{_GAP}({PREFIX_LABEL}):{_GAP}({_IRIREF})"
 )
 _SELECT_STEP_RE = re.compile(
     rf"{_GAP}{_keyword('select')}{_GAP}(?:\*{_GAP}|((?:{_VAR}{_GAP})+))"

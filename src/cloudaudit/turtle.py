@@ -68,7 +68,9 @@ from .rdf import (
     BlankNode,
     Graph,
     Iri,
+    LOCAL_NAME,
     Literal,
+    PREFIX_LABEL,
     PrefixMap,
     Record,
     Term,
@@ -142,7 +144,7 @@ _STRING_BODY = r'"[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
 _WORD = r"(?!\d)\w[\w-]*"
 # ASCII only, interior dots, never starting with '.' or '-': trailing dots
 # stay in the stream to end the statement.
-_LOCAL = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?(?!\.*[A-Za-z0-9_-])"
+_LOCAL = rf"{LOCAL_NAME}(?!\.*[A-Za-z0-9_-])"
 
 _TOKEN_RE = re.compile(
     rf"""(?:\s+|\#[^\n]*)*
@@ -166,7 +168,7 @@ _TOKEN_RE = re.compile(
 # the 'a' keyword and plain strings (no escapes) end where the words and
 # strings of _TOKEN_RE end.
 _GAP = r"\s*(?:#[^\n]*\n\s*)*"
-_PNAME = rf"(?:[A-Za-z_][A-Za-z0-9_-]*)?:{_LOCAL}"
+_PNAME = rf"{PREFIX_LABEL}:{_LOCAL}"
 _OBJECT_STEP_RE = re.compile(rf'{_GAP}({_PNAME}|"[^"\\\n]*"){_GAP}([;,.])')
 _PREDICATE_STEP_RE = re.compile(rf"{_GAP}({_PNAME}|a(?![\w:-])){_OBJECT_STEP_RE.pattern}")
 _SUBJECT_STEP_RE = re.compile(rf"{_GAP}({_PNAME}){_PREDICATE_STEP_RE.pattern}")
@@ -579,8 +581,8 @@ _LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "
 def serialize_turtle(doc: Document) -> str:
     """Write a Document as deterministic Turtle in the module docstring's
     order: identical documents give byte-identical output, which re-parses
-    to an isomorphic graph.  Raises ValueError for the first of the module
-    docstring's three refusals that the graph meets.
+    to the same graph up to blank-node labels.  Raises ValueError for the
+    first of the module docstring's three refusals that the graph meets.
     """
     graph, compact = doc.graph, doc.prefixes.compact
     subjects: set[Term] = set()

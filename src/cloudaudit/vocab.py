@@ -1,7 +1,8 @@
 """IRI constants for the cloud engine ontology and the core RDF vocabularies.
 
-Namespaces mirror the prefix block of the bundled model file
-(fixtures/cloudengine.ttl); every constant here expands under it.
+The rdf, rdfs, cloudeng and sec namespaces are those the prefix block of
+the bundled model file (fixtures/cloudengine.ttl) binds; the sh namespace
+is bound only by the bundled shapes file (fixtures/shapes_data_encryption.ttl).
 """
 
 from __future__ import annotations
@@ -10,21 +11,16 @@ from .rdf import Iri, XSD_INTEGER, XSD_STRING  # noqa: F401  (re-exported)
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
-XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 SH_NS = "http://www.w3.org/ns/shacl#"
 CLOUDENG_NS = "http://example.org/cloudengine#"
 SEC_NS = "http://example.org/security#"
 
 RDF_TYPE = Iri(RDF_NS + "type")
-RDF_PROPERTY = Iri(RDF_NS + "Property")
 
-RDFS_CLASS = Iri(RDFS_NS + "Class")
 RDFS_SUBCLASS_OF = Iri(RDFS_NS + "subClassOf")
 RDFS_LABEL = Iri(RDFS_NS + "label")
-RDFS_COMMENT = Iri(RDFS_NS + "comment")
 RDFS_RESOURCE = Iri(RDFS_NS + "Resource")
 RDFS_DOMAIN = Iri(RDFS_NS + "domain")
-RDFS_RANGE = Iri(RDFS_NS + "range")
 
 # SHACL shape vocabulary (the validated subset)
 SH_NODE_SHAPE = Iri(SH_NS + "NodeShape")
@@ -51,21 +47,13 @@ SERVICE_VERSION = Iri(CLOUDENG_NS + "serviceVersion")
 POLICY_FILE_HASH = Iri(CLOUDENG_NS + "policyFileHash")
 
 # Security layer
-SECURITY_POLICY = Iri(SEC_NS + "SecurityPolicy")
-IDENTITY_PROVIDER = Iri(SEC_NS + "IdentityProvider")
-AUTHENTICATION_MECHANISM = Iri(SEC_NS + "AuthenticationMechanism")
-AUTHORIZATION_MECHANISM = Iri(SEC_NS + "AuthorizationMechanism")
 ENCRYPTION_METHOD = Iri(SEC_NS + "EncryptionMethod")
-ENCRYPTION_SCOPE_CLASS = Iri(SEC_NS + "EncryptionScope")
-TRANSPORT_SECURITY_PROTOCOL = Iri(SEC_NS + "TransportSecurityProtocol")
-COMPLIANCE_STANDARD = Iri(SEC_NS + "ComplianceStandard")
 KEY_MANAGEMENT = Iri(SEC_NS + "KeyManagement")
 HAS_SECURITY_POLICY = Iri(SEC_NS + "hasSecurityPolicy")
 USES_IDENTITY_PROVIDER = Iri(SEC_NS + "usesIdentityProvider")
 SUPPORTS_AUTHENTICATION = Iri(SEC_NS + "supportsAuthentication")
 ENFORCES_AUTHORIZATION = Iri(SEC_NS + "enforcesAuthorization")
 ENCRYPTS_DATA = Iri(SEC_NS + "encryptsData")
-ENCRYPTION_SCOPE = Iri(SEC_NS + "encryptionScope")
 USES_TRANSPORT_SECURITY = Iri(SEC_NS + "usesTransportSecurity")
 COMPLIES_WITH = Iri(SEC_NS + "compliesWith")
 IMPLEMENTS_STANDARD = Iri(SEC_NS + "implementsStandard")

@@ -12,7 +12,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from cloudaudit.rdf import Graph, Iri, Term, Triple, TriplePattern, term_sort_key
+from cloudaudit.rdf import BlankNode, Graph, Iri, Term, Triple, TriplePattern, term_sort_key
 from cloudaudit.sparql import GraphPattern, Polarity, Query
 from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
@@ -38,6 +38,45 @@ def scan_match(graph: Graph, pattern: TriplePattern) -> list[Triple]:
     """Match by unification over a full linear scan (no indexes), in
     insertion order."""
     return [t for t in graph if pattern.binding(t) is not None]
+
+
+def isomorphic(a: Graph, b: Graph) -> bool:
+    """True iff a one-to-one renaming of blank nodes maps `a` onto `b`.
+
+    Decided for blank-node forests only (each blank node is the object of at
+    most one triple, none on a cycle) by canonical tree forms (Aho, Hopcroft
+    & Ullman 1974); any other graph raises AssertionError."""
+    return _forest_form(a) == _forest_form(b)
+
+
+def _forest_form(graph: Graph) -> tuple[list, list]:
+    """The triples with a non-blank subject and the blank nodes that are no
+    triple's object, each sorted, with every blank node replaced by its form:
+    the sorted (predicate, object form) pairs of its triples, children first.
+    Other terms stand for themselves, tagged with their kind."""
+    pairs: dict[BlankNode, list] = {}
+    parented: set[BlankNode] = set()
+    for s, p, o in graph:
+        if isinstance(s, BlankNode):
+            pairs.setdefault(s, []).append((p, o))
+        if isinstance(o, BlankNode):
+            if o in parented:
+                raise AssertionError(f"shared blank node {o}: not a forest")
+            parented.add(o)
+            pairs.setdefault(o, [])
+    formed: set[BlankNode] = set()
+
+    def form(term) -> tuple:
+        if not isinstance(term, BlankNode):
+            return type(term).__name__, term
+        formed.add(term)
+        return "_", sorted((p, form(o)) for p, o in pairs[term])
+
+    top = sorted((s, p, form(o)) for s, p, o in graph if not isinstance(s, BlankNode))
+    roots = sorted(form(node) for node in pairs if node not in parented)
+    if len(formed) < len(pairs):
+        raise AssertionError("blank nodes on a cycle: not a forest")
+    return top, roots
 
 
 def type_closure(graph: Graph) -> set[Triple]:

@@ -9,7 +9,7 @@ import random
 from cloudaudit.cli import main
 from cloudaudit.compliance import CoverageState, coverage
 from cloudaudit.openstack import IngestConfig, ingest, parse_cli_json
-from cloudaudit.rdf import Graph, Iri, Literal, Triple, TriplePattern, Var, isomorphic
+from cloudaudit.rdf import Graph, Iri, Literal, Triple, TriplePattern, Var
 from cloudaudit.reasoner import materialize, subclasses_of
 from cloudaudit.shacl import NodeShape, PropertyConstraint, parse_shapes, validate
 from cloudaudit.sparql import GraphPattern, Query, evaluate, parse_query
@@ -22,7 +22,7 @@ from cloudaudit.vocab import (
     RDFS_SUBCLASS_OF,
 )
 
-from oracles import AWS, ISO, brute_rows, ce, sec, table_rows, type_closure
+from oracles import AWS, ISO, brute_rows, ce, isomorphic, sec, table_rows, type_closure
 
 # frozen reference values (independent counts/traversals done once up front)
 REFERENCE_TRIPLE_COUNT = 282

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 import cloudaudit
 from cloudaudit.cli import main
-from cloudaudit.rdf import isomorphic
 from cloudaudit.reasoner import materialize
 from cloudaudit.turtle import parse_turtle
 
-from oracles import CLOUDENG
+from oracles import CLOUDENG, isomorphic
 
 
 @pytest.fixture()

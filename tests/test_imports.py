@@ -21,7 +21,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # every name `from cloudaudit import X` offers, by the layer that defines it
 EXPORTS = {
     "rdf": ["BlankNode", "Graph", "Iri", "Literal", "PrefixMap", "Term", "Triple",
-            "TriplePattern", "Var", "isomorphic"],
+            "TriplePattern", "Var"],
     "turtle": ["Document", "ParseError", "parse_turtle", "serialize_turtle"],
     "reasoner": ["ClosureResult", "materialize", "subclasses_of"],
     "sparql": ["Query", "SolutionTable", "evaluate", "parse_query"],

@@ -14,7 +14,6 @@ from cloudaudit.rdf import (
     PrefixMap,
     Triple,
     XSD_INTEGER,
-    isomorphic,
 )
 from cloudaudit import turtle
 from cloudaudit.turtle import (
@@ -27,7 +26,7 @@ from cloudaudit.turtle import (
 )
 from cloudaudit.vocab import RDF_TYPE, RDFS_DOMAIN, RDFS_RESOURCE, RDFS_SUBCLASS_OF
 
-from oracles import CLOUDENG, SEC, ce, sec
+from oracles import CLOUDENG, SEC, ce, isomorphic, sec
 from oracles import read_turtle as oracle_read_turtle
 
 # triple counts confirmed once against an independent statement counter
