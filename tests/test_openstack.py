@@ -98,6 +98,85 @@ class TestParseCliJson:
         )
         assert record == RoleAssignmentRecord(role="admin", user_id="u1", group_id=None, project_id="p1")
 
+    @pytest.mark.parametrize(
+        "kind, obj, want",
+        [
+            ("endpoints",
+             {"ID": 7, "Service Name": "nova", "Service Type": "compute", "Interface": "admin",
+              "URL": "https://nv:8774", "Region": "RegionOne", "Enabled": False},
+             EndpointRecord("7", "nova", "compute", "admin", "https://nv:8774", "RegionOne", False)),
+            ("endpoints",
+             {"id": "e2", "service_name": "swift", "service_type": "object-store",
+              "interface": "internal", "url": "https://sw:8080", "region": "R2", "enabled": "FALSE"},
+             EndpointRecord("e2", "swift", "object-store", "internal", "https://sw:8080", "R2", False)),
+            ("endpoints",
+             {"ID": "e3", "Service Name": "x", "Service Type": "t", "Interface": "public", "URL": "u"},
+             EndpointRecord("e3", "x", "t", "public", "u", None, True)),
+            ("endpoints",
+             {"ID": "e4", "Service Name": "x", "Service Type": "t", "Interface": "public", "URL": "u",
+              "Region": "", "Enabled": None},
+             EndpointRecord("e4", "x", "t", "public", "u", None, True)),
+            ("projects",
+             {"ID": "p1", "Name": "demo", "Domain ID": "default", "Enabled": True},
+             ProjectRecord("p1", "demo", "default", True)),
+            ("projects",
+             {"id": "p2", "name": "ops", "domain_id": 5, "enabled": "False"},
+             ProjectRecord("p2", "ops", "5", False)),
+            ("projects", {"ID": "p3", "Name": "bare"}, ProjectRecord("p3", "bare", None, None)),
+            ("projects", {"ID": "p4", "Name": "b", "Domain ID": "", "Enabled": None},
+             ProjectRecord("p4", "b", None, None)),
+            ("users",
+             {"ID": "u1", "Name": "alice", "Domain ID": "default", "Enabled": False},
+             UserRecord("u1", "alice", "default", False)),
+            ("users",
+             {"id": "u2", "name": "bob", "domain_id": "d2", "enabled": "true"},
+             UserRecord("u2", "bob", "d2", True)),
+            ("users", {"ID": "u3", "Name": "carol"}, UserRecord("u3", "carol", None, None)),
+            ("users", {"ID": "u4", "Name": "dan", "Domain ID": "", "Enabled": None},
+             UserRecord("u4", "dan", None, None)),
+            ("assignments",
+             {"Role": "admin", "User": "u1", "Group": "g1", "Project": "p1"},
+             RoleAssignmentRecord("admin", "u1", "g1", "p1")),
+            ("assignments",
+             {"role": "reader", "user_id": "u2", "group_id": "g2", "project_id": "p2"},
+             RoleAssignmentRecord("reader", "u2", "g2", "p2")),
+            ("assignments",
+             {"role": "member", "user": "u3", "group": "g3", "project": "p3"},
+             RoleAssignmentRecord("member", "u3", "g3", "p3")),
+            ("assignments", {"Role": "admin"}, RoleAssignmentRecord("admin", None, None, None)),
+            ("assignments", {"Role": "admin", "User": "", "Group": None, "Project": ""},
+             RoleAssignmentRecord("admin", None, None, None)),
+        ],
+    )
+    def test_each_kind_decodes_every_field(self, kind, obj, want):
+        assert parse_cli_json(json.dumps([obj]), kind) == [want]
+
+    @pytest.mark.parametrize(
+        "kind, full, key, message",
+        [
+            (kind, full, key, f"record 1: missing key {key!r} (or {last!r})")
+            for kind, full, keys in [
+                ("endpoints",
+                 {"ID": "e1", "Service Name": "s", "Service Type": "t", "Interface": "public",
+                  "URL": "u", "Region": "r", "Enabled": True},
+                 [("ID", "id"), ("Service Name", "service_name"),
+                  ("Service Type", "service_type"), ("Interface", "interface"), ("URL", "url")]),
+                ("projects", {"ID": "p1", "Name": "n", "Domain ID": "d", "Enabled": True},
+                 [("ID", "id"), ("Name", "name")]),
+                ("users", {"ID": "u1", "Name": "n", "Domain ID": "d", "Enabled": True},
+                 [("ID", "id"), ("Name", "name")]),
+                ("assignments", {"Role": "admin", "User": "u1", "Project": "p1"},
+                 [("Role", "role")]),
+            ]
+            for key, last in keys
+        ],
+    )
+    def test_each_missing_required_key_is_named(self, kind, full, key, message):
+        partial = {k: v for k, v in full.items() if k != key}
+        with pytest.raises(JsonShapeError) as info:
+            parse_cli_json(json.dumps([full, partial]), kind)
+        assert str(info.value) == message
+
 
 class TestIngest:
     def test_empty_inputs(self):
