@@ -211,21 +211,13 @@ def _cmd_ingest(args) -> int:
         parse_cli_json,
     )
 
-    if args.source != "openstack":
-        raise _CliError(f"unknown ingest source {args.source!r}")
-
-    def load_records(path: str | None, kind):
-        if path is None:
-            return []
+    records = {}
+    for kind in ("endpoints", "projects", "users", "assignments"):
+        path = getattr(args, kind)
         try:
-            return parse_cli_json(_read_text(path), kind)
+            records[kind] = [] if path is None else parse_cli_json(_read_text(path), kind)
         except JsonShapeError as exc:
             raise _CliError(f"{path}: {exc}") from exc
-
-    endpoints = load_records(args.endpoints, "endpoints")
-    projects = load_records(args.projects, "projects")
-    users = load_records(args.users, "users")
-    assignments = load_records(args.assignments, "assignments")
 
     versions: dict[str, str] = {}
     if args.versions:
@@ -243,20 +235,11 @@ def _cmd_ingest(args) -> int:
         policy_files=_parse_policy_file_args(args.policy_file),
     )
     try:
-        doc = ingest(
-            endpoints=endpoints,
-            projects=projects,
-            users=users,
-            assignments=assignments,
-            config=config,
-        )
+        doc = ingest(**records, config=config)
     except IngestError as exc:
         raise _CliError(str(exc)) from exc
-    sys.stderr.write(
-        f"ingested {len(endpoints)} endpoint(s), {len(projects)} project(s), "
-        f"{len(users)} user(s), {len(assignments)} assignment(s): "
-        f"{len(doc.graph)} triples\n"
-    )
+    counts = ", ".join(f"{len(found)} {kind[:-1]}(s)" for kind, found in records.items())
+    sys.stderr.write(f"ingested {counts}: {len(doc.graph)} triples\n")
     _write_output(serialize_turtle(doc), args.output)
     return EXIT_OK
 

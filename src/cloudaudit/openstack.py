@@ -31,7 +31,7 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import Literal as TypingLiteral, Sequence
+from typing import Sequence
 from urllib.parse import quote
 
 from .rdf import Graph, Iri, Literal, PrefixMap, Record, Triple
@@ -103,10 +103,18 @@ class IngestConfig(Record):
         self.policy_files = {} if policy_files is None else policy_files
 
 
-RecordKind = TypingLiteral["endpoints", "projects", "users", "assignments"]
-
 # the JSON escape of a UTF-16 surrogate, lone or one of a pair
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
+# per export kind: the record class, its required then its optional fields
+# in constructor order, and the value of a missing `enabled`
+_KINDS = {
+    "endpoints": (EndpointRecord, ("id", "service_name", "service_type", "interface", "url"),
+                  ("region", "enabled"), True),
+    "projects": (ProjectRecord, ("id", "name"), ("domain_id", "enabled"), None),
+    "users": (UserRecord, ("id", "name"), ("domain_id", "enabled"), None),
+    "assignments": (RoleAssignmentRecord, ("role",), ("user_id", "group_id", "project_id"), None),
+}
 
 # accepted key spellings, CLI header first
 _KEYS = {
@@ -170,12 +178,18 @@ def load_json(text: str):
     return payload
 
 
-def parse_cli_json(text: str, kind: RecordKind) -> list:
-    """Decode one CLI export into typed records.
+def parse_cli_json(text: str, kind: str) -> list:
+    """Decode one CLI export of `kind` ("endpoints", "projects", "users" or
+    "assignments") into typed records.
 
-    Raises JsonShapeError when the payload is not a JSON array of objects
-    or a required key is absent under every accepted spelling.
+    Raises ValueError for any other kind, and JsonShapeError when the
+    payload is not a JSON array of objects or a required key is absent
+    under every accepted spelling.
     """
+    try:
+        cls, required, optional, enabled = _KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown record kind: {kind!r}") from None
     payload = load_json(text)
     if not isinstance(payload, list):
         raise JsonShapeError(f"expected a JSON array, got {type(payload).__name__}")
@@ -183,47 +197,11 @@ def parse_cli_json(text: str, kind: RecordKind) -> list:
     for index, obj in enumerate(payload):
         if not isinstance(obj, dict):
             raise JsonShapeError(f"record {index}: expected an object, got {type(obj).__name__}")
-        if kind == "endpoints":
-            records.append(
-                EndpointRecord(
-                    id=str(_get(obj, index, "id", required=True)),
-                    service_name=str(_get(obj, index, "service_name", required=True)),
-                    service_type=str(_get(obj, index, "service_type", required=True)),
-                    interface=str(_get(obj, index, "interface", required=True)),
-                    url=str(_get(obj, index, "url", required=True)),
-                    region=_opt_str(_get(obj, index, "region", required=False)),
-                    enabled=_as_bool(_get(obj, index, "enabled", required=False), True),
-                )
-            )
-        elif kind == "projects":
-            records.append(
-                ProjectRecord(
-                    id=str(_get(obj, index, "id", required=True)),
-                    name=str(_get(obj, index, "name", required=True)),
-                    domain_id=_opt_str(_get(obj, index, "domain_id", required=False)),
-                    enabled=_as_bool(_get(obj, index, "enabled", required=False), None),
-                )
-            )
-        elif kind == "users":
-            records.append(
-                UserRecord(
-                    id=str(_get(obj, index, "id", required=True)),
-                    name=str(_get(obj, index, "name", required=True)),
-                    domain_id=_opt_str(_get(obj, index, "domain_id", required=False)),
-                    enabled=_as_bool(_get(obj, index, "enabled", required=False), None),
-                )
-            )
-        elif kind == "assignments":
-            records.append(
-                RoleAssignmentRecord(
-                    role=str(_get(obj, index, "role", required=True)),
-                    user_id=_opt_str(_get(obj, index, "user_id", required=False)),
-                    group_id=_opt_str(_get(obj, index, "group_id", required=False)),
-                    project_id=_opt_str(_get(obj, index, "project_id", required=False)),
-                )
-            )
-        else:
-            raise ValueError(f"unknown record kind: {kind!r}")
+        values = [str(_get(obj, index, name, required=True)) for name in required]
+        for name in optional:
+            value = _get(obj, index, name, required=False)
+            values.append(_as_bool(value, enabled) if name == "enabled" else _opt_str(value))
+        records.append(cls(*values))
     return records
 
 
@@ -257,15 +235,12 @@ def ingest(
         raise IngestError(f"instance namespace: {exc}") from exc
     graph = Graph()
 
-    def service_node(name: str) -> Iri:
-        return _mint(ns, "service", name)
-
     for i, ep in enumerate(endpoints):
         if not ep.id:
             raise IngestError(f"endpoints[{i}].id: must be non-empty")
         if not ep.url:
             raise IngestError(f"endpoints[{i}].url: must be non-empty")
-        service = service_node(ep.service_name)
+        service = _mint(ns, "service", ep.service_name)
         cls = DEFAULT_SERVICE_TYPE_MAP.get(ep.service_type, vocab.INTERFACE)
         graph.add(Triple(service, vocab.RDF_TYPE, cls))
         graph.add(Triple(service, vocab.RDFS_LABEL, Literal(ep.service_name)))
@@ -277,19 +252,14 @@ def ingest(
         if ep.region is not None:
             graph.add(Triple(endpoint, vocab.ENDPOINT_REGION, Literal(ep.region)))
 
-    for i, pr in enumerate(projects):
-        if not pr.id:
-            raise IngestError(f"projects[{i}].id: must be non-empty")
-        node = _mint(ns, "project", pr.id)
-        graph.add(Triple(node, vocab.RDF_TYPE, vocab.PROJECT))
-        graph.add(Triple(node, vocab.RDFS_LABEL, Literal(pr.name)))
-
-    for i, ur in enumerate(users):
-        if not ur.id:
-            raise IngestError(f"users[{i}].id: must be non-empty")
-        node = _mint(ns, "user", ur.id)
-        graph.add(Triple(node, vocab.RDF_TYPE, vocab.USER))
-        graph.add(Triple(node, vocab.RDFS_LABEL, Literal(ur.name)))
+    for category, records, cls in (("project", projects, vocab.PROJECT),
+                                   ("user", users, vocab.USER)):
+        for i, record in enumerate(records):
+            if not record.id:
+                raise IngestError(f"{category}s[{i}].id: must be non-empty")
+            node = _mint(ns, category, record.id)
+            graph.add(Triple(node, vocab.RDF_TYPE, cls))
+            graph.add(Triple(node, vocab.RDFS_LABEL, Literal(record.name)))
 
     for i, ra in enumerate(assignments):
         if bool(ra.user_id) == bool(ra.group_id):
@@ -309,10 +279,8 @@ def ingest(
             )
 
     for name in sorted(config.version_metadata):
-        graph.add(
-            Triple(service_node(name), vocab.SERVICE_VERSION,
-                   Literal(config.version_metadata[name]))
-        )
+        graph.add(Triple(_mint(ns, "service", name), vocab.SERVICE_VERSION,
+                         Literal(config.version_metadata[name])))
 
     for name in sorted(config.policy_files):
         path = Path(config.policy_files[name])
@@ -320,7 +288,7 @@ def ingest(
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
         except OSError as exc:
             raise IngestError(f"policy file for {name!r} unreadable: {exc}") from exc
-        graph.add(Triple(service_node(name), vocab.POLICY_FILE_HASH, Literal(digest)))
+        graph.add(Triple(_mint(ns, "service", name), vocab.POLICY_FILE_HASH, Literal(digest)))
 
     prefixes = PrefixMap(
         {

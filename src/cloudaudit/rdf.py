@@ -208,24 +208,6 @@ class TriplePattern(Record):
     def __init__(self, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm):
         self.subject, self.predicate, self.object = subject, predicate, object
 
-    def binding(self, triple: Triple) -> Optional[dict[str, Term]]:
-        """Unify against a concrete triple; returns variable bindings or None.
-
-        A variable repeated within the pattern must bind the same term in
-        every position.
-        """
-        bound: dict[str, Term] = {}
-        for slot, actual in zip(self._values(), triple):
-            if isinstance(slot, Var):
-                seen = bound.get(slot.name)
-                if seen is None:
-                    bound[slot.name] = actual
-                elif seen != actual:
-                    return None
-            elif slot != actual:
-                return None
-        return bound
-
     def variables(self) -> list[str]:
         """Variable names in subject, predicate, object order, deduplicated."""
         names: list[str] = []
@@ -287,9 +269,12 @@ class Graph:
         """All triples unifying with the pattern, in insertion order."""
         slots = (pattern.subject, pattern.predicate, pattern.object)
         hits = self.triples(*(None if isinstance(slot, Var) else slot for slot in slots))
-        names = [slot.name for slot in slots if isinstance(slot, Var)]
-        if len(set(names)) < len(names):  # a repeated variable binds one term
-            return [t for t in hits if pattern.binding(t) is not None]
+        names = [slot.name if isinstance(slot, Var) else None for slot in slots]
+        # a repeated variable binds one term: (first, later) positions it holds
+        same = [(names.index(name), i) for i, name in enumerate(names)
+                if name is not None and names.index(name) < i]
+        if same:
+            return [t for t in hits if all(t[a] == t[b] for a, b in same)]
         return list(hits)
 
     def triples(

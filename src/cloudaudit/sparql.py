@@ -87,21 +87,6 @@ class GraphPattern(Record):
         self.triples = [] if triples is None else triples
         self.filters = [] if filters is None else filters
 
-    def variable_names(self) -> list[str]:
-        """Variables of the pattern in first-appearance order, filters included."""
-        names: list[str] = []
-
-        def walk(pattern: "GraphPattern"):
-            for tp in pattern.triples:
-                for name in tp.variables():
-                    if name not in names:
-                        names.append(name)
-            for flt in pattern.filters:
-                walk(flt.inner)
-
-        walk(self)
-        return names
-
 
 class Query(Record):
     __slots__ = ("prefixes", "projection", "where")
@@ -157,6 +142,7 @@ class _QueryParser(TokenStream):
     def __init__(self, text: str):
         super().__init__(text, tokenize(text, query=True))
         self.prefixes = PrefixMap()
+        self.variables: set[str] = set()  # every variable the WHERE group reads
 
     def _expect(self, kind: str) -> Token:
         tok = self._cur()
@@ -187,9 +173,8 @@ class _QueryParser(TokenStream):
         if tok.kind != "eof":
             self._fail(tok, f"trailing content after WHERE group: {tok.kind!r}")
         if projection is not None:
-            in_scope = set(where.variable_names())
             for name in projection:
-                if name not in in_scope:
+                if name not in self.variables:
                     self._fail(tok, f"projected variable ?{name} never appears in WHERE")
         return Query(prefixes=self.prefixes, projection=projection, where=where)
 
@@ -242,6 +227,7 @@ class _QueryParser(TokenStream):
     def _pattern_term(self, allow_literal: bool, allow_a: bool) -> PatternTerm:
         tok = self._take()
         if tok.kind == "var":
+            self.variables.add(tok.value)
             return Var(tok.value)
         if tok.kind in ("iriref", "pname"):
             return self._iri(tok, self.prefixes)

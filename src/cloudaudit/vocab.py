@@ -57,7 +57,6 @@ ENCRYPTS_DATA = Iri(SEC_NS + "encryptsData")
 USES_TRANSPORT_SECURITY = Iri(SEC_NS + "usesTransportSecurity")
 COMPLIES_WITH = Iri(SEC_NS + "compliesWith")
 IMPLEMENTS_STANDARD = Iri(SEC_NS + "implementsStandard")
-USES_KMS = Iri(SEC_NS + "usesKMS")
 
 # Inventory terms minted for ingested OpenStack facts
 ENDPOINT = Iri(CLOUDENG_NS + "Endpoint")
@@ -106,13 +105,11 @@ EMITTED_TERMS: frozenset[Iri] = frozenset(
         RDFS_LABEL,
         INTERFACE,
         CONTROL_INTERFACE,
-        BUSINESS_INTERFACE,
         AUDIT_INTERFACE,
         DATA_INTERFACE,
         SERVICE_VERSION,
         POLICY_FILE_HASH,
         KEY_MANAGEMENT,
-        USES_KMS,
         ENDPOINT,
         PROJECT,
         USER,

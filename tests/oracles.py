@@ -12,7 +12,8 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from cloudaudit.rdf import BlankNode, Graph, Iri, Term, Triple, TriplePattern, term_sort_key
+from cloudaudit.rdf import (BlankNode, Graph, Iri, Term, Triple, TriplePattern, Var,
+                            term_sort_key)
 from cloudaudit.sparql import GraphPattern, Polarity, Query
 from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
@@ -37,7 +38,14 @@ def sec(local: str) -> Iri:
 def scan_match(graph: Graph, pattern: TriplePattern) -> list[Triple]:
     """Match by unification over a full linear scan (no indexes), in
     insertion order."""
-    return [t for t in graph if pattern.binding(t) is not None]
+    slots = (pattern.subject, pattern.predicate, pattern.object)
+    found = []
+    for triple in graph:
+        bound: dict[str, Term] = {}
+        if all(bound.setdefault(slot.name, term) == term if isinstance(slot, Var) else slot == term
+               for slot, term in zip(slots, triple)):
+            found.append(triple)
+    return found
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:

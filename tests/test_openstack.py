@@ -91,6 +91,12 @@ class TestParseCliJson:
         with pytest.raises(JsonShapeError):
             parse_cli_json('["oops"]', "projects")
 
+    @pytest.mark.parametrize("text", ["[]", '{"ID": "e1"}'])
+    def test_unknown_kind_is_refused_for_any_payload(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_cli_json(text, "bogus")
+        assert str(info.value) == "unknown record kind: 'bogus'"
+
     def test_assignment_blank_group_becomes_none(self):
         (record,) = parse_cli_json(
             '[{"Role": "admin", "User": "u1", "Group": "", "Project": "p1"}]',
