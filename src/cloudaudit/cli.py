@@ -227,7 +227,11 @@ def _cmd_ingest(args) -> int:
             raise _CliError(f"{args.versions}: {exc}") from exc
         if not isinstance(raw, dict):
             raise _CliError(f"{args.versions}: expected an object of service -> version")
-        versions = {str(k): str(v) for k, v in raw.items()}
+        for service, version in raw.items():
+            if not isinstance(version, str):
+                raise _CliError(f"{args.versions}: service {service!r}: expected a version "
+                                f"string, got {type(version).__name__}")
+        versions = raw
 
     config = IngestConfig(
         instance_namespace=args.namespace,

@@ -145,6 +145,13 @@ def _get(obj: dict, index: int, name: str, required: bool):
     return None
 
 
+def _wrong_kind(obj: dict, index: int, name: str, expected: str, value) -> JsonShapeError:
+    key = next(key for key in _KEYS[name] if key in obj)
+    return JsonShapeError(
+        f"record {index}: key {key!r}: expected {expected}, got {type(value).__name__}"
+    )
+
+
 def _opt_str(value) -> str | None:
     if value is None:
         return None
@@ -183,8 +190,9 @@ def parse_cli_json(text: str, kind: str) -> list:
     "assignments") into typed records.
 
     Raises ValueError for any other kind, and JsonShapeError when the
-    payload is not a JSON array of objects or a required key is absent
-    under every accepted spelling.
+    payload is not a JSON array of objects, a required key is absent under
+    every accepted spelling or holds anything but a string, or an optional
+    key holds an array or object.  An optional null counts as absent.
     """
     try:
         cls, required, optional, enabled = _KINDS[kind]
@@ -197,9 +205,16 @@ def parse_cli_json(text: str, kind: str) -> list:
     for index, obj in enumerate(payload):
         if not isinstance(obj, dict):
             raise JsonShapeError(f"record {index}: expected an object, got {type(obj).__name__}")
-        values = [str(_get(obj, index, name, required=True)) for name in required]
+        values = []
+        for name in required:
+            value = _get(obj, index, name, required=True)
+            if not isinstance(value, str):
+                raise _wrong_kind(obj, index, name, "a string", value)
+            values.append(value)
         for name in optional:
             value = _get(obj, index, name, required=False)
+            if isinstance(value, (list, dict)):
+                raise _wrong_kind(obj, index, name, "a string, number, boolean or null", value)
             values.append(_as_bool(value, enabled) if name == "enabled" else _opt_str(value))
         records.append(cls(*values))
     return records

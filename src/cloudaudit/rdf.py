@@ -1,9 +1,13 @@
 """In-memory RDF substrate: terms, triples, indexed graphs, prefix maps.
 
 Terms compare by byte equality of their string parts; IRIs are opaque keys
-(no normalization, no dereferencing).  Graphs have set semantics and keep
-subject/predicate/object indexes consistent with the triple set.  A graph is
-single-writer during construction and safe for concurrent reads afterwards.
+(no normalization, no dereferencing).  Graphs have set semantics.  Their
+subject/predicate/object indexes are built from the triples at the first
+lookup and kept consistent with the triple set after it, so parsing and
+copying a graph pay for no index.  A graph is single-writer during
+construction and safe for concurrent reads afterwards: a first lookup
+publishes complete indexes in one assignment, so a concurrent reader never
+sees half of them.
 
 Terms and triples are tuples, validated when built: `Iri` is ``(value,)``,
 `BlankNode` ``(label, None)``, `Literal` ``(lexical, datatype)`` and `Triple`
@@ -223,14 +227,19 @@ class Graph:
     Insertion is idempotent (set semantics).  Iteration and every lookup
     answer in insertion order, whatever the hash seed; the graph never
     sorts.  Reports that must not depend on load order sort what they read.
+
+    The three index pools are built on first lookup, from the triple set,
+    and kept current by `add` from then on; loading or copying a graph
+    that was never looked up builds none.  They are published whole in one
+    assignment, so concurrent first readers each see either no pools, and
+    build their own, or complete ones.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        # index pools are insertion-ordered dicts used as sets
         self._triples: dict[Triple, None] = {}
-        self._by_subject: dict[Term, dict[Triple, None]] = {}
-        self._by_predicate: dict[Iri, dict[Triple, None]] = {}
-        self._by_object: dict[Term, dict[Triple, None]] = {}
+        # pools by subject, predicate and object: insertion-ordered dicts
+        # used as sets, or None until the first lookup
+        self._index: Optional[tuple[dict, dict, dict]] = None
         for t in triples:
             self.add(t)
 
@@ -239,10 +248,26 @@ class Graph:
         if triple in self._triples:
             return False
         self._triples[triple] = None
-        self._by_subject.setdefault(triple.subject, {})[triple] = None
-        self._by_predicate.setdefault(triple.predicate, {})[triple] = None
-        self._by_object.setdefault(triple.object, {})[triple] = None
+        if self._index is not None:
+            by_subject, by_predicate, by_object = self._index
+            by_subject.setdefault(triple.subject, {})[triple] = None
+            by_predicate.setdefault(triple.predicate, {})[triple] = None
+            by_object.setdefault(triple.object, {})[triple] = None
         return True
+
+    def _build_index(self) -> tuple[dict, dict, dict]:
+        """Build the three index pools in insertion order and publish them.
+
+        One pass over the triples per index keeps each index's pools near
+        each other in memory; filling all three in one pass interleaves
+        them, and later lookups read measurably slower.
+        """
+        index: tuple[dict, dict, dict] = ({}, {}, {})
+        for position, pools in enumerate(index):
+            for t in self._triples:
+                pools.setdefault(t[position], {})[t] = None
+        self._index = index
+        return index
 
     def update(self, triples: Iterable[Triple]) -> int:
         """Insert many triples; returns how many were new."""
@@ -260,9 +285,10 @@ class Graph:
     def copy(self) -> "Graph":
         clone = Graph()
         clone._triples = self._triples.copy()
-        clone._by_subject = {term: pool.copy() for term, pool in self._by_subject.items()}
-        clone._by_predicate = {term: pool.copy() for term, pool in self._by_predicate.items()}
-        clone._by_object = {term: pool.copy() for term, pool in self._by_object.items()}
+        if self._index is not None:
+            clone._index = tuple(
+                {term: pool.copy() for term, pool in index.items()} for index in self._index
+            )
         return clone
 
     def match(self, pattern: TriplePattern) -> list[Triple]:
@@ -293,7 +319,7 @@ class Graph:
         keys = [subject, predicate, obj]
         pool: Iterable[Triple] = self._triples
         picked = -1
-        for k, index in enumerate((self._by_subject, self._by_predicate, self._by_object)):
+        for k, index in enumerate(self._index or self._build_index()):
             if keys[k] is not None:
                 candidate = index.get(keys[k], ())
                 if picked < 0 or len(candidate) < len(pool):
@@ -315,18 +341,20 @@ class Graph:
         """Size of the index pool `triples` would read for `term` at
         `position` (0 subject, 1 predicate, 2 object); with no term, the
         average pool size of that index."""
-        index = (self._by_subject, self._by_predicate, self._by_object)[position]
+        index = (self._index or self._build_index())[position]
         if term is None:
             return len(self._triples) / len(index) if index else 0.0
         return len(index.get(term, ()))
 
     def objects(self, subject: Term, predicate: Iri) -> list[Term]:
         """Objects of (subject, predicate, ?) in insertion order."""
-        return [t.object for t in self._by_subject.get(subject, ()) if t.predicate == predicate]
+        by_subject = (self._index or self._build_index())[0]
+        return [t.object for t in by_subject.get(subject, ()) if t.predicate == predicate]
 
     def subjects(self, predicate: Iri, obj: Term) -> list[Term]:
         """Subjects of (?, predicate, obj) in insertion order."""
-        return [t.subject for t in self._by_object.get(obj, ()) if t.predicate == predicate]
+        by_object = (self._index or self._build_index())[2]
+        return [t.subject for t in by_object.get(obj, ()) if t.predicate == predicate]
 
     def __repr__(self) -> str:
         return f"Graph({len(self)} triples)"

@@ -49,7 +49,8 @@ def materialize(asserted: Graph) -> ClosureResult:
     """Compute the R1/R2 closure of a graph.
 
     The asserted graph is not modified; the result holds a fresh graph
-    containing asserted plus inferred triples.
+    containing asserted plus inferred triples, with its lookup indexes
+    built.
     """
     graph = asserted.copy()
     # term-level indexes of the graph, dicts used as insertion-ordered sets:
@@ -100,6 +101,7 @@ def materialize(asserted: Graph) -> ClosureResult:
         )
         added += new_this_round
         if new_this_round == 0:
+            graph._build_index()  # here, so that the first lookup pays nothing
             return ClosureResult(graph=graph, inferred_count=added, iterations=iterations)
 
 

@@ -305,6 +305,20 @@ class TestBadInputExitsOne:
              "{path}: not valid JSON: lone surrogate '\\ud800'"),
             ("versions.json", '{"s": "\\udc80"}', "ingest --versions",
              "{path}: not valid JSON: lone surrogate '\\udc80'"),
+            ("endpoints.json", '[{"ID": true, "Service Name": "s", "Service Type": "t", '
+             '"Interface": "public", "URL": "u"}]', "ingest --endpoints",
+             "{path}: record 0: key 'ID': expected a string, got bool"),
+            ("projects.json", '[{"ID": "p1", "Name": null}]', "ingest --projects",
+             "{path}: record 0: key 'Name': expected a string, got NoneType"),
+            ("users.json", '[{"ID": "u1", "Name": "n", "Domain ID": {"id": "d"}}]', "ingest --users",
+             "{path}: record 0: key 'Domain ID': expected a string, number, boolean or null, "
+             "got dict"),
+            ("assignments.json", '[{"Role": ["admin"]}]', "ingest --assignments",
+             "{path}: record 0: key 'Role': expected a string, got list"),
+            ("versions.json", '{"keystone": "3.14", "glance": null}', "ingest --versions",
+             "{path}: service 'glance': expected a version string, got NoneType"),
+            ("versions.json", '{"keystone": {"major": 25}}', "ingest --versions",
+             "{path}: service 'keystone': expected a version string, got dict"),
             # bytes go to the command line as they are
             ("arg.txt", b"urn:x\x80:", "ingest -o",
              "instance namespace: 'utf-8' codec can't encode character '\\udc80'"),
@@ -318,6 +332,8 @@ class TestBadInputExitsOne:
              "huge integer in versions", "deep array in records", "deep array in versions",
              "lone surrogate in record id", "lone surrogate in record name",
              "lone surrogate in record name to file", "lone surrogate in version",
+             "boolean endpoint id", "null project name", "object user domain",
+             "array assignment role", "null version", "object version",
              "non-UTF-8 namespace to file", "non-UTF-8 policy service name"],
     )
     def test_error_line_without_traceback(self, tmp_path, model, name, content, command, expected):
@@ -336,7 +352,9 @@ class TestBadInputExitsOne:
             "compliance": ["compliance", model, "--engine", content],
             "ingest": ["ingest", "openstack", "--namespace", content],
             "ingest --endpoints": ["ingest", "openstack", "--endpoints", str(path)],
+            "ingest --projects": ["ingest", "openstack", "--projects", str(path)],
             "ingest --users": ["ingest", "openstack", "--users", str(path)],
+            "ingest --assignments": ["ingest", "openstack", "--assignments", str(path)],
             "ingest --versions": ["ingest", "openstack", "--versions", str(path)],
             "ingest --users -o": ["ingest", "openstack", "--users", str(path), "-o", str(out)],
             "ingest -o": ["ingest", "openstack", "--namespace", content, "-o", str(out)],
@@ -439,16 +457,45 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=4,
 )
+not_strings = json_values.filter(lambda value: not isinstance(value, str))
+containers = json_values.filter(lambda value: isinstance(value, (list, dict)))
 # every required key of every record kind, so that records reach ingest
 REQUIRED_KEYS = ("id", "name", "service_name", "service_type", "interface", "url", "role")
 OPTIONAL_KEYS = ("Region", "enabled", "domain_id", "user", "group_id", "project")
 records = st.lists(
     st.fixed_dictionaries(
-        {key: json_scalars for key in REQUIRED_KEYS},
-        optional={key: json_values for key in OPTIONAL_KEYS},
+        {key: st.text(max_size=8) for key in REQUIRED_KEYS},
+        optional={key: json_scalars for key in OPTIONAL_KEYS},
     ),
-    max_size=3,
+    min_size=1, max_size=3,
 )
+# the required and optional keys each option's kind reads
+READ_KEYS = {
+    "--endpoints": (("id", "service_name", "service_type", "interface", "url"),
+                    ("Region", "enabled")),
+    "--projects": (("id", "name"), ("domain_id", "enabled")),
+    "--users": (("id", "name"), ("domain_id", "enabled")),
+    "--assignments": (("role",), ("user", "group_id", "project")),
+}
+
+
+def spoiled(option):
+    """A file for `option` holding one value of a kind its field does not
+    take: no string for a required key or a version, an array or object
+    for an optional key."""
+    if option == "--versions":
+        return st.tuples(
+            st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=2),
+            st.text(max_size=6), not_strings,
+        ).map(lambda drawn: {**drawn[0], drawn[1]: drawn[2]})
+    required, optional = READ_KEYS[option]
+    return st.tuples(
+        records,
+        st.tuples(st.sampled_from(required), not_strings)
+        | st.tuples(st.sampled_from(optional), containers),
+    ).map(lambda drawn: drawn[0][:-1] + [{**drawn[0][-1], drawn[1][0]: drawn[1][1]}])
+
+
 ingest_json = st.one_of(
     st.none(), st.text(max_size=40), json_values.map(json.dumps), records.map(json.dumps)
 )
@@ -467,3 +514,14 @@ def test_any_ingest_input_exits_with_a_contract_code(tmp_path, files):
             path.write_text(text, encoding="utf-8", errors="surrogatepass")
             argv += [option, str(path)]
     assert main(argv) in (0, 1)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=st.sampled_from(INGEST_OPTIONS).flatmap(
+    lambda option: st.tuples(st.just(option), spoiled(option))))
+def test_a_value_of_the_wrong_kind_is_refused(tmp_path, drawn):
+    option, payload = drawn
+    path = tmp_path / "export.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["ingest", "openstack", option, str(path)]) == 1

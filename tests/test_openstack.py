@@ -108,7 +108,7 @@ class TestParseCliJson:
         "kind, obj, want",
         [
             ("endpoints",
-             {"ID": 7, "Service Name": "nova", "Service Type": "compute", "Interface": "admin",
+             {"ID": "7", "Service Name": "nova", "Service Type": "compute", "Interface": "admin",
               "URL": "https://nv:8774", "Region": "RegionOne", "Enabled": False},
              EndpointRecord("7", "nova", "compute", "admin", "https://nv:8774", "RegionOne", False)),
             ("endpoints",
@@ -182,6 +182,39 @@ class TestParseCliJson:
         with pytest.raises(JsonShapeError) as info:
             parse_cli_json(json.dumps([full, partial]), kind)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "kind, key, value, message",
+        [
+            ("endpoints", "ID", 7, "key 'ID': expected a string, got int"),
+            ("endpoints", "id", True, "key 'id': expected a string, got bool"),
+            ("endpoints", "URL", ["u"], "key 'URL': expected a string, got list"),
+            ("endpoints", "Region", {"r": 1}, "key 'Region': expected a string, number, "
+             "boolean or null, got dict"),
+            ("endpoints", "Enabled", [True], "key 'Enabled': expected a string, number, "
+             "boolean or null, got list"),
+            ("projects", "Name", None, "key 'Name': expected a string, got NoneType"),
+            ("projects", "domain_id", [], "key 'domain_id': expected a string, number, "
+             "boolean or null, got list"),
+            ("users", "ID", 1.5, "key 'ID': expected a string, got float"),
+            ("users", "Enabled", {}, "key 'Enabled': expected a string, number, "
+             "boolean or null, got dict"),
+            ("assignments", "Role", ["admin"], "key 'Role': expected a string, got list"),
+            ("assignments", "User", {"id": "u1"}, "key 'User': expected a string, number, "
+             "boolean or null, got dict"),
+        ],
+    )
+    def test_a_value_of_the_wrong_kind_is_named(self, kind, key, value, message):
+        """A required key holds a string; an optional one any JSON scalar."""
+        full = {"endpoints": {"ID": "e1", "Service Name": "s", "Service Type": "t",
+                              "Interface": "public", "URL": "u"},
+                "projects": {"ID": "p1", "Name": "n"},
+                "users": {"ID": "u1", "Name": "n"},
+                "assignments": {"Role": "admin", "Project": "p1"}}[kind]
+        spelled = {k: v for k, v in full.items() if k.lower().replace(" ", "_") != key.lower()}
+        with pytest.raises(JsonShapeError) as info:
+            parse_cli_json(json.dumps([full, {**spelled, key: value}]), kind)
+        assert str(info.value) == f"record 1: {message}"
 
 
 class TestIngest:

@@ -4,6 +4,7 @@ oracle the round-trip tests use."""
 import os
 import subprocess
 import sys
+import threading
 from itertools import permutations
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from cloudaudit.rdf import (
     Var,
     term_sort_key,
 )
+from cloudaudit.reasoner import materialize
+from cloudaudit.turtle import parse_turtle
 from cloudaudit.vocab import RDF_TYPE
 
 from oracles import CLOUDENG, ISO, SEC, ce, isomorphic, scan_match, sec
@@ -48,6 +51,29 @@ colliding_st = st.one_of(
     st.builds(Literal, st.sampled_from(COLLIDING)),
     st.builds(Literal, st.sampled_from(COLLIDING), st.builds(Iri, st.sampled_from(COLLIDING))),
 )
+
+
+def assert_lookups_equal_scan(g: Graph, pattern: TriplePattern) -> None:
+    """Every lookup of `g` the pattern's given terms allow answers as a
+    linear scan does, in the same order."""
+    assert g.match(pattern) == scan_match(g, pattern)
+    # the lookup under match, with a fresh variable in every free position
+    given = [None if isinstance(slot, Var) else slot
+             for slot in (pattern.subject, pattern.predicate, pattern.object)]
+    fresh = [Var(f"v{k}") if term is None else term for k, term in enumerate(given)]
+    assert list(g.triples(*given)) == scan_match(g, TriplePattern(*fresh))
+    s, p, o = given
+    if s is not None and p is not None:
+        scanned = scan_match(g, TriplePattern(s, p, Var("o")))
+        assert g.objects(s, p) == [t.object for t in scanned]
+    if p is not None and o is not None:
+        scanned = scan_match(g, TriplePattern(Var("s"), p, o))
+        assert g.subjects(p, o) == [t.subject for t in scanned]
+    for position, term in enumerate(given):
+        if term is not None:
+            alone = [Var(f"v{k}") for k in range(3)]
+            alone[position] = term
+            assert g.pool_size(position, term) == len(scan_match(g, TriplePattern(*alone)))
 
 
 def pattern_slot(concrete_st):
@@ -192,15 +218,7 @@ class TestGraph:
 
     @given(st.lists(triples_st, max_size=30), patterns_st)
     def test_match_equals_linear_scan(self, triples, pattern):
-        g = Graph(triples)
-        assert g.match(pattern) == scan_match(g, pattern)
-        # the lookup under match, with a fresh variable in every free position
-        given = [None if isinstance(slot, Var) else slot
-                 for slot in (pattern.subject, pattern.predicate, pattern.object)]
-        fresh = TriplePattern(
-            *(Var(f"v{k}") if term is None else term for k, term in enumerate(given))
-        )
-        assert list(g.triples(*given)) == scan_match(g, fresh)
+        assert_lookups_equal_scan(Graph(triples), pattern)
 
     def test_match_on_empty_graph(self):
         assert Graph().match(TriplePattern(Var("s"), Var("p"), Var("o"))) == []
@@ -225,31 +243,79 @@ class TestGraph:
     @given(st.lists(triples_st, max_size=40))
     def test_index_consistency_after_interleaved_inserts(self, triples):
         g = Graph()
+        g.pool_size(0)  # the first lookup builds the pools; add keeps them
         for t in triples:
             g.add(t)
+        by_subject, by_predicate, by_object = g._index
         stored = set(g)
-        for index in (g._by_subject, g._by_predicate, g._by_object):
+        for index in (by_subject, by_predicate, by_object):
             indexed = set().union(*index.values()) if index else set()
             assert indexed == stored
         for t in stored:
-            assert t in g._by_subject[t.subject]
-            assert t in g._by_predicate[t.predicate]
-            assert t in g._by_object[t.object]
+            assert t in by_subject[t.subject]
+            assert t in by_predicate[t.predicate]
+            assert t in by_object[t.object]
+
+    @given(st.lists(st.one_of(triples_st, patterns_st), max_size=40))
+    def test_lookups_equal_scan_as_inserts_and_lookups_interleave(self, steps):
+        g = Graph()
+        for step in steps:
+            if isinstance(step, Triple):
+                g.add(step)
+            else:
+                assert_lookups_equal_scan(g, step)
+
+    def test_concurrent_first_lookups_see_complete_indexes(self):
+        """Readers racing to build the pools of a fresh graph each answer
+        as a scan does; a reader that saw half-built pools would not."""
+        triples = [Triple(IRIS[i % 7], IRIS[i % 3], Literal(str(i))) for i in range(3000)]
+        pattern = TriplePattern(IRIS[4], IRIS[1], Var("o"))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                g = Graph(triples)
+                want = scan_match(g, pattern)
+                answers = []
+                readers = [threading.Thread(target=lambda: answers.append(g.match(pattern)))
+                           for _ in range(4)]
+                for reader in readers:
+                    reader.start()
+                for reader in readers:
+                    reader.join(timeout=30)
+                    assert not reader.is_alive()
+                assert answers == [want] * 4
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_copy_has_independent_indexes(self):
         t1 = Triple(IRIS[0], IRIS[1], IRIS[2])
         t2 = Triple(IRIS[0], IRIS[1], IRIS[3])
         t3 = Triple(IRIS[4], IRIS[1], IRIS[2])
-        original = Graph([t1])
-        clone = original.copy()
-        clone.add(t2)
-        original.add(t3)
-        assert list(original) == [t1, t3] and list(clone) == [t1, t2]
-        pattern = TriplePattern(IRIS[0], Var("p"), Var("o"))
-        assert original.match(pattern) == [t1]
-        assert clone.match(pattern) == [t1, t2]
-        assert original.subjects(IRIS[1], IRIS[2]) == [IRIS[0], IRIS[4]]
-        assert clone.subjects(IRIS[1], IRIS[2]) == [IRIS[0]]
+        for look_first in (False, True):
+            original = Graph([t1])
+            if look_first:
+                assert original.objects(IRIS[0], IRIS[1]) == [IRIS[2]]
+            clone = original.copy()
+            assert (clone._index is None) == (original._index is None) != look_first
+            clone.add(t2)
+            original.add(t3)
+            assert list(original) == [t1, t3] and list(clone) == [t1, t2]
+            pattern = TriplePattern(IRIS[0], Var("p"), Var("o"))
+            assert original.match(pattern) == [t1]
+            assert clone.match(pattern) == [t1, t2]
+            assert original.subjects(IRIS[1], IRIS[2]) == [IRIS[0], IRIS[4]]
+            assert clone.subjects(IRIS[1], IRIS[2]) == [IRIS[0]]
+            for graph in (original, clone):
+                assert_lookups_equal_scan(graph, TriplePattern(Var("s"), IRIS[1], Var("o")))
+
+    def test_parse_builds_no_index_and_materialize_builds_one(self, fixtures_dir):
+        asserted = parse_turtle((fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")).graph
+        assert asserted._index is None
+        closure = materialize(asserted).graph
+        assert asserted._index is None
+        by_subject, by_predicate, by_object = closure._index
+        assert sum(map(len, by_predicate.values())) == len(closure)
 
     def test_pickled_graph_answers_under_another_hash_seed(self, tmp_path):
         """Hashes of str-based terms change with the hash seed, so a graph
@@ -257,33 +323,40 @@ class TestGraph:
         src = str(Path(cloudaudit.__file__).resolve().parent.parent)
         model = Path(__file__).resolve().parent.parent / "fixtures" / "cloudengine.ttl"
         pickled = tmp_path / "graph.pickle"
+        indexed = tmp_path / "indexed.pickle"
+        # one graph pickled before its first lookup, one after
         dump = (
             "import pickle, sys\n"
             "from cloudaudit.turtle import parse_turtle\n"
             "g = parse_turtle(open(sys.argv[1], encoding='utf-8').read()).graph\n"
             "pickle.dump(g, open(sys.argv[2], 'wb'))\n"
+            "assert g.pool_size(1) > 1\n"
+            "pickle.dump(g, open(sys.argv[3], 'wb'))\n"
         )
         load = (
             "import pickle, sys\n"
             "from cloudaudit.rdf import BlankNode, Literal, TriplePattern, Var\n"
             "from cloudaudit.turtle import parse_turtle\n"
             "fresh = parse_turtle(open(sys.argv[1], encoding='utf-8').read()).graph\n"
-            "g = pickle.load(open(sys.argv[2], 'rb'))\n"
-            "assert len(g) == len(fresh) == 282\n"
-            "assert all(t in g for t in fresh)\n"
             "assert any(isinstance(t.subject, BlankNode) for t in fresh)\n"
             "assert any(isinstance(t.object, Literal) for t in fresh)\n"
-            "for t in fresh:\n"
-            "    for p in (TriplePattern(t.subject, Var('p'), Var('o')),\n"
-            "              TriplePattern(Var('s'), t.predicate, t.object),\n"
-            "              TriplePattern(Var('s'), Var('p'), t.object)):\n"
-            "        assert g.match(p) == fresh.match(p), p\n"
+            "for path, was_indexed in ((sys.argv[2], False), (sys.argv[3], True)):\n"
+            "    g = pickle.load(open(path, 'rb'))\n"
+            "    assert (g._index is not None) == was_indexed\n"
+            "    assert len(g) == len(fresh) == 282\n"
+            "    assert all(t in g for t in fresh)\n"
+            "    for t in fresh:\n"
+            "        for p in (TriplePattern(t.subject, Var('p'), Var('o')),\n"
+            "                  TriplePattern(Var('s'), t.predicate, t.object),\n"
+            "                  TriplePattern(Var('s'), Var('p'), t.object)):\n"
+            "            assert g.match(p) == fresh.match(p), p\n"
+            "        assert g.objects(t.subject, t.predicate) == fresh.objects(t.subject, t.predicate)\n"
             "print('ok')\n"
         )
         for seed, script in ((1, dump), (2, load)):
             env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
             proc = subprocess.run(
-                [sys.executable, "-c", script, str(model), str(pickled)],
+                [sys.executable, "-c", script, str(model), str(pickled), str(indexed)],
                 capture_output=True, encoding="utf-8", env=env, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
