@@ -65,8 +65,6 @@ def _load_document(path: str) -> Document:
 def _write_output(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     try:
         Path(out_path).write_text(text, encoding="utf-8")

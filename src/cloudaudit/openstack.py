@@ -152,19 +152,12 @@ def _wrong_kind(obj: dict, index: int, name: str, expected: str, value) -> JsonS
     )
 
 
-def _opt_str(value) -> str | None:
-    if value is None:
-        return None
-    text = str(value)
-    return text if text else None
-
-
-def _as_bool(value, default: bool | None):
+def _as_bool(value: bool | str | None, default: bool | None):
     if value is None:
         return default
     if isinstance(value, bool):
         return value
-    return str(value).lower() == "true"
+    return value.lower() == "true"
 
 
 def load_json(text: str):
@@ -191,8 +184,10 @@ def parse_cli_json(text: str, kind: str) -> list:
 
     Raises ValueError for any other kind, and JsonShapeError when the
     payload is not a JSON array of objects, a required key is absent under
-    every accepted spelling or holds anything but a string, or an optional
-    key holds an array or object.  An optional null counts as absent.
+    every accepted spelling or holds anything but a string, an optional
+    text key holds anything but a string or null, or `enabled` holds
+    anything but a boolean, a string or null.  An optional null counts as
+    absent.
     """
     try:
         cls, required, optional, enabled = _KINDS[kind]
@@ -213,9 +208,14 @@ def parse_cli_json(text: str, kind: str) -> list:
             values.append(value)
         for name in optional:
             value = _get(obj, index, name, required=False)
-            if isinstance(value, (list, dict)):
-                raise _wrong_kind(obj, index, name, "a string, number, boolean or null", value)
-            values.append(_as_bool(value, enabled) if name == "enabled" else _opt_str(value))
+            if name == "enabled":
+                if not isinstance(value, (bool, str, type(None))):
+                    raise _wrong_kind(obj, index, name, "a boolean, string or null", value)
+                values.append(_as_bool(value, enabled))
+            elif isinstance(value, (str, type(None))):
+                values.append(value or None)  # an empty string counts as absent
+            else:
+                raise _wrong_kind(obj, index, name, "a string or null", value)
         records.append(cls(*values))
     return records
 

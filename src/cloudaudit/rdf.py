@@ -229,10 +229,10 @@ class Graph:
     sorts.  Reports that must not depend on load order sort what they read.
 
     The three index pools are built on first lookup, from the triple set,
-    and kept current by `add` from then on; loading or copying a graph
-    that was never looked up builds none.  They are published whole in one
-    assignment, so concurrent first readers each see either no pools, and
-    build their own, or complete ones.
+    and kept current by `add` from then on; loading, copying or writing a
+    graph builds none, and a copy starts without them.  They are published
+    whole in one assignment, so concurrent first readers each see either
+    no pools, and build their own, or complete ones.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -283,12 +283,9 @@ class Graph:
         return triple in self._triples
 
     def copy(self) -> "Graph":
+        """The same triples in a new graph, which has no index yet."""
         clone = Graph()
         clone._triples = self._triples.copy()
-        if self._index is not None:
-            clone._index = tuple(
-                {term: pool.copy() for term, pool in index.items()} for index in self._index
-            )
         return clone
 
     def match(self, pattern: TriplePattern) -> list[Triple]:

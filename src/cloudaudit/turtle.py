@@ -56,6 +56,8 @@ it is used, ``[]`` when empty.  No blank node label reaches the output, so
 writing what was read back gives the same bytes.
 It refuses, in this order, a blank node that is the object of two triples,
 a literal the reader would not take back, and blank nodes in a cycle.
+It reads the graph in one pass, grouping each subject's objects by
+predicate, and makes no `Graph` lookup, so writing a graph builds no index.
 """
 
 from __future__ import annotations
@@ -584,22 +586,24 @@ def serialize_turtle(doc: Document) -> str:
     to the same graph up to blank-node labels.  Raises ValueError for the
     first of the module docstring's three refusals that the graph meets.
     """
-    graph, compact = doc.graph, doc.prefixes.compact
-    subjects: set[Term] = set()
+    compact = doc.prefixes.compact
+    # each subject's objects by predicate, in insertion order; `body`
+    # pops the group it writes, so a group left at the end is one that no
+    # statement reaches: blank nodes in a cycle
+    groups: dict[Term, dict[Iri, list[Term]]] = {}
     referenced: set[BlankNode] = set()  # blank nodes used as an object
     shared: set[str] = set()
-    for t in graph:
-        subjects.add(t.subject)
-        if isinstance(t.object, BlankNode):
-            if t.object in referenced:
-                shared.add(t.object.label)
-            referenced.add(t.object)
+    for s, p, o in doc.graph:
+        groups.setdefault(s, {}).setdefault(p, []).append(o)
+        if isinstance(o, BlankNode):
+            if o in referenced:
+                shared.add(o.label)
+            referenced.add(o)
     if shared:
         raise ValueError(
             f"blank node(s) {sorted(shared)} are referenced more than once; "
             "not expressible with anonymous property lists"
         )
-    emitted = 0
 
     def term(t: Term) -> str:
         if isinstance(t, Iri):
@@ -615,14 +619,8 @@ def serialize_turtle(doc: Document) -> str:
 
     def body(subject: Term, separator: str) -> str:
         """The subject's predicate-object list, one predicate per `separator`."""
-        nonlocal emitted
-        by_predicate: dict[Iri, list[Term]] = {}
-        for t in graph.triples(subject):
-            by_predicate.setdefault(t.predicate, []).append(t.object)
         parts = []
-        for predicate in sorted(by_predicate):  # an Iri sorts by its value
-            objects = by_predicate[predicate]
-            emitted += len(objects)
+        for predicate, objects in sorted(groups.pop(subject, {}).items()):  # by IRI value
             if len(objects) == 1:
                 rendered = term(objects[0])
             else:
@@ -635,13 +633,12 @@ def serialize_turtle(doc: Document) -> str:
             parts.append(f"{'a' if predicate == RDF_TYPE else term(predicate)} {rendered}")
         return separator.join(parts)
 
-    iri_subjects = sorted((s for s in subjects if isinstance(s, Iri)), key=term_sort_key)
+    iri_subjects = sorted((s for s in groups if isinstance(s, Iri)), key=term_sort_key)
     # blank nodes never used as an object become their own statements
-    roots = sorted(s for s in subjects if isinstance(s, BlankNode) and s not in referenced)
-    del subjects  # not held while the text is built, when memory peaks
+    roots = sorted(s for s in groups if isinstance(s, BlankNode) and s not in referenced)
     blocks = [term(s) + " " + body(s, " ;\n  ") + " ." for s in iri_subjects]
     blocks.extend(sorted(term(s) + " ." for s in roots))
-    if emitted != len(graph):  # triples of blank nodes no statement reaches
+    if groups:
         raise ValueError(
             "graph contains blank node cycles that cannot be written "
             "as anonymous property lists"

@@ -126,7 +126,7 @@ class TestParseCliJson:
              {"ID": "p1", "Name": "demo", "Domain ID": "default", "Enabled": True},
              ProjectRecord("p1", "demo", "default", True)),
             ("projects",
-             {"id": "p2", "name": "ops", "domain_id": 5, "enabled": "False"},
+             {"id": "p2", "name": "ops", "domain_id": "5", "enabled": "False"},
              ProjectRecord("p2", "ops", "5", False)),
             ("projects", {"ID": "p3", "Name": "bare"}, ProjectRecord("p3", "bare", None, None)),
             ("projects", {"ID": "p4", "Name": "b", "Domain ID": "", "Enabled": None},
@@ -189,23 +189,27 @@ class TestParseCliJson:
             ("endpoints", "ID", 7, "key 'ID': expected a string, got int"),
             ("endpoints", "id", True, "key 'id': expected a string, got bool"),
             ("endpoints", "URL", ["u"], "key 'URL': expected a string, got list"),
-            ("endpoints", "Region", {"r": 1}, "key 'Region': expected a string, number, "
-             "boolean or null, got dict"),
-            ("endpoints", "Enabled", [True], "key 'Enabled': expected a string, number, "
-             "boolean or null, got list"),
+            ("endpoints", "Region", {"r": 1}, "key 'Region': expected a string or null, got dict"),
+            ("endpoints", "Enabled", [True], "key 'Enabled': expected a boolean, string or null, "
+             "got list"),
             ("projects", "Name", None, "key 'Name': expected a string, got NoneType"),
-            ("projects", "domain_id", [], "key 'domain_id': expected a string, number, "
-             "boolean or null, got list"),
+            ("projects", "domain_id", [], "key 'domain_id': expected a string or null, got list"),
             ("users", "ID", 1.5, "key 'ID': expected a string, got float"),
-            ("users", "Enabled", {}, "key 'Enabled': expected a string, number, "
-             "boolean or null, got dict"),
+            ("users", "Enabled", {}, "key 'Enabled': expected a boolean, string or null, "
+             "got dict"),
             ("assignments", "Role", ["admin"], "key 'Role': expected a string, got list"),
-            ("assignments", "User", {"id": "u1"}, "key 'User': expected a string, number, "
-             "boolean or null, got dict"),
+            ("assignments", "User", {"id": "u1"}, "key 'User': expected a string or null, "
+             "got dict"),
+            # a number or boolean in a text key, a number in `enabled`
+            ("endpoints", "Region", True, "key 'Region': expected a string or null, got bool"),
+            ("endpoints", "region", 1e400, "key 'region': expected a string or null, got float"),
+            ("endpoints", "Enabled", 1, "key 'Enabled': expected a boolean, string or null, "
+             "got int"),
         ],
     )
     def test_a_value_of_the_wrong_kind_is_named(self, kind, key, value, message):
-        """A required key holds a string; an optional one any JSON scalar."""
+        """A required key holds a string, an optional text key a string or
+        null, and `enabled` a boolean, a string or null."""
         full = {"endpoints": {"ID": "e1", "Service Name": "s", "Service Type": "t",
                               "Interface": "public", "URL": "u"},
                 "projects": {"ID": "p1", "Name": "n"},

@@ -26,7 +26,8 @@ from cloudaudit.rdf import (
     term_sort_key,
 )
 from cloudaudit.reasoner import materialize
-from cloudaudit.turtle import parse_turtle
+from cloudaudit.openstack import ingest, parse_cli_json
+from cloudaudit.turtle import parse_turtle, serialize_turtle
 from cloudaudit.vocab import RDF_TYPE
 
 from oracles import CLOUDENG, ISO, SEC, ce, isomorphic, scan_match, sec
@@ -297,7 +298,8 @@ class TestGraph:
             if look_first:
                 assert original.objects(IRIS[0], IRIS[1]) == [IRIS[2]]
             clone = original.copy()
-            assert (clone._index is None) == (original._index is None) != look_first
+            # a copy starts unindexed, whether or not its original was indexed
+            assert clone._index is None and (original._index is None) != look_first
             clone.add(t2)
             original.add(t3)
             assert list(original) == [t1, t3] and list(clone) == [t1, t2]
@@ -316,6 +318,20 @@ class TestGraph:
         assert asserted._index is None
         by_subject, by_predicate, by_object = closure._index
         assert sum(map(len, by_predicate.values())) == len(closure)
+
+    def test_writing_builds_no_index(self, fixtures_dir):
+        """The writer reads the triples once and makes no lookup."""
+        base = fixtures_dir / "openstack_sample"
+        docs = [
+            parse_turtle((fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")),
+            ingest(
+                endpoints=parse_cli_json((base / "endpoints.json").read_text(), "endpoints"),
+                assignments=parse_cli_json((base / "assignments.json").read_text(), "assignments"),
+            ),
+        ]
+        for doc in docs:
+            assert serialize_turtle(doc)
+            assert doc.graph._index is None
 
     def test_pickled_graph_answers_under_another_hash_seed(self, tmp_path):
         """Hashes of str-based terms change with the hash seed, so a graph

@@ -399,6 +399,10 @@ class TestSerialize:
     def test_blank_node_cycle_rejected(self):
         a, b = BlankNode("a"), BlankNode("b")
         assert refusal([Triple(a, sec("p"), b), Triple(b, sec("p"), a)]) == CYCLE
+        assert refusal([Triple(a, sec("p"), a)]) == CYCLE  # a self-loop
+        # a cycle beside a statement that is written whole
+        assert refusal([Triple(sec("X"), sec("p"), sec("Y")),
+                        Triple(a, sec("p"), b), Triple(b, sec("p"), a)]) == CYCLE
 
     def test_unwritable_datatype_rejected(self):
         custom = Literal("x", Iri("http://x.test/custom"))
