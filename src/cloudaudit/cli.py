@@ -115,10 +115,10 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    from .reasoner import materialize
+    from .reasoner import _closure  # the writer makes no lookup, so no indexes
 
     doc = _load_document(args.file)
-    closure = materialize(doc.graph)
+    closure = _closure(doc.graph)
     try:
         text = serialize_turtle(Document(closure.graph, doc.prefixes))
     except ValueError as exc:

@@ -22,7 +22,7 @@ Mapping rules:
 
 Node IRIs are minted inside a configurable instance namespace with
 percent-encoded ids/names, so identical inputs always produce identical
-Turtle.
+Turtle.  Each distinct (category, id) is minted once per call.
 """
 
 from __future__ import annotations
@@ -220,13 +220,6 @@ def parse_cli_json(text: str, kind: str) -> list:
     return records
 
 
-def _mint(namespace: str, category: str, raw: str) -> Iri:
-    try:
-        return Iri(f"{namespace}{category}/{quote(raw, safe='')}")
-    except UnicodeEncodeError as exc:
-        raise IngestError(f"cannot mint a {category} IRI from {raw!r}: {exc.reason}") from exc
-
-
 def ingest(
     endpoints: Sequence[EndpointRecord] = (),
     projects: Sequence[ProjectRecord] = (),
@@ -249,17 +242,29 @@ def ingest(
     except ValueError as exc:  # UnicodeEncodeError is a ValueError
         raise IngestError(f"instance namespace: {exc}") from exc
     graph = Graph()
+    minted: dict[tuple[str, str], Iri] = {}  # (category, raw id) -> its IRI
+
+    def mint(category: str, raw: str) -> Iri:
+        iri = minted.get((category, raw))
+        if iri is None:
+            try:
+                iri = minted[category, raw] = Iri(f"{ns}{category}/{quote(raw, safe='')}")
+            except UnicodeEncodeError as exc:
+                raise IngestError(
+                    f"cannot mint a {category} IRI from {raw!r}: {exc.reason}"
+                ) from exc
+        return iri
 
     for i, ep in enumerate(endpoints):
         if not ep.id:
             raise IngestError(f"endpoints[{i}].id: must be non-empty")
         if not ep.url:
             raise IngestError(f"endpoints[{i}].url: must be non-empty")
-        service = _mint(ns, "service", ep.service_name)
+        service = mint("service", ep.service_name)
         cls = DEFAULT_SERVICE_TYPE_MAP.get(ep.service_type, vocab.INTERFACE)
         graph.add(Triple(service, vocab.RDF_TYPE, cls))
         graph.add(Triple(service, vocab.RDFS_LABEL, Literal(ep.service_name)))
-        endpoint = _mint(ns, "endpoint", ep.id)
+        endpoint = mint("endpoint", ep.id)
         graph.add(Triple(service, vocab.HAS_ENDPOINT, endpoint))
         graph.add(Triple(endpoint, vocab.RDF_TYPE, vocab.ENDPOINT))
         graph.add(Triple(endpoint, vocab.ENDPOINT_URL, Literal(ep.url)))
@@ -272,7 +277,7 @@ def ingest(
         for i, record in enumerate(records):
             if not record.id:
                 raise IngestError(f"{category}s[{i}].id: must be non-empty")
-            node = _mint(ns, category, record.id)
+            node = mint(category, record.id)
             graph.add(Triple(node, vocab.RDF_TYPE, cls))
             graph.add(Triple(node, vocab.RDFS_LABEL, Literal(record.name)))
 
@@ -285,16 +290,16 @@ def ingest(
         graph.add(Triple(node, vocab.RDF_TYPE, vocab.ROLE_ASSIGNMENT))
         graph.add(Triple(node, vocab.ASSIGNMENT_ROLE, Literal(ra.role)))
         if ra.user_id:
-            graph.add(Triple(node, vocab.ASSIGNMENT_USER, _mint(ns, "user", ra.user_id)))
+            graph.add(Triple(node, vocab.ASSIGNMENT_USER, mint("user", ra.user_id)))
         else:
-            graph.add(Triple(node, vocab.ASSIGNMENT_GROUP, _mint(ns, "group", ra.group_id)))
+            graph.add(Triple(node, vocab.ASSIGNMENT_GROUP, mint("group", ra.group_id)))
         if ra.project_id:
             graph.add(
-                Triple(node, vocab.ASSIGNMENT_PROJECT, _mint(ns, "project", ra.project_id))
+                Triple(node, vocab.ASSIGNMENT_PROJECT, mint("project", ra.project_id))
             )
 
     for name in sorted(config.version_metadata):
-        graph.add(Triple(_mint(ns, "service", name), vocab.SERVICE_VERSION,
+        graph.add(Triple(mint("service", name), vocab.SERVICE_VERSION,
                          Literal(config.version_metadata[name])))
 
     for name in sorted(config.policy_files):
@@ -303,7 +308,7 @@ def ingest(
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
         except OSError as exc:
             raise IngestError(f"policy file for {name!r} unreadable: {exc}") from exc
-        graph.add(Triple(_mint(ns, "service", name), vocab.POLICY_FILE_HASH, Literal(digest)))
+        graph.add(Triple(mint("service", name), vocab.POLICY_FILE_HASH, Literal(digest)))
 
     prefixes = PrefixMap(
         {

@@ -6,17 +6,29 @@ Two rules run to a least fixpoint over the asserted graph:
   R2  i type C, C subClassOf D        =>  i type D
 
 Evaluation is semi-naive.  One iteration applies both rules once to the
-graph as it stood at the start of the iteration and adds every conclusion
-it did not already hold; the run ends with the first iteration that adds
+facts as they stood at the start of the iteration and adds every conclusion
+they did not already hold; the run ends with the first iteration that adds
 nothing.  A conclusion new in iteration k must use a fact added in
 iteration k-1 (the asserted graph counts as added before iteration 1), so
-each iteration joins only that delta against term-level indexes of the
-whole graph: R1 as delta-sub ⋈ sub in both directions, R2 as
-delta-type ⋈ sub and type ⋈ delta-sub.  Candidates the indexes already hold
-are dropped before a triple is built.  This yields the same triples in the
-same iterations as re-joining the whole graph every time.  Indexes and
-deltas are insertion-ordered dicts, so the closure's iteration order does
-not depend on the hash seed.
+each iteration joins only that delta against term-level indexes of all
+facts: R1 as delta-sub ⋈ sub in both directions, R2 as delta-type ⋈ sub
+and type ⋈ delta-sub.  Candidates the indexes already hold are dropped
+before they are kept.  This yields the same facts in the same iterations
+as re-joining the whole graph every time.
+
+The loop runs over the subClassOf triples and one stand-in per distinct
+set of asserted classes, not over every typed node.  That is exact: R2
+never feeds R1, so the subClassOf facts of each iteration do not depend on
+any type, and the types derived for a node, and the iteration each appears
+in, depend only on the node's own asserted classes and the subClassOf
+facts.  Nodes asserted in the same set of classes therefore derive the
+same types in the same iterations, and the first node with each set
+stands in for the rest.  Afterwards every typed node gets its stand-in's
+derived types, and the inferred triples go into the graph in one update:
+the subClassOf triples in the order they were derived, then each typed
+node's types, nodes in the order of their first type triple.  Indexes,
+deltas and stand-ins are insertion-ordered dicts, so the closure's
+iteration order does not depend on the hash seed.
 
 Reflexivity of subClassOf is answered by `subclasses_of` rather than being
 materialized, which keeps inferred graphs small.  Domain/range entailment is
@@ -52,12 +64,31 @@ def materialize(asserted: Graph) -> ClosureResult:
     containing asserted plus inferred triples, with its lookup indexes
     built.
     """
-    graph = asserted.copy()
-    # term-level indexes of the graph, dicts used as insertion-ordered sets:
+    result = _closure(asserted)
+    result.graph._build_index()  # here, so that the first lookup pays nothing
+    return result
+
+
+def _closure(asserted: Graph) -> ClosureResult:
+    """`materialize` without building the result's indexes, for a caller
+    that only iterates the closure, as `infer` does to write it."""
+    delta_sub: list[tuple[Term, Term]] = []
+    classes_of: dict[Term, dict[Term, None]] = {}  # node -> its asserted classes
+    for t in asserted:
+        if t.predicate == RDFS_SUBCLASS_OF:
+            delta_sub.append((t.subject, t.object))
+        elif t.predicate == RDF_TYPE:
+            classes_of.setdefault(t.subject, {})[t.object] = None
+    stand_ins: dict[frozenset, Term] = {}
+    stand_in_of = {i: stand_ins.setdefault(frozenset(cs), i) for i, cs in classes_of.items()}
+    delta_type = [(i, c) for i in stand_ins.values() for c in classes_of[i]]
+    # term-level indexes of the facts, dicts used as insertion-ordered sets:
     # supers[x] = {y: x sub y}, subs[y] = {x: x sub y}, members[c] = {i: i type c}
     supers: dict[Term, dict[Term, None]] = {}
     subs: dict[Term, dict[Term, None]] = {}
     members: dict[Term, dict[Term, None]] = {}
+    inferred_sub: list[tuple[Term, Term]] = []
+    derived: dict[Term, list[Term]] = {}  # stand-in -> its inferred types
 
     def record(sub_pairs: list[tuple[Term, Term]], type_pairs: list[tuple[Term, Term]]) -> None:
         for x, y in sub_pairs:
@@ -66,11 +97,8 @@ def materialize(asserted: Graph) -> ClosureResult:
         for i, c in type_pairs:
             members.setdefault(c, {})[i] = None
 
-    delta_sub = [(t.subject, t.object) for t in graph if t.predicate == RDFS_SUBCLASS_OF]
-    delta_type = [(t.subject, t.object) for t in graph if t.predicate == RDF_TYPE]
     record(delta_sub, delta_type)
     iterations = 0
-    added = 0
     empty: dict[Term, None] = {}
     while True:
         iterations += 1
@@ -92,17 +120,21 @@ def materialize(asserted: Graph) -> ClosureResult:
             for d in supers.get(c, empty):  # R2: i type c (new), c sub d
                 if i not in members.get(d, empty):
                     new_type[i, d] = None
+        if not new_sub and not new_type:
+            break
         delta_sub = list(new_sub)
         delta_type = list(new_type)
         record(delta_sub, delta_type)
-        new_this_round = graph.update(
-            [Triple(x, RDFS_SUBCLASS_OF, z) for x, z in delta_sub]
-            + [Triple(i, RDF_TYPE, d) for i, d in delta_type]
-        )
-        added += new_this_round
-        if new_this_round == 0:
-            graph._build_index()  # here, so that the first lookup pays nothing
-            return ClosureResult(graph=graph, inferred_count=added, iterations=iterations)
+        inferred_sub += delta_sub
+        for i, d in delta_type:
+            derived.setdefault(i, []).append(d)
+
+    graph = asserted.copy()
+    added = graph.update(
+        [Triple(x, RDFS_SUBCLASS_OF, z) for x, z in inferred_sub]
+        + [Triple(i, RDF_TYPE, d) for i, s in stand_in_of.items() for d in derived.get(s, ())]
+    )
+    return ClosureResult(graph=graph, inferred_count=added, iterations=iterations)
 
 
 def subclasses_of(graph: Graph, cls: Iri) -> set[Iri]:

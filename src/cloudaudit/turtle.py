@@ -58,6 +58,7 @@ It refuses, in this order, a blank node that is the object of two triples,
 a literal the reader would not take back, and blank nodes in a cycle.
 It reads the graph in one pass, grouping each subject's objects by
 predicate, and makes no `Graph` lookup, so writing a graph builds no index.
+Each distinct IRI and literal is rendered once per call.
 """
 
 from __future__ import annotations
@@ -605,17 +606,25 @@ def serialize_turtle(doc: Document) -> str:
             "not expressible with anonymous property lists"
         )
 
+    rendered: dict[Term, str] = {}  # IRI or literal -> its text, made once
+
     def term(t: Term) -> str:
+        text = rendered.get(t)
+        if text is not None:
+            return text
         if isinstance(t, Iri):
-            return compact(t) or iriref(t)
-        if isinstance(t, BlankNode):
+            text = compact(t) or iriref(t)
+        elif isinstance(t, BlankNode):  # written inline where it is used
             inner = body(t, " ; ")
             return f"[ {inner} ]" if inner else "[]"
-        if t.datatype == XSD_STRING:
-            return '"' + t.lexical.translate(_LITERAL_ESCAPES) + '"'
-        if t.datatype == XSD_INTEGER and t.lexical.isascii() and t.lexical.isdigit():
-            return t.lexical
-        raise ValueError(f"literal datatype {t.datatype.value} is not writable in this subset")
+        elif t.datatype == XSD_STRING:
+            text = '"' + t.lexical.translate(_LITERAL_ESCAPES) + '"'
+        elif t.datatype == XSD_INTEGER and t.lexical.isascii() and t.lexical.isdigit():
+            text = t.lexical
+        else:
+            raise ValueError(f"literal datatype {t.datatype.value} is not writable in this subset")
+        rendered[t] = text
+        return text
 
     def body(subject: Term, separator: str) -> str:
         """The subject's predicate-object list, one predicate per `separator`."""

@@ -255,6 +255,38 @@ class TestIngest:
         assert "urn:cloudeng:inst:service/object%20store" in subjects
         assert "urn:cloudeng:inst:endpoint/e%201" in subjects
 
+    def test_one_raw_id_in_two_categories_gives_two_iris(self):
+        doc = ingest(
+            projects=[ProjectRecord("shared", "a project")],
+            users=[UserRecord("shared", "a user")],
+        )
+        project = Iri("urn:cloudeng:inst:project/shared")
+        user = Iri("urn:cloudeng:inst:user/shared")
+        assert Triple(project, vocab.RDF_TYPE, vocab.PROJECT) in doc.graph
+        assert Triple(user, vocab.RDF_TYPE, vocab.USER) in doc.graph
+        assert Triple(user, vocab.RDF_TYPE, vocab.PROJECT) not in doc.graph
+
+    def test_a_repeated_id_gives_one_iri(self):
+        doc = ingest(
+            users=[UserRecord("a b/c", "spaced")],
+            assignments=[RoleAssignmentRecord("reader", user_id="a b/c"),
+                         RoleAssignmentRecord("admin", user_id="a b/c")],
+        )
+        minted = {t.subject for t in doc.graph if t.predicate == vocab.RDF_TYPE
+                  and t.object == vocab.USER}
+        minted |= {t.object for t in doc.graph if t.predicate == vocab.ASSIGNMENT_USER}
+        assert minted == {Iri("urn:cloudeng:inst:user/a%20b%2Fc")}
+
+    def test_lone_surrogate_id_is_refused_at_its_first_use(self):
+        message = r"^cannot mint a user IRI from '\\udc80': surrogates not allowed$"
+        for _ in range(2):
+            with pytest.raises(IngestError, match=message):
+                ingest(
+                    projects=[ProjectRecord("p", "fine")],
+                    users=[UserRecord("u", "fine"), UserRecord("\udc80", "bad")],
+                    assignments=[RoleAssignmentRecord("reader", user_id="\udc80")],
+                )
+
     def test_group_assignment(self):
         doc = ingest(assignments=[RoleAssignmentRecord(role="auditor", group_id="g1")])
         node = Iri("urn:cloudeng:inst:assignment/1")

@@ -317,7 +317,27 @@ class TestGraph:
         closure = materialize(asserted).graph
         assert asserted._index is None
         by_subject, by_predicate, by_object = closure._index
-        assert sum(map(len, by_predicate.values())) == len(closure)
+        for pools in (by_subject, by_predicate, by_object):
+            assert sum(map(len, pools.values())) == len(closure)
+
+    def test_infer_builds_no_index(self, fixtures_dir, tmp_path, monkeypatch):
+        """`infer` only writes the closure, so it builds no index pools."""
+        from cloudaudit import cli, reasoner
+
+        closures = []
+        unindexed = reasoner._closure
+
+        def closure(graph):
+            closures.append(unindexed(graph))
+            return closures[-1]
+
+        monkeypatch.setattr(reasoner, "_closure", closure)
+        model = fixtures_dir / "cloudengine.ttl"
+        assert cli.main(["infer", str(model), "-o", str(tmp_path / "closure.ttl")]) == 0
+        (result,) = closures
+        assert result.graph._index is None
+        asserted = parse_turtle(model.read_text(encoding="utf-8")).graph
+        assert list(result.graph) == list(materialize(asserted).graph)
 
     def test_writing_builds_no_index(self, fixtures_dir):
         """The writer reads the triples once and makes no lookup."""

@@ -213,6 +213,61 @@ class TestPinnedBookkeeping:
         result = materialize(model_doc.graph)
         assert (result.iterations, result.inferred_count) == (2, 9)
 
+    @staticmethod
+    def closure_of(g: Graph) -> Graph:
+        """The closure, checked against both oracles."""
+        result = materialize(g)
+        assert set(result.graph) == type_closure(g)
+        assert (result.iterations, result.inferred_count) == naive_rounds(g)
+        return result.graph
+
+    def test_instance_in_a_class_and_its_ancestor(self):
+        """The lower class lifts the node to every level; the ancestor's
+        own lifts arrive first."""
+        g = chain(6)
+        c = [Iri(f"http://chain.test/C{i}") for i in range(7)]
+        node, alone = Iri("http://chain.test/both"), Iri("http://chain.test/upper")
+        g.update([Triple(node, RDF_TYPE, c[4]), Triple(node, RDF_TYPE, c[1]),
+                  Triple(alone, RDF_TYPE, c[4])])
+        closure = self.closure_of(g)
+        assert {t.object for t in closure.triples(node, RDF_TYPE)} == set(c[1:])
+        assert {t.object for t in closure.triples(alone, RDF_TYPE)} == set(c[4:])
+
+    def test_one_class_set_asserted_in_two_orders(self):
+        a, b, x, y, z = (Iri(f"http://x.test/{n}") for n in "ABXYZ")
+        i, j = Iri("http://x.test/i"), Iri("http://x.test/j")
+        g = Graph([
+            Triple(a, RDFS_SUBCLASS_OF, x), Triple(b, RDFS_SUBCLASS_OF, y),
+            Triple(x, RDFS_SUBCLASS_OF, z),
+            Triple(i, RDF_TYPE, a), Triple(i, RDF_TYPE, b),
+            Triple(j, RDF_TYPE, b), Triple(j, RDF_TYPE, a),
+        ])
+        closure = self.closure_of(g)
+        types = [{t.object for t in closure.triples(n, RDF_TYPE)} for n in (i, j)]
+        assert types[0] == types[1] == {a, b, x, y, z}
+
+    def test_node_that_is_a_class_and_an_instance(self):
+        k, m, n, p = (Iri(f"http://x.test/{name}") for name in "KMNP")
+        j = Iri("http://x.test/j")
+        g = Graph([
+            Triple(k, RDF_TYPE, m), Triple(k, RDFS_SUBCLASS_OF, n),
+            Triple(m, RDFS_SUBCLASS_OF, p), Triple(j, RDF_TYPE, k),
+        ])
+        closure = self.closure_of(g)
+        assert {t.object for t in closure.triples(k, RDF_TYPE)} == {m, p}
+        assert {t.object for t in closure.triples(j, RDF_TYPE)} == {k, n}
+
+    def test_superclass_that_is_a_literal(self):
+        a, b = Iri("http://x.test/A"), Iri("http://x.test/B")
+        i = Iri("http://x.test/i")
+        g = Graph([
+            Triple(a, RDFS_SUBCLASS_OF, b), Triple(b, RDFS_SUBCLASS_OF, Literal("not a class")),
+            Triple(i, RDF_TYPE, a),
+        ])
+        closure = self.closure_of(g)
+        assert Triple(i, RDF_TYPE, Literal("not a class")) in closure
+        assert Triple(a, RDFS_SUBCLASS_OF, Literal("not a class")) in closure
+
 
 SRC = Path(cloudaudit.__file__).resolve().parent.parent
 MODEL = Path(__file__).resolve().parent.parent / "fixtures" / "cloudengine.ttl"
