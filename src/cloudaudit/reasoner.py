@@ -12,9 +12,9 @@ nothing.  A conclusion new in iteration k must use a fact added in
 iteration k-1 (the asserted graph counts as added before iteration 1), so
 each iteration joins only that delta against term-level indexes of all
 facts: R1 as delta-sub ⋈ sub in both directions, R2 as delta-type ⋈ sub
-and type ⋈ delta-sub.  Candidates the indexes already hold are dropped
-before they are kept.  This yields the same facts in the same iterations
-as re-joining the whole graph every time.
+and type ⋈ delta-sub.  A candidate the indexes already hold is dropped
+at once.  This yields the same facts in the same iterations as
+re-joining the whole graph every time.
 
 The loop runs over the subClassOf triples and one stand-in per distinct
 set of asserted classes, not over every typed node.  That is exact: R2
@@ -79,7 +79,7 @@ def _closure(asserted: Graph) -> ClosureResult:
             delta_sub.append((t.subject, t.object))
         elif t.predicate == RDF_TYPE:
             classes_of.setdefault(t.subject, {})[t.object] = None
-    stand_ins: dict[frozenset, Term] = {}
+    stand_ins: dict[frozenset, Term] = {}  # class set -> the first node with it
     stand_in_of = {i: stand_ins.setdefault(frozenset(cs), i) for i, cs in classes_of.items()}
     delta_type = [(i, c) for i in stand_ins.values() for c in classes_of[i]]
     # term-level indexes of the facts, dicts used as insertion-ordered sets:
