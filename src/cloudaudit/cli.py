@@ -8,9 +8,9 @@ CI-friendly:
     2  shape violations present
     3  compliance gaps present
 
-Unless --no-inference is given, query/validate/compliance run against the
-RDFS-materialized graph so type queries also see instances typed via
-subclasses.
+Unless --no-inference is given, query runs against the RDFS-materialized
+graph, and so does validate when a shape's path is rdf:type or
+rdfs:subClassOf; compliance reads neither and runs on the asserted graph.
 
 Each command handler imports the layers it runs, so a command pays the
 start-up cost of those layers only.
@@ -149,6 +149,7 @@ def _cmd_query(args) -> int:
 def _cmd_validate(args) -> int:
     from .reasoner import subclasses_of
     from .shacl import ShapeError, parse_shapes, validate
+    from .vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
     doc = _load_document(args.file)
     shapes_doc = _load_document(args.shapes)
@@ -156,7 +157,9 @@ def _cmd_validate(args) -> int:
         shapes = parse_shapes(shapes_doc)
     except ShapeError as exc:
         raise _CliError(f"{args.shapes}: {exc}") from exc
-    report = validate(_working_graph(doc, args.no_inference), shapes, subclasses_of)
+    reads_closure = any(c.path in (RDF_TYPE, RDFS_SUBCLASS_OF) for s in shapes for c in s.constraints)
+    graph = _working_graph(doc, args.no_inference) if reads_closure else doc.graph
+    report = validate(graph, shapes, subclasses_of)
     if args.format == "json":
         _emit_json(report.to_json_dict(), args.output)
     else:
@@ -169,14 +172,13 @@ def _cmd_compliance(args) -> int:
 
     doc = _load_document(args.file)
     engine = _resolve_iri(args.engine, doc)
-    graph = _working_graph(doc, args.no_inference)
     try:
-        report = coverage(graph, engine)
+        report = coverage(doc.graph, engine)
     except NoPolicyError as exc:
         raise _CliError(str(exc)) from exc
     for warning in report.warnings:
         sys.stderr.write(f"warning: {warning}\n")
-    hints = remediation_hints(report, graph, doc.prefixes)
+    hints = remediation_hints(report, doc.graph, doc.prefixes)
     if args.format == "json":
         payload = report.to_json_dict()
         payload["hints"] = hints
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compliance", help="standards coverage report for one engine")
     p.add_argument("file")
     p.add_argument("--engine", required=True, help="engine IRI or prefixed name")
-    common(p)
+    common(p, inference=False)
     p.set_defaults(handler=_cmd_compliance)
 
     p = sub.add_parser("ingest", help="convert inventory exports to instance Turtle")
@@ -325,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
+    except MemoryError:  # e.g. a query whose answer does not fit in memory
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

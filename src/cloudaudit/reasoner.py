@@ -137,12 +137,12 @@ def _closure(asserted: Graph) -> ClosureResult:
     return ClosureResult(graph=graph, inferred_count=added, iterations=iterations)
 
 
-def subclasses_of(graph: Graph, cls: Iri) -> set[Iri]:
+def subclasses_of(graph: Graph, cls: Iri) -> set[Term]:
     """Reflexive-transitive subclass set of a class.
 
     Walks subClassOf edges backwards from `cls`; the class itself is always
-    included.  Blank-node subclasses are traversed but only IRIs are
-    reported.
+    included, and so is every blank-node class reached, so that the
+    instances of the set are the same on the asserted graph as on its closure.
     """
     seen: set[Term] = {cls}
     queue = deque([cls])
@@ -152,4 +152,4 @@ def subclasses_of(graph: Graph, cls: Iri) -> set[Iri]:
             if sub not in seen:
                 seen.add(sub)
                 queue.append(sub)
-    return {c for c in seen if isinstance(c, Iri)}
+    return seen

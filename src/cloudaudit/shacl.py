@@ -4,10 +4,10 @@ Supported shape vocabulary: sh:NodeShape, sh:targetClass, sh:property with
 sh:path (single predicate IRI), sh:minCount, sh:maxCount, sh:class and
 sh:message.  Severity is fixed at violation.
 
-Focus nodes are all subjects typed with a target class or any of its
-subclasses; subclass expansion is delegated to the caller-supplied
-expander so validation can honor the same RDFS view the rest of the
-pipeline uses.
+Focus nodes and sh:class values count as instances of a class when typed
+with it or any subclass the caller-supplied expander names.  With
+`subclasses_of`, a graph and its RDFS closure give the same report unless
+a path is rdf:type or rdfs:subClassOf, whose values the closure changes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .vocab import (
     SH_TARGET_CLASS,
 )
 
-ClassExpander = Callable[[Graph, Iri], set[Iri]]
+ClassExpander = Callable[[Graph, Iri], set[Term]]
 
 
 class ShapeError(ValueError):

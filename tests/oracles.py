@@ -204,7 +204,8 @@ def _load_generator():
     return module
 
 
-read_turtle = _load_generator().read_turtle
+gen = _load_generator()
+read_turtle = gen.read_turtle
 """Triples of a Turtle text by perfbench/gen.py's token-list reader: IRIs
 as strings, ("L", text) strings, ("I", digits) integers and ("B", n) blank
 nodes numbered from 0 in document order, duplicates kept."""

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import cloudaudit
 from cloudaudit.cli import main
-from cloudaudit.reasoner import materialize
+from cloudaudit.reasoner import materialize, subclasses_of
+from cloudaudit.shacl import parse_shapes, validate
 from cloudaudit.turtle import parse_turtle
+from cloudaudit.vocab import RDF_TYPE
 
 from oracles import CLOUDENG, isomorphic
 
@@ -96,6 +98,18 @@ class TestExitCodeContract:
         assert code == 0
         assert "(0 rows)" in out
 
+    def test_instance_of_a_blank_node_subclass_is_a_focus_node(self, run, shapes, tmp_path):
+        model = tmp_path / "model.ttl"
+        model.write_text(
+            "@prefix e: <http://e.test/> .\n"
+            "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+            f"e:x a [ rdfs:subClassOf <{CLOUDENG}DataInterface> ] .\n"
+        )
+        for flags in ((), ("--no-inference",)):
+            code, out, _ = run("validate", str(model), shapes, *flags)
+            assert code == 2
+            assert out.splitlines()[1].startswith("violation [MinCount] focus=<http://e.test/x>")
+
 
 class TestQueryCommand:
     def test_gap_fixture_names_swift(self, run, gap_model, gap_query):
@@ -155,6 +169,49 @@ class TestComplianceCommand:
             "https://www.iso.org/standard/27001#A.12.4.1",
         ]
         assert len(payload["hints"]) == 2
+
+
+class TestEntailment:
+    """A command builds the RDFS closure only when its answer can depend on
+    one: the closure adds only rdf:type and rdfs:subClassOf triples."""
+
+    @pytest.fixture()
+    def closures(self, monkeypatch):
+        from cloudaudit import reasoner
+
+        calls = []
+        unpatched = reasoner._closure
+
+        def closure(graph):
+            calls.append(graph)
+            return unpatched(graph)
+
+        monkeypatch.setattr(reasoner, "_closure", closure)
+        return calls
+
+    def test_compliance_builds_no_closure(self, run, model, closures):
+        for engine in ("cloudeng:SecureCloudEngine", "cloudeng:HybridCompliantEngine"):
+            for fmt in ("text", "json"):
+                assert run("compliance", model, "--engine", engine, "--format", fmt)[0] == 3
+        assert closures == []
+
+    def test_validate_with_the_fixture_shapes_builds_no_closure(self, run, model, gap_model,
+                                                               shapes, closures):
+        assert run("validate", model, shapes)[0] == 0
+        assert run("validate", gap_model, shapes, "--format", "json")[0] == 2
+        assert closures == []
+
+    def test_validate_with_a_type_path_reads_the_closure(self, run, model, tmp_path, closures):
+        shapes_path = tmp_path / "typed.ttl"
+        typed_shape = SHAPE_TEMPLATE.replace("sec:encryptsData", f"<{RDF_TYPE.value}>")
+        shapes_path.write_text(typed_shape.replace("COUNT", "3"), encoding="utf-8")
+        code, out, _ = run("validate", model, str(shapes_path), "--format", "json")
+        assert len(closures) == 1
+        asserted = parse_turtle(Path(model).read_text(encoding="utf-8")).graph
+        typed = parse_shapes(parse_turtle(shapes_path.read_text(encoding="utf-8")))
+        expected = validate(materialize(asserted).graph, typed, subclasses_of)
+        assert expected != validate(asserted, typed, subclasses_of)
+        assert (code, json.loads(out)) == (2, expected.to_json_dict())
 
 
 class TestInferCommand:
@@ -234,6 +291,12 @@ class TestUsageErrors:
             main(["compliance", model])
         assert info.value.code == 1
 
+    def test_compliance_has_no_inference_option(self, model):
+        """Coverage reads no entailed triple, so the option could change nothing."""
+        with pytest.raises(SystemExit) as info:
+            main(["compliance", model, "--engine", "cloudeng:SecureCloudEngine", "--no-inference"])
+        assert info.value.code == 1
+
 
 SHAPE_TEMPLATE = (
     "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
@@ -268,14 +331,27 @@ class TestBadInputExitsOne:
     """
 
     @staticmethod
-    def cli(*argv):
+    def cli(*argv, **options):
         src = str(Path(cloudaudit.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "cloudaudit.cli", *argv],
-            capture_output=True, encoding="utf-8", env=env, timeout=120,
+            capture_output=True, encoding="utf-8", env=env, timeout=120, **options,
         )
         return proc.returncode, proc.stderr
+
+    def test_out_of_memory_is_an_error_line(self, tmp_path, model):
+        resource = pytest.importorskip("resource")
+        query = tmp_path / "product.rq"
+        # ~291 ** 3 solutions of nine columns, far more than 128 MB holds
+        query.write_text("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }\n")
+        limit = 128 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        code, err = self.cli("query", model, str(query), preexec_fn=cap_address_space)
+        assert (code, err) == (1, "error: out of memory\n")
 
     @pytest.mark.parametrize(
         "name, content, command, expected",

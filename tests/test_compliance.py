@@ -16,7 +16,9 @@ from cloudaudit.compliance import (
     standards_of,
 )
 from cloudaudit.rdf import Graph, Iri, Triple
+from cloudaudit.reasoner import materialize
 from cloudaudit.sparql import evaluate, parse_query
+from cloudaudit.turtle import parse_turtle
 from cloudaudit.vocab import (
     COMPLIES_WITH,
     HAS_DATA_INTERFACE,
@@ -25,7 +27,7 @@ from cloudaudit.vocab import (
     RDF_TYPE,
 )
 
-from oracles import AWS, CSA, ISO, NIST, OPENSTACK, ce, sec
+from oracles import AWS, CSA, ISO, NIST, OPENSTACK, ce, gen, sec
 
 SECURE = ce("SecureCloudEngine")
 HYBRID = ce("HybridCompliantEngine")
@@ -209,3 +211,21 @@ def test_generated_queries_read_back_the_same_iris(value):
         where = parse_query(text).where
         assert where.triples[0].subject == engine
         assert where.filters[0].inner.triples[-1].object == standard
+
+
+@pytest.mark.parametrize("engines, depth", [(60, 0), (30, 6)])
+def test_asserted_graph_reports_like_its_closure(fixtures_dir, engines, depth):
+    """The closure adds only rdf:type and rdfs:subClassOf triples, which
+    coverage and hints never read, so every engine of a generated model has
+    the same report and hints on the asserted graph as on its closure."""
+    fixture = (fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")
+    model = gen.make_model(random.Random(depth), fixture, gen.read_turtle(fixture), engines,
+                           depth=depth)
+    doc = parse_turtle(model.text)
+    closure = materialize(doc.graph).graph
+    assert len(closure) > len(doc.graph)
+    for engine in [SECURE, HYBRID, *map(Iri, model.engines)]:
+        report = coverage(doc.graph, engine)
+        assert report == coverage(closure, engine)
+        assert (remediation_hints(report, doc.graph, doc.prefixes)
+                == remediation_hints(report, closure, doc.prefixes))

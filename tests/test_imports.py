@@ -82,7 +82,7 @@ def run_cli(argv: list[str]) -> dict:
         (["validate", "cloudengine.ttl", "shapes_data_encryption.ttl"],
          {"rdf", "turtle", "reasoner", "shacl"}),
         (["compliance", "cloudengine.ttl", "--engine", "cloudeng:SecureCloudEngine"],
-         {"rdf", "turtle", "reasoner", "compliance"}),
+         {"rdf", "turtle", "compliance"}),  # coverage reads no entailed triple
     ],
     ids=["parse", "query", "validate", "compliance"],
 )

@@ -88,6 +88,17 @@ def test_subclasses_of_is_reflexive():
     assert subclasses_of(Graph(), lone) == {lone}
 
 
+def test_subclasses_of_reports_blank_node_classes():
+    """A blank-node class is reported like an IRI class, so that its
+    instances are found on the asserted graph as they are on the closure."""
+    between = BlankNode("between")
+    g = Graph([
+        Triple(between, RDFS_SUBCLASS_OF, INTERFACE),
+        Triple(DATA_INTERFACE, RDFS_SUBCLASS_OF, between),
+    ])
+    assert subclasses_of(g, INTERFACE) == {INTERFACE, between, DATA_INTERFACE}
+
+
 def test_subclass_cycle_converges():
     a, b = Iri("http://x.test/A"), Iri("http://x.test/B")
     g = Graph([

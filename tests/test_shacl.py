@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cloudaudit.rdf import Graph, Literal, Triple
+from cloudaudit.rdf import Graph, Iri, Literal, Triple
 from cloudaudit.reasoner import materialize, subclasses_of
 from cloudaudit.shacl import (
     ConstraintKind,
@@ -19,6 +21,7 @@ from cloudaudit.turtle import parse_turtle
 from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
 from oracles import ce, sec
+from test_reasoner import BNODE_CLASSES, CLASSES, INSTANCES, general_class_graphs
 
 ENCRYPTION_MESSAGE = "Data interfaces must declare an encryption method (at-rest)."
 
@@ -254,3 +257,52 @@ def test_min_count_violations_match_not_exists_query():
         )
         from_query = {row[0] for row in evaluate(query, g).rows}
         assert violating == from_query
+
+
+PATHS = [Iri(f"http://hier.test/p{i}") for i in range(2)]
+VALUES = INSTANCES[:6] + CLASSES + BNODE_CLASSES + [Literal("v")]
+
+
+@st.composite
+def graphs_with_values(draw):
+    """`general_class_graphs` plus instances of blank-node classes and values
+    on `PATHS` among instances, classes and blank-node classes."""
+    g = draw(general_class_graphs())
+    for instance in draw(st.lists(st.sampled_from(INSTANCES), max_size=8)):
+        g.add(Triple(instance, RDF_TYPE, draw(st.sampled_from(BNODE_CLASSES))))
+    subjects = INSTANCES + CLASSES + BNODE_CLASSES
+    for _ in range(draw(st.integers(0, 30))):
+        g.add(Triple(draw(st.sampled_from(subjects)), draw(st.sampled_from(PATHS)),
+                     draw(st.sampled_from(VALUES))))
+    return g
+
+
+@st.composite
+def constraints(draw):
+    low, high = sorted(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2)))
+    return PropertyConstraint(
+        path=draw(st.sampled_from(PATHS)),
+        min_count=draw(st.sampled_from([None, low])),
+        max_count=draw(st.sampled_from([None, high])),
+        class_constraint=draw(st.none() | st.sampled_from(CLASSES)),
+    )
+
+
+node_shapes = st.lists(
+    st.builds(
+        NodeShape,
+        shape_iri=st.sampled_from([ce("S0"), ce("S1")]),
+        target_classes=st.frozensets(st.sampled_from(CLASSES), min_size=1, max_size=2),
+        constraints=st.lists(constraints(), min_size=1, max_size=3).map(tuple),
+    ),
+    max_size=3,
+)
+
+
+@given(graphs_with_values(), node_shapes)
+@settings(max_examples=300, deadline=None)
+def test_asserted_graph_reports_like_its_closure(g, shapes):
+    """Targets and sh:class see through subClassOf, blank-node classes
+    included, so with no rdf:type or rdfs:subClassOf path the closure
+    changes nothing a shape reads."""
+    assert validate(g, shapes, subclasses_of) == validate(materialize(g).graph, shapes, subclasses_of)
