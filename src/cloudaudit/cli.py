@@ -19,6 +19,7 @@ start-up cost of those layers only.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -64,7 +65,15 @@ def _load_document(path: str) -> Document:
 
 def _write_output(text: str, out_path: str | None):
     if out_path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # e.g. the reader of a pipe has gone
+            # point stdout at devnull, so that exit does not flush the rest again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _CliError(f"cannot write to stdout: {exc.strerror or exc}") from exc
         return
     try:
         Path(out_path).write_text(text, encoding="utf-8")

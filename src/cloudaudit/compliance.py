@@ -167,8 +167,11 @@ def _label_of(graph: Graph, node: Iri) -> str | None:
 
 
 def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
-    """Compute the coverage report for one engine over a (typically
-    materialized) graph.
+    """Compute the coverage report for one engine over a graph.
+
+    The asserted graph is enough, and is what the CLI passes: the closure
+    adds only rdf:type and rdfs:subClassOf triples, and coverage reads
+    neither.
 
     Raises NoPolicyError when the engine has no security policy.  Multiple
     policies produce a warning and the union of their declared standards.

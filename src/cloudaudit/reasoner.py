@@ -5,38 +5,32 @@ Two rules run to a least fixpoint over the asserted graph:
   R1  x subClassOf y, y subClassOf z  =>  x subClassOf z
   R2  i type C, C subClassOf D        =>  i type D
 
-Evaluation is semi-naive.  One iteration applies both rules once to the
-facts as they stood at the start of the iteration and adds every conclusion
-they did not already hold; the run ends with the first iteration that adds
-nothing.  A conclusion new in iteration k must use a fact added in
-iteration k-1 (the asserted graph counts as added before iteration 1), so
-each iteration joins only that delta against term-level indexes of all
-facts: R1 as delta-sub ⋈ sub in both directions, R2 as delta-type ⋈ sub
-and type ⋈ delta-sub.  A candidate the indexes already hold is dropped
-at once.  This yields the same facts in the same iterations as
-re-joining the whole graph every time.
-
-The loop runs over the subClassOf triples and one stand-in per distinct
-set of asserted classes, not over every typed node.  That is exact: R2
-never feeds R1, so the subClassOf facts of each iteration do not depend on
-any type, and the types derived for a node, and the iteration each appears
-in, depend only on the node's own asserted classes and the subClassOf
-facts.  Nodes asserted in the same set of classes therefore derive the
-same types in the same iterations, and the first node with each set
-stands in for the rest.  Afterwards every typed node gets its stand-in's
-derived types, and the inferred triples go into the graph in one update:
-the subClassOf triples in the order they were derived, then each typed
-node's types, nodes in the order of their first type triple.  Indexes,
-deltas and stand-ins are insertion-ordered dicts, so the closure's
+Both are reachability over the asserted subClassOf edges, which R2 never
+adds to.  One breadth-first walk per class, made once and memoized, finds
+every class above it with its shortest distance (a class on a cycle is
+above itself).  R1 adds each ancestor two or more edges away.  R2 depends
+only on a node's set of asserted classes, so each distinct set is worked
+out once: it lifts to every ancestor of its classes that is not in the
+set, at that ancestor's least distance from the set, and every node
+asserted in exactly that set gets those types.  The inferred triples go
+into the graph in one update: the subClassOf triples by class and then by
+distance, then each typed node's types, nodes in the order of their first
+type triple.  All maps are insertion-ordered dicts, so the closure's
 iteration order does not depend on the hash seed.
+
+`iterations` is the number of rounds the naive fixpoint takes, which
+applies both rules to the whole graph each round until one adds nothing.
+After round k it holds every subClassOf pair up to 2**k edges apart (each
+round joins two such paths), and every type up to 2**k - 1 edges above
+the nearest asserted class (round k lifts by a path of at most 2**(k-1)
+edges).  So a pair d edges apart appears in round (d-1).bit_length(), a
+type δ edges above in round δ.bit_length(), and `iterations` is one more
+than the latest of these: 1 when nothing is inferred.
 
 Reflexivity of subClassOf is answered by `subclasses_of` rather than being
 materialized, which keeps inferred graphs small.  Domain/range entailment is
 deliberately not applied: the model declares domains and ranges as
 documentation, and materializing them would type nodes nobody asserted.
-
-Cycles in subClassOf are fine; the fixpoint still terminates because the
-closure is bounded by the square of the vocabulary.
 """
 
 from __future__ import annotations
@@ -72,69 +66,50 @@ def materialize(asserted: Graph) -> ClosureResult:
 def _closure(asserted: Graph) -> ClosureResult:
     """`materialize` without building the result's indexes, for a caller
     that only iterates the closure, as `infer` does to write it."""
-    delta_sub: list[tuple[Term, Term]] = []
+    supers: dict[Term, list[Term]] = {}  # class -> its asserted superclasses
     classes_of: dict[Term, dict[Term, None]] = {}  # node -> its asserted classes
     for t in asserted:
         if t.predicate == RDFS_SUBCLASS_OF:
-            delta_sub.append((t.subject, t.object))
+            supers.setdefault(t.subject, []).append(t.object)
         elif t.predicate == RDF_TYPE:
             classes_of.setdefault(t.subject, {})[t.object] = None
-    stand_ins: dict[frozenset, Term] = {}  # class set -> the first node with it
-    stand_in_of = {i: stand_ins.setdefault(frozenset(cs), i) for i, cs in classes_of.items()}
-    delta_type = [(i, c) for i in stand_ins.values() for c in classes_of[i]]
-    # term-level indexes of the facts, dicts used as insertion-ordered sets:
-    # supers[x] = {y: x sub y}, subs[y] = {x: x sub y}, members[c] = {i: i type c}
-    supers: dict[Term, dict[Term, None]] = {}
-    subs: dict[Term, dict[Term, None]] = {}
-    members: dict[Term, dict[Term, None]] = {}
-    inferred_sub: list[tuple[Term, Term]] = []
-    derived: dict[Term, list[Term]] = {}  # stand-in -> its inferred types
+    above: dict[Term, dict[Term, int]] = {}  # class -> {ancestor: shortest distance}
 
-    def record(sub_pairs: list[tuple[Term, Term]], type_pairs: list[tuple[Term, Term]]) -> None:
-        for x, y in sub_pairs:
-            supers.setdefault(x, {})[y] = None
-            subs.setdefault(y, {})[x] = None
-        for i, c in type_pairs:
-            members.setdefault(c, {})[i] = None
+    def ancestors(cls: Term) -> dict[Term, int]:
+        found = above.get(cls)
+        if found is None:
+            found = above[cls] = {}
+            queue = [cls]
+            for c in queue:  # breadth first: the queue grows as it is read
+                distance = found.get(c, 0) + 1  # cls is at 0 until a cycle reaches it
+                for s in supers.get(c, ()):
+                    if s not in found:
+                        found[s] = distance
+                        queue.append(s)
+        return found
 
-    record(delta_sub, delta_type)
-    iterations = 0
-    empty: dict[Term, None] = {}
-    while True:
-        iterations += 1
-        new_sub: dict[tuple[Term, Term], None] = {}
-        new_type: dict[tuple[Term, Term], None] = {}
-        for x, y in delta_sub:
-            known = supers[x]
-            for z in supers.get(y, empty):  # R1: x sub y (new), y sub z
-                if z not in known:
-                    new_sub[x, z] = None
-            for w in subs.get(x, empty):  # R1: w sub x, x sub y (new)
-                if y not in supers[w]:
-                    new_sub[w, y] = None
-            typed = members.get(y, empty)
-            for i in members.get(x, empty):  # R2: i type x, x sub y (new)
-                if i not in typed:
-                    new_type[i, y] = None
-        for i, c in delta_type:
-            for d in supers.get(c, empty):  # R2: i type c (new), c sub d
-                if i not in members.get(d, empty):
-                    new_type[i, d] = None
-        if not new_sub and not new_type:
-            break
-        delta_sub = list(new_sub)
-        delta_type = list(new_type)
-        record(delta_sub, delta_type)
-        inferred_sub += delta_sub
-        for i, d in delta_type:
-            derived.setdefault(i, []).append(d)
+    inferred_sub = [(x, z, d) for x in supers for z, d in ancestors(x).items() if d > 1]
+    lifts: dict[frozenset, dict[Term, int]] = {}  # class set -> {type it adds: distance}
+    lift_of: dict[Term, dict[Term, int]] = {}  # node -> its class set's lift
+    for node, classes in classes_of.items():
+        key = frozenset(classes)
+        lift = lifts.get(key)
+        if lift is None:
+            lift = lifts[key] = {}
+            for c in classes:
+                for d, n in ancestors(c).items():
+                    if d not in key:
+                        lift[d] = min(n, lift.get(d, n))
+        lift_of[node] = lift
+    latest = max([(d - 1).bit_length() for *_, d in inferred_sub]
+                 + [n.bit_length() for lift in lifts.values() for n in lift.values()], default=0)
 
     graph = asserted.copy()
     added = graph.update(
-        [Triple(x, RDFS_SUBCLASS_OF, z) for x, z in inferred_sub]
-        + [Triple(i, RDF_TYPE, d) for i, s in stand_in_of.items() for d in derived.get(s, ())]
+        [Triple(x, RDFS_SUBCLASS_OF, z) for x, z, _ in inferred_sub]
+        + [Triple(i, RDF_TYPE, d) for i, lift in lift_of.items() for d in lift]
     )
-    return ClosureResult(graph=graph, inferred_count=added, iterations=iterations)
+    return ClosureResult(graph=graph, inferred_count=added, iterations=1 + latest)
 
 
 def subclasses_of(graph: Graph, cls: Iri) -> set[Term]:

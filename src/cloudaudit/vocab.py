@@ -47,7 +47,6 @@ SERVICE_VERSION = Iri(CLOUDENG_NS + "serviceVersion")
 POLICY_FILE_HASH = Iri(CLOUDENG_NS + "policyFileHash")
 
 # Security layer
-ENCRYPTION_METHOD = Iri(SEC_NS + "EncryptionMethod")
 KEY_MANAGEMENT = Iri(SEC_NS + "KeyManagement")
 HAS_SECURITY_POLICY = Iri(SEC_NS + "hasSecurityPolicy")
 USES_IDENTITY_PROVIDER = Iri(SEC_NS + "usesIdentityProvider")

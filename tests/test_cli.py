@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 
 import cloudaudit
 from cloudaudit.cli import main
+from cloudaudit.rdf import Graph
 from cloudaudit.reasoner import materialize, subclasses_of
 from cloudaudit.shacl import parse_shapes, validate
-from cloudaudit.turtle import parse_turtle
+from cloudaudit.turtle import Document, parse_turtle, serialize_turtle
 from cloudaudit.vocab import RDF_TYPE
 
-from oracles import CLOUDENG, isomorphic
+from oracles import CLOUDENG, gen, isomorphic, naive_rounds, type_closure
 
 
 @pytest.fixture()
@@ -224,6 +226,23 @@ class TestInferCommand:
         written = parse_turtle(out_path.read_text())
         assert isomorphic(written.graph, materialize(original.graph).graph)
 
+    @pytest.mark.parametrize("engines", [0, 6], ids=["fixture", "depth-24 model"])
+    def test_output_and_counts_match_the_oracles(self, run, model, tmp_path, engines):
+        """stdout is the written oracle closure, and stderr has the counts of
+        the naive fixpoint."""
+        if engines:
+            fixture = Path(model).read_text(encoding="utf-8")
+            generated = gen.make_model(random.Random(24), fixture, gen.read_turtle(fixture),
+                                       engines, depth=24)
+            model = tmp_path / "deep.ttl"
+            model.write_text(generated.text, encoding="utf-8")
+        doc = parse_turtle(Path(model).read_text(encoding="utf-8"))
+        expected = serialize_turtle(Document(Graph(type_closure(doc.graph)), doc.prefixes))
+        rounds, inferred = naive_rounds(doc.graph)
+        assert rounds > (5 if engines else 1)
+        assert run("infer", str(model)) == (
+            0, expected, f"{inferred} inferred triple(s) in {rounds} iteration(s)\n")
+
     @pytest.mark.parametrize("text", ["", "# no statements\n"])
     def test_empty_graph_writes_the_same_bytes_to_stdout_and_file(self, run, tmp_path, text):
         model = tmp_path / "empty.ttl"
@@ -334,11 +353,29 @@ class TestBadInputExitsOne:
     def cli(*argv, **options):
         src = str(Path(cloudaudit.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+        options.setdefault("stdout", subprocess.PIPE)
         proc = subprocess.run(
             [sys.executable, "-m", "cloudaudit.cli", *argv],
-            capture_output=True, encoding="utf-8", env=env, timeout=120, **options,
+            stderr=subprocess.PIPE, encoding="utf-8", env=env, timeout=120, **options,
         )
         return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize("command", ["infer", "query"])
+    def test_a_gone_stdout_reader_is_an_error_line(self, model, gap_query, command):
+        """Writing to a pipe whose read end is closed ends in one error line,
+        with no traceback and nothing from the flush at exit."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            argv = [model, gap_query] if command == "query" else [model]
+            code, err = self.cli(command, *argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        lines = err.splitlines()
+        assert code == 1
+        assert lines[-1].startswith("error: cannot write to stdout: ")
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_out_of_memory_is_an_error_line(self, tmp_path, model):
         resource = pytest.importorskip("resource")

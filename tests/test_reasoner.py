@@ -1,10 +1,11 @@
-"""Materialization fixpoint and subclass closure vs. BFS reachability."""
+"""Materialization and subclass closure vs. the reachability and naive-fixpoint oracles."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from cloudaudit.vocab import (
     RDFS_SUBCLASS_OF,
 )
 
-from oracles import ce, type_closure
+from oracles import ce, naive_rounds, type_closure
 
 
 def test_type_lift_through_subclass():
@@ -160,28 +161,6 @@ def general_class_graphs(draw):
     return g
 
 
-def naive_rounds(g: Graph) -> tuple[int, int]:
-    """Rounds and inferred count of the naive fixpoint, which applies R1 and
-    R2 to the whole graph every round."""
-    facts = set(g)
-    rounds = 0
-    while True:
-        rounds += 1
-        supers: dict = {}
-        for t in facts:
-            if t.predicate == RDFS_SUBCLASS_OF:
-                supers.setdefault(t.subject, []).append(t.object)
-        fresh = {
-            Triple(t.subject, t.predicate, z)
-            for t in facts
-            if t.predicate in (RDFS_SUBCLASS_OF, RDF_TYPE)
-            for z in supers.get(t.object, ())
-        } - facts
-        if not fresh:
-            return rounds, len(facts) - len(g)
-        facts |= fresh
-
-
 @given(general_class_graphs())
 @settings(max_examples=150)
 def test_general_hierarchies_match_reachability_oracle(g):
@@ -278,6 +257,51 @@ class TestPinnedBookkeeping:
         closure = self.closure_of(g)
         assert Triple(i, RDF_TYPE, Literal("not a class")) in closure
         assert Triple(a, RDFS_SUBCLASS_OF, Literal("not a class")) in closure
+
+
+BOUNDS = "http://bounds.test/"
+
+
+def path_of(prefix: str, length: int) -> list[Iri]:
+    return [Iri(f"{BOUNDS}{prefix}{i}") for i in range(length)]
+
+
+def linked(*classes: Iri) -> list[Triple]:
+    """subClassOf triples up a path of classes."""
+    return [Triple(lo, RDFS_SUBCLASS_OF, hi) for lo, hi in zip(classes, classes[1:])]
+
+
+@pytest.mark.parametrize("depth", [*range(1, 71), 127, 128, 129])
+def test_chain_rounds_at_bit_length_boundaries(depth):
+    """A pair d edges apart appears in round (d-1).bit_length() and a type
+    δ edges up in round δ.bit_length(); a chain of 2**k or 2**k + 1 steps
+    is where either moves on a round."""
+    TestPinnedBookkeeping.closure_of(chain(depth))
+
+
+@pytest.mark.parametrize("short, long, above", [(2, 4, 5), (2, 9, 0), (3, 5, 60), (1, 64, 3)])
+def test_diamond_counts_the_shorter_path(short, long, above):
+    """Bottom reaches Top by paths of `short` and `long` edges, and Top has
+    `above` ancestors in a chain: their round follows the shorter path."""
+    bottom, top = Iri(BOUNDS + "Bottom"), Iri(BOUNDS + "Top")
+    g = Graph(linked(bottom, *path_of("S", short - 1), top)
+              + linked(bottom, *path_of("L", long - 1), top)
+              + linked(top, *path_of("U", above)))
+    g.add(Triple(Iri(BOUNDS + "i"), RDF_TYPE, bottom))
+    TestPinnedBookkeeping.closure_of(g)
+
+
+@pytest.mark.parametrize("a, b, above", [(3, 4, 0), (4, 3, 0), (1, 2, 6), (7, 8, 0), (1, 64, 0)])
+def test_node_in_two_classes_counts_the_nearer(a, b, above):
+    """A node asserted in classes `a` and `b` edges below one ancestor, which
+    has `above` ancestors in a chain: the ancestor's type and theirs arrive
+    by the nearer class."""
+    top = Iri(BOUNDS + "Top")
+    first, second = path_of("A", a), path_of("B", b)
+    g = Graph(linked(*first, top) + linked(*second, top) + linked(top, *path_of("U", above)))
+    node = Iri(BOUNDS + "i")
+    g.update([Triple(node, RDF_TYPE, first[0]), Triple(node, RDF_TYPE, second[0])])
+    TestPinnedBookkeeping.closure_of(g)
 
 
 SRC = Path(cloudaudit.__file__).resolve().parent.parent
