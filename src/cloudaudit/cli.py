@@ -13,12 +13,16 @@ graph, and so does validate when a shape's path is rdf:type or
 rdfs:subClassOf; compliance reads neither and runs on the asserted graph.
 
 Each command handler imports the layers it runs, so a command pays the
-start-up cost of those layers only.
+start-up cost of those layers only.  `main` runs a command with the cyclic
+garbage collector off, as a one-shot command makes no reference cycles that
+grow with its input, and restores the collector's earlier state however the
+command ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -45,6 +49,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_ERROR)
+
+    # --help and --version text goes to stdout, where a write can fail as a report's can
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _write_output(message, None)
+        else:
+            super()._print_message(message, file)
 
 
 def _read_text(path: str) -> str:
@@ -329,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -339,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # e.g. a query whose answer does not fit in memory
         sys.stderr.write("error: out of memory\n")
         return EXIT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,17 +9,21 @@ construction and safe for concurrent reads afterwards: a first lookup
 publishes complete indexes in one assignment, so a concurrent reader never
 sees half of them.
 
-Terms and triples are tuples, validated when built: `Iri` is ``(value,)``,
-`BlankNode` ``(label, None)``, `Literal` ``(lexical, datatype)`` and `Triple`
-``(subject, predicate, object)``.  Hashing and equality are the tuple's own,
-run natively; no hash is stored.  No two kinds compare equal, though a term
-equals the plain tuple of its items.  Pickling goes through `__getnewargs__`,
-so the loading process validates and hashes again, under its own hash seed.
+Terms and triples are tuples: `Iri` is ``(value,)``, `BlankNode`
+``(label, None)``, `Literal` ``(lexical, datatype)`` and `Triple`
+``(subject, predicate, object)``.  The public constructors validate them;
+the Turtle reader builds them with the unchecked `_iri`, `_literal` and
+`_triple` where its grammar has already validated the parts.  Hashing and
+equality are the tuple's own, run natively; no hash is stored.  No two kinds
+compare equal, though a term equals the plain tuple of its items.  Pickling
+goes through `__getnewargs__`, so the loading process validates and hashes
+again, under its own hash seed.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
@@ -167,6 +171,13 @@ class Triple(tuple):
         return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
 
 
+# Unchecked constructors for a caller whose parts are valid by construction;
+# each takes the tuple of items, such as _triple((s, p, o)).
+_iri = partial(tuple.__new__, Iri)
+_literal = partial(tuple.__new__, Literal)
+_triple = partial(tuple.__new__, Triple)
+
+
 class Record:
     """Equality, hashing and repr by the fields named in `__slots__`, as a
     dataclass has them; an instance equals only one of its own class.  Only
@@ -240,8 +251,7 @@ class Graph:
         # pools by subject, predicate and object: insertion-ordered dicts
         # used as sets, or None until the first lookup
         self._index: Optional[tuple[dict, dict, dict]] = None
-        for t in triples:
-            self.add(t)
+        self.update(triples)
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple; returns True iff it was not already present."""
@@ -270,8 +280,13 @@ class Graph:
         return index
 
     def update(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples; returns how many were new."""
-        return sum(1 for t in triples if self.add(t))
+        """Insert many triples, as `add` would one by one; returns how many
+        were new.  An unindexed graph takes them in one dict update."""
+        if self._index is not None:
+            return sum(1 for t in triples if self.add(t))
+        before = len(self._triples)
+        self._triples.update(dict.fromkeys(triples))
+        return len(self._triples) - before
 
     def __len__(self) -> int:
         return len(self._triples)

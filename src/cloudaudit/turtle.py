@@ -36,11 +36,15 @@ name the error and its position.
 ``a`` and strings without escapes, in ``,`` and ``;`` lists, is read by the
 step regexes (subject, predicate and object steps, each ending at its
 ``[;,.]``), which build its triples from the match groups with no Token
-objects.  Any other statement (``[ ... ]``, ``<iri>``, integers, escapes,
-``@prefix``, a trailing ``;``) is tokenized on its own, up to its ``.``,
-and parsed by the token parser; the two paths share the IRI table, the
-prefix map and the blank node counter, and a statement's triples are added
-only once it is read whole.  Any error throws the partial Document away
+objects, through `rdf`'s unchecked constructors, and add them in one
+`Graph.update`.  The checks skipped could not fail: a step IRI is a
+namespace `PrefixMap.bind` validated plus an ASCII local name, a step
+literal is a plain string, and the subject and verb are IRIs.  Any other
+statement (``[ ... ]``, ``<iri>``, integers, escapes, ``@prefix``, a
+trailing ``;``) is tokenized on its own, up to its ``.``, and parsed by the
+token parser; the two paths share the IRI table, the prefix map and the
+blank node counter, and a statement's triples are added only once it is
+read whole.  Any error throws the partial Document away
 and parses the whole text again through `tokenize` and the token parser,
 so every error, and which error comes first, is what that path reports.
 
@@ -81,6 +85,9 @@ from .rdf import (
     UnknownPrefixError,
     XSD_INTEGER,
     XSD_STRING,
+    _iri,
+    _literal,
+    _triple,
     iriref,
     is_prefix_label,
     term_sort_key,
@@ -438,7 +445,7 @@ class _Parser(TokenStream):
             obj = terms.get(o) or self._step_term(o)
             if subject is None or verb is None or obj is None:
                 return None
-            triples.append(Triple(subject, verb, obj))
+            triples.append(_triple((subject, verb, obj)))
             if punct == ".":
                 break
             if punct == ",":
@@ -452,23 +459,21 @@ class _Parser(TokenStream):
                     return None
                 v, o, punct = m.groups()
                 verb = terms.get(v) or self._step_term(v)
-        add = self.doc.graph.add
-        for t in triples:
-            add(t)
+        self.doc.graph.update(triples)
         return m.end()
 
     def _step_term(self, token: str) -> Term | None:
         """The term of a prefixed name or plain string a step read, or None
         when its prefix is not bound."""
         if token[0] == '"':
-            term: Term = Literal(token[1:-1])
+            term: Term = _literal((token[1:-1], XSD_STRING))
         else:
             label, _, local = token.partition(":")
             try:
                 value = self.doc.prefixes.namespace(label) + local
             except UnknownPrefixError:
                 return None
-            term = self.iris.get(value) or self.iris.setdefault(value, Iri(value))
+            term = self.iris.get(value) or self.iris.setdefault(value, _iri((value,)))
         self._terms[token] = term
         return term
 
@@ -645,8 +650,13 @@ def serialize_turtle(doc: Document) -> str:
     iri_subjects = sorted((s for s in groups if isinstance(s, Iri)), key=term_sort_key)
     # blank nodes never used as an object become their own statements
     roots = sorted(s for s in groups if isinstance(s, BlankNode) and s not in referenced)
-    blocks = [term(s) + " " + body(s, " ;\n  ") + " ." for s in iri_subjects]
-    blocks.extend(sorted(term(s) + " ." for s in roots))
+    try:
+        blocks = [term(s) + " " + body(s, " ;\n  ") + " ." for s in iri_subjects]
+        blocks.extend(sorted(term(s) + " ." for s in roots))
+    finally:
+        # `term` and `body` refer to each other; breaking that cycle frees
+        # the memo and the groups now, not at the next collection
+        del term, body
     if groups:
         raise ValueError(
             "graph contains blank node cycles that cannot be written "

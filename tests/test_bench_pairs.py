@@ -75,3 +75,22 @@ def test_outcomes_count_each_side():
         "base": {"attempted": 1000, "failed": 0},
         "change": {"attempted": 1000, "failed": 20},
     }
+
+
+def test_a_failed_run_shows_its_stderr_and_exits_one(tmp_path, capsys):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('\\n'.join(f'line {k}' for k in range(40)), file=sys.stderr)\n"
+        "sys.exit(1)\n"
+    )
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--base", str(checkout), "--change", str(checkout),
+                             "--workload", "cli_gate", "--pairs", "2", "--first-seed", "7",
+                             "--seconds", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "cli_gate seed 7: the base run exited 1; the end of its stderr:"
+    assert err[1:] == [f"line {k}" for k in range(40 - bench_pairs.STDERR_LINES, 40)]
+    assert not out.exists()

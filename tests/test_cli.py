@@ -1,5 +1,6 @@
 """End-to-end command behavior: outputs, exit codes, file handling."""
 
+import gc
 import json
 import os
 import random
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cloudaudit
+from cloudaudit import cli
 from cloudaudit.cli import main
 from cloudaudit.rdf import Graph
 from cloudaudit.reasoner import materialize, subclasses_of
@@ -342,6 +344,88 @@ SURROGATE_ID = (
 SURROGATE_NAME = '[{"ID": "u1", "Name": "\\ud800"}]'
 
 
+def cyclic_garbage(argv: list[str]) -> int:
+    """Objects the cyclic collector finds unreachable after one command."""
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestCyclicCollector:
+    """main runs a command with the cyclic collector off and restores the
+    state it found, on every way out."""
+
+    @pytest.fixture()
+    def collector_on(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("collector_on", [True, False], ids=["on", "off"], indirect=True)
+    @pytest.mark.parametrize("way_out", ["return", "cli error", "usage error", "version",
+                                         "out of memory"])
+    def test_the_collector_state_is_restored(self, capsys, monkeypatch, model, collector_on,
+                                             way_out):
+        seen = []
+
+        def parse(text):
+            seen.append(gc.isenabled())
+            if way_out == "out of memory":
+                raise MemoryError
+            return parse_turtle(text)
+
+        monkeypatch.setattr(cli, "parse_turtle", parse)
+        argv = {"cli error": ["parse", model + ".missing"], "usage error": ["frobnicate"],
+                "version": ["--version"]}.get(way_out, ["parse", model])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == {"return": 0, "version": 0}.get(way_out, 1)
+        assert gc.isenabled() is collector_on
+        assert seen == ([False] if way_out in ("return", "out of memory") else [])
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory, fixtures_dir):
+        """Each command's arguments on a 20- and a 160-engine input."""
+        fixture = (fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")
+        out = {}
+        for engines in (20, 160):
+            where = tmp_path_factory.mktemp(f"engines{engines}")
+            model = gen.make_model(random.Random(engines), fixture, gen.read_turtle(fixture),
+                                   engines)
+            path = where / "model.ttl"
+            path.write_text(model.text, encoding="utf-8")
+            exports = []
+            inventory = gen.make_inventory(random.Random(engines), engines, engines, "t")
+            for kind, text in inventory.exports.items():
+                (where / f"{kind}.json").write_text(text, encoding="utf-8")
+                exports += [f"--{kind}", str(where / f"{kind}.json")]
+            out[engines] = {
+                "parse": ["parse", str(path)],
+                "infer": ["infer", str(path)],
+                "query": ["query", str(path), str(fixtures_dir / "q_missing_encryption.rq")],
+                "validate": ["validate", str(path),
+                             str(fixtures_dir / "shapes_data_encryption.ttl")],
+                "compliance": ["compliance", str(path), f"--engine=<{model.engines[0]}>"],
+                "ingest openstack": ["ingest", "openstack", *exports],
+            }
+            for argv in out[engines].values():
+                argv += ["-o", str(where / "report")]
+        return out
+
+    @pytest.mark.parametrize(
+        "command", ["parse", "infer", "query", "validate", "compliance", "ingest openstack"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, inputs, command):
+        cyclic_garbage(inputs[20][command])  # first imports and compiled patterns
+        assert cyclic_garbage(inputs[20][command]) == cyclic_garbage(inputs[160][command])
+
+
 class TestBadInputExitsOne:
     """Malformed input ends in exit 1 and a one-line error, never a traceback.
 
@@ -360,15 +444,16 @@ class TestBadInputExitsOne:
         )
         return proc.returncode, proc.stderr
 
-    @pytest.mark.parametrize("command", ["infer", "query"])
+    @pytest.mark.parametrize("command", ["infer", "query", "--version", "infer --help"])
     def test_a_gone_stdout_reader_is_an_error_line(self, model, gap_query, command):
         """Writing to a pipe whose read end is closed ends in one error line,
-        with no traceback and nothing from the flush at exit."""
+        with no traceback and nothing from the flush at exit; so does the
+        text argparse writes for --version and --help."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            argv = [model, gap_query] if command == "query" else [model]
-            code, err = self.cli(command, *argv, stdout=write_end)
+            argv = {"infer": ["infer", model], "query": ["query", model, gap_query]}
+            code, err = self.cli(*argv.get(command, command.split()), stdout=write_end)
         finally:
             os.close(write_end)
         lines = err.splitlines()

@@ -257,6 +257,28 @@ class TestGraph:
             assert t in by_predicate[t.predicate]
             assert t in by_object[t.object]
 
+    @pytest.mark.parametrize("indexed", [False, True], ids=["unindexed", "indexed"])
+    @given(batches=st.lists(st.lists(triples_st, max_size=8), max_size=6))
+    def test_update_inserts_as_add_does(self, indexed, batches):
+        """Batches with duplicates within and across them: the same order,
+        the same counts, and index pools kept current."""
+        updated, added = Graph(), Graph()
+        if indexed:
+            updated.pool_size(0)
+            added.pool_size(0)
+        for batch in batches:
+            assert updated.update(batch) == sum(added.add(t) for t in batch)
+            assert list(updated) == list(added)
+        assert (updated._index is None) is not indexed
+
+        def pools(g):
+            return [[(term, list(pool)) for term, pool in index.items()] for index in g._index]
+
+        rebuilt = updated.copy()
+        rebuilt._build_index()
+        updated.pool_size(0)
+        assert pools(updated) == pools(rebuilt)
+
     @given(st.lists(st.one_of(triples_st, patterns_st), max_size=40))
     def test_lookups_equal_scan_as_inserts_and_lookups_interleave(self, steps):
         g = Graph()

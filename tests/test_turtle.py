@@ -1,5 +1,7 @@
 """Parser/serializer behavior: supported subset, rejections, round-trips."""
 
+import gc
+import random
 import time
 
 import pytest
@@ -26,7 +28,7 @@ from cloudaudit.turtle import (
 )
 from cloudaudit.vocab import RDF_TYPE, RDFS_DOMAIN, RDFS_RESOURCE, RDFS_SUBCLASS_OF
 
-from oracles import CLOUDENG, SEC, ce, isomorphic, sec
+from oracles import CLOUDENG, SEC, ce, gen, isomorphic, sec
 from oracles import read_turtle as oracle_read_turtle
 
 # triple counts confirmed once against an independent statement counter
@@ -426,6 +428,28 @@ class TestSerialize:
         assert refusal(shared + unwritable) == SHARED.format("['a']")
         assert refusal(unwritable + cycle) == UNWRITABLE.format(custom.value)
 
+    def test_writing_leaves_no_cyclic_garbage(self, model_doc):
+        """A written or refused graph leaves nothing for the cyclic
+        collector, so the writer's memo and groups go when it returns."""
+        a, b = BlankNode("a"), BlankNode("b")
+        refused = [
+            [Triple(sec("X"), sec("p"), a), Triple(sec("Y"), sec("p"), a)],
+            [Triple(sec("Z"), sec("p"), Literal("x", Iri("http://x.test/custom")))],
+            [Triple(sec("X"), sec("p"), sec("Y")), Triple(a, sec("q"), b), Triple(b, sec("q"), a)],
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            serialize_turtle(model_doc)
+            assert gc.collect() == 0
+            for triples in refused:
+                # unlike refusal(), bind no name: a frame holding its own traceback is a cycle
+                with pytest.raises(ValueError):
+                    serialize_turtle(Document(Graph(triples), PrefixMap({"sec": SEC})))
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 # --- generated-document round trip ------------------------------------------
 
@@ -686,6 +710,37 @@ def test_statement_steps_read_serialized_graphs(doc):
         for triple in oracle_read_turtle(text)
     ]
     assert _as_oracle_triples(again) == list(dict.fromkeys(expected))
+
+
+def assert_checked_terms(doc: Document) -> None:
+    """Every triple and term is exactly of its class and equal to what the
+    checked public constructors build from its parts."""
+    for t in doc.graph:
+        assert type(t) is Triple and t == Triple(*t)
+        for x in t:
+            if type(x) is Iri:
+                assert type(x.value) is str and x == Iri(x.value)
+            elif type(x) is Literal:
+                assert type(x.lexical) is str and type(x.datatype) is Iri
+                assert x == Literal(x.lexical, Iri(x.datatype.value))
+            else:
+                assert type(x) is BlankNode and x == BlankNode(x.label)
+
+
+@given(_turtle_texts())
+@settings(max_examples=200, deadline=None)
+def test_statement_steps_build_checked_terms(text):
+    assert_checked_terms(parse_turtle(text))
+
+
+@pytest.mark.parametrize("engines, depth", [(20, 0), (6, 16), (4, 24)])
+def test_generated_models_parse_to_checked_terms(fixtures_dir, engines, depth):
+    fixture = (fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")
+    model = gen.make_model(random.Random(engines), fixture, gen.read_turtle(fixture), engines,
+                           depth=depth)
+    doc = parse_turtle(model.text)
+    assert len(doc.graph) == len(set(gen.read_turtle(model.text)))
+    assert_checked_terms(doc)
 
 
 _MUTATION_CHARACTERS = list('.;,[]<>"\\#@:a0_- \n') + ["\u00b2", "\u00e9", "{", "%", "\\u", ":x"]

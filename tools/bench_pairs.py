@@ -12,7 +12,8 @@ file can collect several workloads:
         --workload cli_gate --pairs 10 --seconds 30 --out BENCH_7.json
 
 With `--trace 1` the runs report per-layer metrics, filed under
-"<workload> --trace 1".
+"<workload> --trace 1".  A run that fails ends the tool with exit 1, after
+its side, seed, exit code and the end of its stderr, and writes no file.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+STDERR_LINES = 20  # of a failed run, written before giving up
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -114,7 +117,13 @@ def main(argv: list[str] | None = None) -> int:
         pair: dict = {"seed": seed, "first": order[0]}
         for side in order:
             checkout = args.base if side == "base" else args.change
-            pair[side] = run_once(checkout, args.workload, seed, args.seconds, args.trace)
+            try:
+                pair[side] = run_once(checkout, args.workload, seed, args.seconds, args.trace)
+            except subprocess.CalledProcessError as exc:
+                print(f"{args.workload} seed {seed}: the {side} run exited {exc.returncode}; "
+                      "the end of its stderr:", *exc.stderr.splitlines()[-STDERR_LINES:],
+                      sep="\n", file=sys.stderr)
+                return 1
         pairs.append(pair)
         print(f"{args.workload} seed {seed}: done", file=sys.stderr)
 
