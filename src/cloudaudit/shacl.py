@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Union
 
-from .rdf import Graph, Iri, Literal, Record, Term, term_json, term_sort_key
+from .rdf import Graph, Iri, Literal, Record, Term, XSD_INTEGER, term_json, term_sort_key
 from .turtle import Document
 from .vocab import (
     RDF_TYPE,
@@ -122,7 +122,9 @@ class ValidationReport(Record):
 
 
 def _int_value(term: Term, what: str, shape: Iri) -> int:
-    if isinstance(term, Literal) and term.lexical.isascii() and term.lexical.isdigit():
+    """A count: an xsd:integer literal of ASCII digits, as the reader types bare digits."""
+    if (isinstance(term, Literal) and term.datatype == XSD_INTEGER
+            and term.lexical.isascii() and term.lexical.isdigit()):
         try:
             return int(term.lexical)
         except ValueError:  # more digits than int() converts
@@ -141,7 +143,7 @@ def parse_shapes(doc: Document) -> list[NodeShape]:
 
     Raises ShapeError when a shape lacks sh:targetClass, a property
     constraint lacks an IRI sh:path, or a count is not a non-negative
-    integer.
+    xsd:integer literal.
     """
     graph = doc.graph
     shapes = []

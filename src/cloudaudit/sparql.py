@@ -367,16 +367,16 @@ class _Plan(Record):
 
     def __init__(self, steps: list[_Step],
                  filters: list[tuple[bool, _Plan, Callable[[tuple], object] | None, dict]],
-                 layout: list[str], reads: set[int]):
+                 layout: dict[str, int], reads: set[int]):
         self.steps = steps
         # (keep rows that have a solution, inner plan, the row's terms the inner
         # plan reads or None for the whole row, answers by those terms)
         self.filters = filters
-        self.layout = layout  # variable name at each row index after the steps
+        self.layout = layout  # variable name -> its row index after the steps, in row order
         self.reads = reads  # indices of the seed row that the steps and filters read
 
 
-def _rank(graph: Graph, tp: TriplePattern, layout: list[str]) -> tuple[int, float]:
+def _rank(graph: Graph, tp: TriplePattern, layout: dict[str, int]) -> tuple[int, float]:
     """Order key for the next pattern to join: most given positions first
     (constants and variables bound so far), then fewest estimated candidates."""
     given = 0
@@ -391,9 +391,9 @@ def _rank(graph: Graph, tp: TriplePattern, layout: list[str]) -> tuple[int, floa
     return -given, estimate
 
 
-def _step(tp: TriplePattern, layout: list[str]) -> _Step:
-    """Compile a pattern against the variables bound so far; appends its new
-    variables to `layout`."""
+def _step(tp: TriplePattern, layout: dict[str, int]) -> _Step:
+    """Compile a pattern against the variables bound so far; adds its new
+    variables to `layout` at the next row indices."""
     given: list[Term | None] = [None, None, None]
     from_row = []
     first: dict[str, str] = {}  # new variable -> attribute that binds it
@@ -403,12 +403,13 @@ def _step(tp: TriplePattern, layout: list[str]) -> _Step:
         if not isinstance(slot, Var):
             given[position] = slot
         elif slot.name in layout:
-            from_row.append((position, layout.index(slot.name)))
+            from_row.append((position, layout[slot.name]))
         elif slot.name in first:
             same.append((first[slot.name], attr))
         else:
             first[slot.name] = attr
-    layout.extend(first)
+    for name in first:
+        layout[name] = len(layout)
     take = None
     if len(first) == 1:
         (attr,) = first.values()
@@ -418,10 +419,10 @@ def _step(tp: TriplePattern, layout: list[str]) -> _Step:
     return _Step(given, tuple(from_row), take, tuple(same))
 
 
-def _plan(graph: Graph, pattern: GraphPattern, bound: list[str]) -> _Plan:
+def _plan(graph: Graph, pattern: GraphPattern, bound: dict[str, int]) -> _Plan:
     """Order a group's patterns greedily by `_rank`, ties in text order, and
     plan its filters against every variable the group binds."""
-    layout = list(bound)
+    layout = dict(bound)
     remaining = list(pattern.triples)
     ranks = None  # of `remaining`, until the layout grows
     steps = []
@@ -518,7 +519,7 @@ def evaluate(query: Query, graph: Graph) -> SolutionTable:
     An empty WHERE group yields a single empty solution, so `SELECT *
     WHERE { }` has one row of no columns.
     """
-    plan = _plan(graph, query.where, [])
+    plan = _plan(graph, query.where, {})
     if query.projection is None:
         variables = []
         for tp in query.where.triples:
@@ -528,7 +529,7 @@ def evaluate(query: Query, graph: Graph) -> SolutionTable:
     else:
         variables = list(query.projection)
     # a variable that occurs only inside filters is never bound
-    columns = [plan.layout.index(v) if v in plan.layout else None for v in variables]
+    columns = [plan.layout.get(v) for v in variables]
     unique = dict.fromkeys(
         tuple(None if c is None else solution[c] for c in columns)
         for solution in _solve(graph.triples, plan, ())

@@ -43,10 +43,16 @@ literal is a plain string, and the subject and verb are IRIs.  Any other
 statement (``[ ... ]``, ``<iri>``, integers, escapes, ``@prefix``, a
 trailing ``;``) is tokenized on its own, up to its ``.``, and parsed by the
 token parser; the two paths share the IRI table, the prefix map and the
-blank node counter, and a statement's triples are added only once it is
-read whole.  Any error throws the partial Document away
-and parses the whole text again through `tokenize` and the token parser,
-so every error, and which error comes first, is what that path reports.
+blank node counter.
+
+An error is raised from the statement that meets it, with one rule kept
+from lexing the whole text first: a lexical error anywhere beats a
+grammar error.  So when a statement fails, the rest of the text, from that
+statement on, is lexed a statement at a time, and its first lexical error,
+if any, is raised instead.  That is exact: every statement before was
+lexed whole, and the token parser fails at a statement's first ``.`` at
+the latest, so a grammar error is the same whether its tokens stop there
+or not.
 
 Parsing is pure: the same input always yields the same Document, with blank
 node labels minted as b1, b2, ... in encounter order.
@@ -412,7 +418,8 @@ class _Parser(TokenStream):
         return BlankNode(f"b{self._bnodes}")
 
     def parse(self) -> Document:
-        """Parse the whole token list."""
+        """Parse the whole token list: the reference the tests hold
+        `parse_by_statement` to, documents and errors alike."""
         while self._cur().kind != "eof":
             if self._cur().kind == "@prefix":
                 self._directive()
@@ -422,11 +429,19 @@ class _Parser(TokenStream):
 
     def parse_by_statement(self) -> Document:
         """Parse the text one statement at a time: by the step regexes when
-        they match it, else through the token parser on its own tokens."""
+        they match it, else through the token parser on its own tokens.
+
+        On an error, the first lexical error from the failing statement on
+        is raised in its place, as lexing the whole text first would."""
         pos = 0
-        while pos is not None:
-            end = self._step_statement(pos)
-            pos = self._token_statement(pos) if end is None else end
+        try:
+            while pos is not None:
+                end = self._step_statement(pos)
+                pos = self._token_statement(pos) if end is None else end
+        except ParseError:
+            while pos < len(self.text):
+                pos = tokenize(self.text, pos=pos, statement=True)[-1].offset
+            raise
         return self.doc
 
     def _step_statement(self, pos: int) -> int | None:
@@ -575,11 +590,7 @@ def parse_turtle(text: str) -> Document:
     Raises ParseError with a 1-based position for anything outside the
     supported subset.
     """
-    try:
-        return _Parser(text, []).parse_by_statement()
-    except ParseError:
-        # the whole-text lexer reports the first lexical error of the text
-        return _Parser(text, tokenize(text)).parse()
+    return _Parser(text, []).parse_by_statement()
 
 
 # The string escapes the reader decodes, as one str.translate table.

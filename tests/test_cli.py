@@ -482,6 +482,11 @@ class TestBadInputExitsOne:
              "shapes.ttl:5:56: unexpected character '\u00b2'"),
             ("shapes.ttl", SHAPE_TEMPLATE.replace("COUNT", '"\u00b2"'), "validate",
              "sh:minCount of shape http://example.org/cloudengine#S must be a non-negative integer"),
+            ("shapes.ttl", SHAPE_TEMPLATE.replace("COUNT", '"5"'), "validate",
+             "sh:minCount of shape http://example.org/cloudengine#S must be a non-negative integer"),
+            ("shapes.ttl", SHAPE_TEMPLATE.replace("sh:minCount COUNT", 'sh:maxCount "007"'),
+             "validate",
+             "sh:maxCount of shape http://example.org/cloudengine#S must be a non-negative integer"),
             ("model.ttl", b"@prefix e: <http://e.test/> .\n\xff\n", "parse",
              "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
             ("query.rq", b"SELECT * WHERE { \xff }", "query", "cannot read {path}: 'utf-8' codec"),
@@ -531,7 +536,8 @@ class TestBadInputExitsOne:
             ("arg.txt", b"\x80", "ingest --policy-file",
              "cannot mint a service IRI from '\\udc80': surrogates not allowed"),
         ],
-        ids=["digit-like count", "digit-like string count", "non-UTF-8 model",
+        ids=["digit-like count", "digit-like string count", "string count",
+             "zero-padded string count", "non-UTF-8 model",
              "non-UTF-8 query", "deep Turtle", "deep query", "count past int digits",
              "shared blank node after inference", "engine with space", "empty engine IRI",
              "engine URL with space", "namespace with space", "huge integer in records",

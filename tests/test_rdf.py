@@ -257,9 +257,12 @@ class TestGraph:
             assert t in by_predicate[t.predicate]
             assert t in by_object[t.object]
 
+    # static: pytest runs each parameter on its own instance, and Hypothesis
+    # fails a @given method called from two (its differing_executors check)
+    @staticmethod
     @pytest.mark.parametrize("indexed", [False, True], ids=["unindexed", "indexed"])
     @given(batches=st.lists(st.lists(triples_st, max_size=8), max_size=6))
-    def test_update_inserts_as_add_does(self, indexed, batches):
+    def test_update_inserts_as_add_does(indexed, batches):
         """Batches with duplicates within and across them: the same order,
         the same counts, and index pools kept current."""
         updated, added = Graph(), Graph()

@@ -80,6 +80,15 @@ class TestParseShapes:
                     f"  sh:property [ sh:path sec:encryptsData ; sh:minCount {count} ] .\n"
                 )
 
+    @pytest.mark.parametrize("count", ['sh:minCount "5"', 'sh:maxCount "007"'])
+    def test_string_count_is_an_error(self, count):
+        with pytest.raises(ShapeError, match="must be a non-negative integer"):
+            shapes_from(
+                "cloudeng:S a sh:NodeShape ;\n"
+                "  sh:targetClass cloudeng:DataInterface ;\n"
+                f"  sh:property [ sh:path sec:encryptsData ; {count} ] .\n"
+            )
+
     def test_inverted_count_bounds_are_an_error(self):
         with pytest.raises(ShapeError):
             shapes_from(

@@ -1,5 +1,7 @@
 """Query parsing, BGP evaluation, EXISTS filters, oracle equivalence."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +253,14 @@ class TestEvaluate:
         assert rows("SELECT * WHERE { " + "?s ?p ?o . " * 2000 + "}") == one
         assert rows("SELECT * WHERE { ?s ?p ?o " + "FILTER EXISTS { ?s ?p ?o } " * 2000 + "}") == one
         assert rows(nested(MAX_NESTING, siblings=4)) == one
+
+    def test_a_long_chain_is_planned_in_seconds(self, model_graph):
+        # each pattern binds one new variable, so the layout grows at every step
+        chain = " ".join(f"?v{i} <http://e.test/p> ?v{i + 1} ." for i in range(1000))
+        query = parse_query("SELECT * WHERE { " + chain + " }")
+        start = time.perf_counter()
+        assert evaluate(query, model_graph).rows == []
+        assert time.perf_counter() - start < 4.0
 
     def test_json_rendering(self, gap_graph):
         payload = evaluate(parse_query(B1_QUERY), gap_graph).to_json_dict()

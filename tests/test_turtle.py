@@ -766,6 +766,50 @@ def test_statement_steps_fail_like_the_token_parser(text, data):
 
 
 @pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a grammar error, then a lexical error in a later statement
+        _case(HEADER + "sec:a sec:b .\nsec:c sec:d $ .\n",
+              UNEXPECTED, 4, 13, "unexpected character '$'"),
+        # a lexical error inside the statement that fails
+        _case(HEADER + "sec:a ; sec:b sec:c $ .\nsec:c sec:d sec:e .\n",
+              UNEXPECTED, 3, 21, "unexpected character '$'"),
+        # a grammar error with only valid text after it
+        _case(HEADER + "sec:a sec:b .\nsec:c sec:d sec:e .\nsec:f a sec:g .\n",
+              UNEXPECTED, 3, 13, "expected an object, found '.'"),
+        # an unbound prefix, then a lexical error
+        _case(HEADER + "x:a sec:b sec:c .\nsec:c sec:d sec:e .\nsec:f sec:g %.\n",
+              UNEXPECTED, 5, 13, "unexpected character '%'"),
+        _case(HEADER + "sec:a sec:b sec:c .\nx:a sec:b sec:c .\nsec:c sec:d \"x .\n",
+              ErrorKind.UNTERMINATED_STRING, 5, 17, NOT_CLOSED),
+    ],
+)
+def test_a_lexical_error_beats_an_earlier_grammar_error(text, expected):
+    assert position(error_for(text)) == expected
+    assert _outcome(parse_turtle, text) == _outcome(_parse_whole_text, text)
+
+
+def test_an_error_is_read_from_statement_tokens_only(fixtures_dir, monkeypatch):
+    """A bad model is read once: the error comes from the statement reader,
+    which lexes a statement at a time and never the whole text."""
+    fixture = (fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")
+    model = gen.make_model(random.Random(160), fixture, gen.read_turtle(fixture), 160)
+    middle = model.text.index(" .\n", len(model.text) // 2) + 3
+    text = model.text[:middle] + "cloudeng:X cloudeng:y .\n" + model.text[middle:] + "e:z %\n"
+    expected = _outcome(_parse_whole_text, text)
+    calls = []
+    tokenize = turtle.tokenize
+
+    def recorder(text, query=False, pos=0, statement=False):
+        calls.append(statement)
+        return tokenize(text, query, pos, statement)
+
+    monkeypatch.setattr(turtle, "tokenize", recorder)
+    assert _outcome(parse_turtle, text) == expected
+    assert expected[0] == "error" and calls and all(calls)
+
+
+@pytest.mark.parametrize(
     "gap",
     [" " * 100_000, "# a comment line\n" * 20_000, "\t\n" * 50_000],
     ids=["spaces", "comment-lines", "line-breaks"],
