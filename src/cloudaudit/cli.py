@@ -85,6 +85,8 @@ def _write_output(text: str, out_path: str | None):
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             raise _CliError(f"cannot write to stdout: {exc.strerror or exc}") from exc
+        except UnicodeEncodeError as exc:  # stdout's encoding cannot hold the text; none was written
+            raise _CliError(f"cannot write to stdout: {exc}") from exc
         return
     try:
         Path(out_path).write_text(text, encoding="utf-8")

@@ -2,12 +2,12 @@
 
 Terms compare by byte equality of their string parts; IRIs are opaque keys
 (no normalization, no dereferencing).  Graphs have set semantics.  Their
-subject/predicate/object indexes are built from the triples at the first
-lookup and kept consistent with the triple set after it, so parsing and
-copying a graph pay for no index.  A graph is single-writer during
-construction and safe for concurrent reads afterwards: a first lookup
-publishes complete indexes in one assignment, so a concurrent reader never
-sees half of them.
+subject/predicate/object indexes are a cache of the triple set: each is
+built by the first lookup that reads its position, and a write that adds a
+triple drops them all, so parsing and copying a graph pay for no index.  A
+graph is single-writer during construction and safe for concurrent reads
+afterwards: a lookup publishes each index complete, in one assignment, so a
+concurrent reader never sees half of one.
 
 Terms and triples are tuples: `Iri` is ``(value,)``, `BlankNode`
 ``(label, None)``, `Literal` ``(lexical, datatype)`` and `Triple`
@@ -239,18 +239,19 @@ class Graph:
     answer in insertion order, whatever the hash seed; the graph never
     sorts.  Reports that must not depend on load order sort what they read.
 
-    The three index pools are built on first lookup, from the triple set,
-    and kept current by `add` from then on; loading, copying or writing a
-    graph builds none, and a copy starts without them.  They are published
-    whole in one assignment, so concurrent first readers each see either
-    no pools, and build their own, or complete ones.
+    The index at each position (subject, predicate, object) is built from
+    the triple set by the first lookup that reads that position; a write
+    that adds a triple drops all three, and a copy starts without them.
+    Loading or writing a graph builds none.  Each index is published whole
+    in one assignment, so concurrent first readers each see either none,
+    and build their own, or a complete one.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: dict[Triple, None] = {}
-        # pools by subject, predicate and object: insertion-ordered dicts
-        # used as sets, or None until the first lookup
-        self._index: Optional[tuple[dict, dict, dict]] = None
+        # pools by subject, predicate and object: insertion-ordered dicts used
+        # as sets, each None until read; the list is None until a lookup
+        self._index: Optional[list[Optional[dict]]] = None
         self.update(triples)
 
     def add(self, triple: Triple) -> bool:
@@ -258,35 +259,33 @@ class Graph:
         if triple in self._triples:
             return False
         self._triples[triple] = None
-        if self._index is not None:
-            by_subject, by_predicate, by_object = self._index
-            by_subject.setdefault(triple.subject, {})[triple] = None
-            by_predicate.setdefault(triple.predicate, {})[triple] = None
-            by_object.setdefault(triple.object, {})[triple] = None
+        self._index = None
         return True
 
-    def _build_index(self) -> tuple[dict, dict, dict]:
-        """Build the three index pools in insertion order and publish them.
-
-        One pass over the triples per index keeps each index's pools near
-        each other in memory; filling all three in one pass interleaves
-        them, and later lookups read measurably slower.
-        """
-        index: tuple[dict, dict, dict] = ({}, {}, {})
-        for position, pools in enumerate(index):
-            for t in self._triples:
-                pools.setdefault(t[position], {})[t] = None
-        self._index = index
-        return index
-
     def update(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples, as `add` would one by one; returns how many
-        were new.  An unindexed graph takes them in one dict update."""
-        if self._index is not None:
-            return sum(1 for t in triples if self.add(t))
+        """Insert many triples, as `add` would one by one, in one dict
+        update; returns how many were new."""
         before = len(self._triples)
         self._triples.update(dict.fromkeys(triples))
-        return len(self._triples) - before
+        added = len(self._triples) - before
+        if added:
+            self._index = None
+        return added
+
+    def _pools(self, position: int) -> dict:
+        """The index at `position` (0 subject, 1 predicate, 2 object), built
+        in one pass over the triples at its first read, which keeps its pools
+        near each other in memory, and published whole."""
+        index = self._index
+        if index is None:
+            index = self._index = [None, None, None]
+        pools = index[position]
+        if pools is None:
+            pools = {}
+            for t in self._triples:
+                pools.setdefault(t[position], {})[t] = None
+            index[position] = pools
+        return pools
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -331,9 +330,9 @@ class Graph:
         keys = [subject, predicate, obj]
         pool: Iterable[Triple] = self._triples
         picked = -1
-        for k, index in enumerate(self._index or self._build_index()):
+        for k in range(3):
             if keys[k] is not None:
-                candidate = index.get(keys[k], ())
+                candidate = self._pools(k).get(keys[k], ())
                 if picked < 0 or len(candidate) < len(pool):
                     pool, picked = candidate, k
         if picked >= 0:
@@ -353,20 +352,18 @@ class Graph:
         """Size of the index pool `triples` would read for `term` at
         `position` (0 subject, 1 predicate, 2 object); with no term, the
         average pool size of that index."""
-        index = (self._index or self._build_index())[position]
+        index = self._pools(position)
         if term is None:
             return len(self._triples) / len(index) if index else 0.0
         return len(index.get(term, ()))
 
     def objects(self, subject: Term, predicate: Iri) -> list[Term]:
         """Objects of (subject, predicate, ?) in insertion order."""
-        by_subject = (self._index or self._build_index())[0]
-        return [t.object for t in by_subject.get(subject, ()) if t.predicate == predicate]
+        return [t.object for t in self._pools(0).get(subject, ()) if t.predicate == predicate]
 
     def subjects(self, predicate: Iri, obj: Term) -> list[Term]:
         """Subjects of (?, predicate, obj) in insertion order."""
-        by_object = (self._index or self._build_index())[2]
-        return [t.subject for t in by_object.get(obj, ()) if t.predicate == predicate]
+        return [t.subject for t in self._pools(2).get(obj, ()) if t.predicate == predicate]
 
     def __repr__(self) -> str:
         return f"Graph({len(self)} triples)"

@@ -59,7 +59,8 @@ def materialize(asserted: Graph) -> ClosureResult:
     built.
     """
     result = _closure(asserted)
-    result.graph._build_index()  # here, so that the first lookup pays nothing
+    for position in range(3):  # here, so that the first lookups pay nothing
+        result.graph._pools(position)
     return result
 
 

@@ -7,7 +7,7 @@ is bound only by the bundled shapes file (fixtures/shapes_data_encryption.ttl).
 
 from __future__ import annotations
 
-from .rdf import Iri, XSD_INTEGER, XSD_STRING  # noqa: F401  (re-exported)
+from .rdf import Iri
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"

@@ -218,6 +218,67 @@ class TestEntailment:
         assert (code, json.loads(out)) == (2, expected.to_json_dict())
 
 
+class TestIndexesBuilt:
+    """A graph builds the index of a position (subject, predicate, object)
+    only when a lookup reads it, so each command builds those it reads."""
+
+    @pytest.fixture()
+    def graphs(self, monkeypatch):
+        """The graph of each document a command loads, in load order, then
+        the graph it queries."""
+        from cloudaudit import sparql
+
+        seen = []
+
+        def parse(text):
+            doc = parse_turtle(text)
+            seen.append(doc.graph)
+            return doc
+
+        def evaluate(query, graph):
+            seen.append(graph)
+            return unpatched(query, graph)
+
+        unpatched = sparql.evaluate
+        monkeypatch.setattr(cli, "parse_turtle", parse)
+        monkeypatch.setattr(sparql, "evaluate", evaluate)
+        return seen
+
+    @staticmethod
+    def built(graph: Graph) -> list[str]:
+        names = ("subject", "predicate", "object")
+        return [name for name, pools in zip(names, graph._index or ()) if pools is not None]
+
+    def test_compliance_reads_the_object_index_only_for_gaps(self, run, model, tmp_path, graphs):
+        gap_free = tmp_path / "gap_free.ttl"
+        gap_free.write_text(Path(model).read_text(encoding="utf-8") + (
+            "cloudeng:GapFreeEngine cloudeng:hasControlInterface cloudeng:OCCI ;\n"
+            "  cloudeng:hasAuditInterface cloudeng:Syslog ;\n"
+            "  sec:hasSecurityPolicy sec:GapFreePolicy .\n"
+            "sec:GapFreePolicy sec:compliesWith csa:IVS-02, nist80053:AU-2 .\n"
+        ), encoding="utf-8")
+        assert run("compliance", str(gap_free), "--engine", "cloudeng:GapFreeEngine")[0] == 0
+        assert run("compliance", model, "--engine", "cloudeng:SecureCloudEngine")[0] == 3
+        assert [self.built(g) for g in graphs] == [["subject"], ["subject", "object"]]
+
+    def test_validate_with_the_fixture_shapes_reads_no_predicate_index(self, run, model,
+                                                                       shapes, graphs):
+        assert run("validate", model, shapes)[0] == 0
+        data, _ = graphs
+        assert self.built(data) == ["subject", "object"]
+
+    @pytest.mark.parametrize("options", [[], ["--no-inference"]], ids=["closure", "asserted"])
+    def test_query_reads_all_three(self, run, model, gap_query, graphs, options):
+        assert run("query", model, gap_query, *options)[0] == 0
+        asserted, queried = graphs
+        assert (queried is asserted) is bool(options)
+        assert self.built(queried) == ["subject", "predicate", "object"]
+
+    def test_parse_builds_none(self, run, model, graphs):
+        assert run("parse", model)[0] == 0
+        assert [self.built(g) for g in graphs] == [[]]
+
+
 class TestInferCommand:
     def test_materialized_output_round_trips(self, run, model, tmp_path):
         out_path = tmp_path / "closure.ttl"
@@ -434,9 +495,9 @@ class TestBadInputExitsOne:
     """
 
     @staticmethod
-    def cli(*argv, **options):
+    def cli(*argv, stdout_encoding="utf-8", **options):
         src = str(Path(cloudaudit.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING=stdout_encoding)
         options.setdefault("stdout", subprocess.PIPE)
         proc = subprocess.run(
             [sys.executable, "-m", "cloudaudit.cli", *argv],
@@ -461,6 +522,31 @@ class TestBadInputExitsOne:
         assert lines[-1].startswith("error: cannot write to stdout: ")
         assert [line for line in lines if line.startswith("error:")] == lines[-1:]
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("command", ["infer", "query"])
+    @pytest.mark.parametrize("encoding, text", [("ascii", "caf\u00e9"), ("latin-1", "\u20ac")],
+                             ids=["ascii", "latin-1"])
+    def test_a_report_stdout_cannot_encode_is_an_error_line(self, tmp_path, command,
+                                                           encoding, text):
+        """A report holding a character stdout's encoding lacks ends in one
+        error line, with nothing written; with -o it goes to the file as UTF-8."""
+        model = tmp_path / "model.ttl"
+        model.write_text(f'@prefix e: <http://e.test/> .\ne:a e:label "{text}" .\n',
+                         encoding="utf-8")
+        query = tmp_path / "all.rq"
+        query.write_text("SELECT ?o WHERE { ?s ?p ?o }\n", encoding="utf-8")
+        argv = {"infer": ["infer", str(model)], "query": ["query", str(model), str(query)]}[command]
+        stdout = tmp_path / "stdout"
+        with stdout.open("wb") as sink:
+            code, err = self.cli(*argv, stdout_encoding=encoding, stdout=sink)
+        lines = err.splitlines()
+        assert code == 1 and stdout.read_bytes() == b""
+        assert lines[-1].startswith(f"error: cannot write to stdout: '{encoding}' codec can't encode")
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+        assert "Traceback" not in err
+        report = tmp_path / "report"
+        assert self.cli(*argv, "-o", str(report), stdout_encoding=encoding)[0] == 0
+        assert text in report.read_text(encoding="utf-8")
 
     def test_out_of_memory_is_an_error_line(self, tmp_path, model):
         resource = pytest.importorskip("resource")

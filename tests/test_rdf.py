@@ -77,6 +77,14 @@ def assert_lookups_equal_scan(g: Graph, pattern: TriplePattern) -> None:
             assert g.pool_size(position, term) == len(scan_match(g, TriplePattern(*alone)))
 
 
+def index_pools(g: Graph) -> list:
+    """The three indexes of `g`, built by a lookup at each position, as
+    (term, triples) lists in their order."""
+    for position in range(3):
+        g.pool_size(position)
+    return [[(term, list(pool)) for term, pool in index.items()] for index in g._index]
+
+
 def pattern_slot(concrete_st):
     return st.one_of(concrete_st, st.sampled_from([Var("a"), Var("b")]))
 
@@ -241,21 +249,22 @@ class TestGraph:
         hits = g.match(TriplePattern(Var("x"), IRIS[1], Var("x")))
         assert hits == [Triple(IRIS[0], IRIS[1], IRIS[0])]
 
-    @given(st.lists(triples_st, max_size=40))
-    def test_index_consistency_after_interleaved_inserts(self, triples):
+    @given(st.lists(st.one_of(triples_st, st.lists(triples_st, max_size=8)), max_size=20))
+    def test_index_consistency_after_interleaved_inserts(self, writes):
+        """A write after lookups drops every index iff it adds a triple; the
+        next lookups build what a fresh graph of the same triples would."""
         g = Graph()
-        g.pool_size(0)  # the first lookup builds the pools; add keeps them
-        for t in triples:
-            g.add(t)
-        by_subject, by_predicate, by_object = g._index
-        stored = set(g)
-        for index in (by_subject, by_predicate, by_object):
-            indexed = set().union(*index.values()) if index else set()
-            assert indexed == stored
-        for t in stored:
-            assert t in by_subject[t.subject]
-            assert t in by_predicate[t.predicate]
-            assert t in by_object[t.object]
+        for write in writes:
+            built = index_pools(g)
+            before = len(g)
+            if isinstance(write, Triple):
+                g.add(write)
+            else:
+                g.update(write)
+            assert (g._index is None) is (len(g) > before)
+            if g._index is not None:
+                assert index_pools(g) == built
+        assert index_pools(g) == index_pools(Graph(list(g)))
 
     # static: pytest runs each parameter on its own instance, and Hypothesis
     # fails a @given method called from two (its differing_executors check)
@@ -264,23 +273,17 @@ class TestGraph:
     @given(batches=st.lists(st.lists(triples_st, max_size=8), max_size=6))
     def test_update_inserts_as_add_does(indexed, batches):
         """Batches with duplicates within and across them: the same order,
-        the same counts, and index pools kept current."""
+        the same counts, and indexes dropped alike."""
         updated, added = Graph(), Graph()
-        if indexed:
-            updated.pool_size(0)
-            added.pool_size(0)
         for batch in batches:
-            assert updated.update(batch) == sum(added.add(t) for t in batch)
+            if indexed:
+                index_pools(updated)
+                index_pools(added)
+            new = updated.update(batch)
+            assert new == sum(added.add(t) for t in batch)
             assert list(updated) == list(added)
-        assert (updated._index is None) is not indexed
-
-        def pools(g):
-            return [[(term, list(pool)) for term, pool in index.items()] for index in g._index]
-
-        rebuilt = updated.copy()
-        rebuilt._build_index()
-        updated.pool_size(0)
-        assert pools(updated) == pools(rebuilt)
+            assert (updated._index is None) is (added._index is None) is (new > 0 or not indexed)
+        assert index_pools(updated) == index_pools(added) == index_pools(Graph(list(added)))
 
     @given(st.lists(st.one_of(triples_st, patterns_st), max_size=40))
     def test_lookups_equal_scan_as_inserts_and_lookups_interleave(self, steps):
