@@ -13,17 +13,18 @@ reference outer variables (correlated semantics).  Terms are variables,
 prefixed names, IRIREFs, the `a` keyword (predicate) and double-quoted
 string literals (objects).  IRIs are resolved at parse time.
 
-`parse_query` first reads the text with step regexes: one per PREFIX line,
-one for `SELECT ... WHERE {`, and one per group item (a triple pattern with
-its optional '.', `FILTER [NOT] EXISTS {`, or '}').  They read variables,
-prefixed names with ASCII labels, IRIREFs and strings without escapes, and
-`a` as the predicate, each ending where the Turtle module's `tokenize`
-would end that token, and build the Query from the match groups with no
-Token objects.  Any other text, an unknown prefix, an invalid IRI, nesting
-deeper than the limit or a projected variable that WHERE lacks sends the
-whole text to the token parser, which splits it with `tokenize`: that
-parser is the only one that reports errors, so they are the Turtle
-module's lexical errors and the token parser's grammar errors.
+`parse_query` first reads the text with step regexes, one for
+`SELECT ... WHERE {` and one per group item (a triple pattern with its
+optional '.', `FILTER [NOT] EXISTS {`, or '}'), and builds the Query from
+the match groups with no Token objects.  They read only what programs
+write, the texts of compliance.coverage_queries among them: keywords,
+variables and IRIREFs without escapes, with whitespace between tokens,
+each token ending where the Turtle module's `tokenize` would end it.  Any
+other text (PREFIX lines, prefixed names, `a`, strings, comments), an
+invalid IRI, nesting deeper than the limit or a projected variable that
+WHERE lacks sends the whole text to the token parser, which splits it with
+`tokenize`: that parser is the only one that reports errors, so they are
+the Turtle module's lexical errors and the token parser's grammar errors.
 
 Evaluation plans each group once per query: its triple patterns are
 joined greedily, most bound positions first (constants and variables bound
@@ -49,19 +50,17 @@ from .rdf import (
     Graph,
     Iri,
     Literal,
-    PREFIX_LABEL,
     PatternTerm,
     PrefixMap,
     Record,
     Term,
     Triple,
     TriplePattern,
-    UnknownPrefixError,
     Var,
     term_json,
     term_sort_key,
 )
-from .turtle import _GAP, _PNAME, MAX_NESTING, Token, TokenStream, tokenize
+from .turtle import MAX_NESTING, Token, TokenStream, tokenize
 from .vocab import RDF_TYPE
 
 
@@ -247,61 +246,42 @@ def _keyword(word: str) -> str:
 
 # The steps parse_query tries first.  Each token they read is the one
 # tokenize reads there: a variable takes every word character after '?', so
-# `?xwhere` is one variable; a keyword or `a` ends before a word character,
-# ':' or '-', so `select:x` is a prefixed name; `a` is case-sensitive.
+# `?xwhere` is one variable; a keyword ends before a word character, ':' or
+# '-', so `notexists` is one word.
 _VAR = r"\?\w+(?!\w)"
-_IRIREF = r'<[^<>"\\ \t\n]*>'
-_NODE = rf"{_VAR}|{_PNAME}|{_IRIREF}"
-_PREFIX_STEP_RE = re.compile(
-    rf"{_GAP}{_keyword('prefix')}{_GAP}({PREFIX_LABEL}):{_GAP}({_IRIREF})"
-)
+_NODE = rf'{_VAR}|<[^<>"\\ \t\n]*>'
 _SELECT_STEP_RE = re.compile(
-    rf"{_GAP}{_keyword('select')}{_GAP}(?:\*{_GAP}|((?:{_VAR}{_GAP})+))"
-    rf"{_keyword('where')}{_GAP}\{{"
+    rf"\s*{_keyword('select')}\s*(?:\*\s*|((?:{_VAR}\s*)+))"
+    rf"{_keyword('where')}\s*\{{"
 )
-_PROJECTED_RE = re.compile(rf"\?(\w+){_GAP}")
 # groups: subject, predicate, object | NOT of a FILTER | '}'
 _ITEM_STEP_RE = re.compile(
-    rf"{_GAP}(?:({_NODE}){_GAP}({_NODE}|a(?![\w:-])){_GAP}({_NODE}|\"[^\"\\\n]*\"){_GAP}\.?"
-    rf"|{_keyword('filter')}{_GAP}({_keyword('not')}{_GAP})?{_keyword('exists')}{_GAP}\{{"
+    rf"\s*(?:({_NODE})\s*({_NODE})\s*({_NODE})\s*\.?"
+    rf"|{_keyword('filter')}\s*({_keyword('not')}\s*)?{_keyword('exists')}\s*\{{"
     rf"|(\}}))"
 )
-_END_RE = re.compile(rf"{_GAP}(?:#[^\n]*)?\Z")
 
 
 def _step_query(text: str) -> Query | None:
     """The query, if the step regexes read all of the text and it is valid;
     else None, with nothing kept."""
-    prefixes = PrefixMap()
-    pos = 0
+    m = _SELECT_STEP_RE.match(text)
+    if m is None:
+        return None
+    # \s is str.isspace, so split() ends each name where the regexes did
+    projection = None if m[1] is None else m[1].replace("?", " ").split()
+    terms: dict[str, PatternTerm] = {}  # by token text
+
+    def term(token: str) -> PatternTerm:
+        made = Var(token[1:]) if token[0] == "?" else Iri(token[1:-1])
+        terms[token] = made
+        return made
+
+    where = group = GraphPattern()
+    groups = [where]  # open groups, innermost last
+    match, get = _ITEM_STEP_RE.match, terms.get
+    pos = m.end()
     try:
-        while m := _PREFIX_STEP_RE.match(text, pos):
-            prefixes.bind(m[1], m[2][1:-1])
-            pos = m.end()
-        m = _SELECT_STEP_RE.match(text, pos)
-        if m is None:
-            return None
-        projection = None if m[1] is None else _PROJECTED_RE.findall(m[1])
-        terms: dict[str, PatternTerm] = {"a": RDF_TYPE}  # by token text
-
-        def term(token: str) -> PatternTerm:
-            first = token[0]
-            if first == "?":
-                made: PatternTerm = Var(token[1:])
-            elif first == "<":
-                made = Iri(token[1:-1])
-            elif first == '"':
-                made = Literal(token[1:-1])
-            else:
-                label, _, local = token.partition(":")
-                made = Iri(prefixes.namespace(label) + local)
-            terms[token] = made
-            return made
-
-        where = group = GraphPattern()
-        groups = [where]  # open groups, innermost last
-        match, get = _ITEM_STEP_RE.match, terms.get
-        pos = m.end()
         while True:
             m = match(text, pos)
             if m is None:
@@ -325,13 +305,13 @@ def _step_query(text: str) -> Query | None:
                 if not groups:
                     break
                 group = groups[-1]
-    except (UnknownPrefixError, ValueError):  # an unbound label, an invalid IRI
+    except ValueError:  # an invalid IRI
         return None
-    if _END_RE.match(text, pos) is None:
+    if text[pos:].strip():
         return None
     if projection is not None and any("?" + name not in terms for name in projection):
         return None
-    return Query(prefixes, projection, where)
+    return Query(PrefixMap(), projection, where)
 
 
 def parse_query(text: str) -> Query:

@@ -458,14 +458,22 @@ _Q_COMMENTS = ["# note\n", " # ?x { } . * \" < # WHERE\n", "\n# one\n# two\n  "]
 
 
 @st.composite
-def _query_texts(draw):
+def _query_texts(draw, plain: bool | None = None):
     """Token lists of the supported subset, joined by random spacing and
     comments: PREFIX lines (the empty label, rebinding), SELECT of variables
     or '*' with keywords in random case, variables (non-ASCII too), prefixed
     names (dotted locals, an unbound non-ASCII label), IRIREFs and strings
     with and without escapes, 'a', optional '.', and FILTER [NOT] EXISTS
-    groups nested up to three deep."""
-    labels = draw(st.lists(st.sampled_from(_Q_LABELS), min_size=1, max_size=3, unique=True))
+    groups nested up to three deep.
+
+    A plain text is written as programs write queries: no PREFIX lines or
+    comments, and only variables and IRIREFs (with and without escapes) as
+    terms.  `plain` None draws which kind."""
+    if plain is None:
+        plain = draw(st.booleans())
+    labels = [] if plain else draw(
+        st.lists(st.sampled_from(_Q_LABELS), min_size=1, max_size=3, unique=True)
+    )
     tokens: list[str] = []
     used: list[str] = []
 
@@ -482,10 +490,10 @@ def _query_texts(draw):
     def iri():
         kind = draw(st.integers(0, 9))
         local = draw(st.sampled_from(_Q_LOCALS))
-        if kind == 0:
-            return f"<{draw(st.sampled_from(_Q_NAMESPACES))}{local}>"
         if kind == 1:
             return f"<{draw(st.sampled_from(_Q_NAMESPACES))}\\u0041{local}>"
+        if kind == 0 or plain:
+            return f"<{draw(st.sampled_from(_Q_NAMESPACES))}{local}>"
         if kind == 2 and draw(st.integers(0, 3)) == 0:
             return f"{_UNBOUND_LABEL}:{local}"
         return f"{draw(st.sampled_from(labels))}:{local}"
@@ -499,6 +507,8 @@ def _query_texts(draw):
         kind = draw(st.integers(0, 5))
         if kind <= 1:
             return var()
+        if plain:
+            return iri()
         if position == "p" and kind == 2:
             return "a"
         if position == "o" and kind == 2:
@@ -526,7 +536,7 @@ def _query_texts(draw):
 
     for label in labels:
         prefix(label)
-    if draw(st.integers(0, 3)) == 0:
+    if labels and draw(st.integers(0, 3)) == 0:
         prefix(draw(st.sampled_from(labels)))  # rebinding: the last one wins
     keyword("select")
     select_at = len(tokens)
@@ -547,20 +557,24 @@ def _query_texts(draw):
         choice = draw(st.integers(0, 9))
         if tight and choice < 4:
             sep = ""
-        elif choice < 8:
+        elif choice < 8 or plain:
             sep = draw(st.sampled_from(_Q_SEPARATORS))
         else:
             sep = draw(st.sampled_from(_Q_COMMENTS))
         text += sep + token
-    return text + draw(st.sampled_from(["", "\n", " # end", "\n# end\n", "#"]))
+    ends = ["", "\n", " "] if plain else ["", "\n", " # end", "\n# end\n", "#"]
+    return text + draw(st.sampled_from(ends))
 
 
-@given(_query_texts())
+@given(st.booleans(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_query_steps_match_the_token_parser(text):
+def test_query_steps_match_the_token_parser(plain, data):
+    text = data.draw(_query_texts(plain))
     expected = _outcome(_token_parse, text)
     assert _outcome(parse_query, text) == expected
     assert expected[0] == "query" or _UNBOUND_LABEL in text, expected
+    if plain and "\\" not in text:
+        assert _step_query(text) is not None  # not left to the token parser
 
 
 _Q_MUTATIONS = list('{}.*?<>"\\#:a_- \n') + [
@@ -595,7 +609,10 @@ _EX = "PREFIX ex: <http://ex.test/>\n"
     "text, kind",
     [
         pytest.param("select ?xwhere{ ?xwhere ?p ?o }", "error", id="variable runs into WHERE"),
-        pytest.param("select ?x where{?x?p?o}", "query", id="tight variables"),
+        pytest.param("select ?x where{?x?p?o}", "step", id="tight variables"),
+        pytest.param("select ?xwhere{ ?x ?p ?o }", "error", id="projected variable runs into WHERE"),
+        pytest.param("SELECT * WHERE { ?s ?p ?o FILTER NOTEXISTS { ?s ?p ?o } }", "error",
+                     id="NOT runs into EXISTS"),
         pytest.param("PREFIX filter: <http://f.test/>\nSELECT * WHERE { ?s filter:x ?o "
                      "FILTER EXISTS { filter:x ?p ?s } }", "query", id="filter as a label"),
         pytest.param("PREFIX select: <http://f.test/>\nSELECT ?s WHERE { ?s ?p select:x }",
@@ -604,37 +621,46 @@ _EX = "PREFIX ex: <http://ex.test/>\n"
         pytest.param("SELECT * WHERE { ?s A ?o }", "error", id="A as predicate"),
         pytest.param('SELECT * WHERE { "x" ?p ?o }', "error", id="literal subject"),
         pytest.param("\u017fELECT * WHERE { }", "error", id="long s in SELECT"),
-        pytest.param(_EX + "SELECT ?ghost WHERE { ?s ?p ex:o }", "error", id="ghost projection"),
+        pytest.param("SELECT ?ghost WHERE { ?s ?p <http://ex.test/o> }", "error", id="ghost projection"),
         pytest.param(_EX + "SELECT * WHERE { ?s ?p no:o }", "error", id="unknown prefix"),
-        pytest.param(_EX + "SELECT * WHERE { ?s ?p <> }", "error", id="empty IRI"),
-        pytest.param(_EX + "SELECT * WHERE { ?s ?p <http://x\r> }", "error", id="IRI with CR"),
-        pytest.param(_EX + "SELECT * WHERE { ?s ?p ex:o } # end", "query", id="comment at end"),
-        pytest.param(_EX + "SELECT * WHERE { ?s ?p ex:o } .", "error", id="trailing dot"),
-        pytest.param(_EX + "SELECT * WHERE { ?s ?p ex:o . . }", "error", id="two dots"),
+        pytest.param("SELECT * WHERE { ?s ?p <> }", "error", id="empty IRI"),
+        pytest.param("SELECT * WHERE { ?s ?p <http://x\r> }", "error", id="IRI with CR"),
+        pytest.param("SELECT * WHERE { ?s ?p ?o } # end", "query", id="comment at end"),
+        pytest.param("SELECT * WHERE { ?s ?p ?o } .", "error", id="trailing dot"),
+        pytest.param("SELECT * WHERE { ?s ?p ?o . . }", "error", id="two dots"),
         pytest.param("PREFIX ex:a <http://ex.test/> SELECT * WHERE { }", "error", id="label with local"),
-        pytest.param(nested(MAX_NESTING), "query", id="deepest nesting"),
+        pytest.param(nested(MAX_NESTING), "step", id="deepest nesting"),
         pytest.param(nested(MAX_NESTING + 1), "error", id="one group too deep"),
+        pytest.param("SELECT * WHERE { # note\n?s ?p ?o }", "query", id="comment"),
+        pytest.param("SELECT * WHERE { ?s ?p ex:o }", "error", id="prefixed name"),
+        pytest.param("SELECT * WHERE { ?s a <http://ex.test/C> }", "query", id="a for rdf:type"),
+        pytest.param('SELECT * WHERE { ?s ?p "x" }', "query", id="string"),
+        pytest.param("SELECT * WHERE { ?s ?p <http://ex.test/\\u0041> }", "query", id="IRI escape"),
     ],
 )
 def test_query_step_rows(text, kind):
+    """`step` rows are read by the step regexes; `query` rows are valid
+    queries that only the token parser reads."""
     expected = _outcome(_token_parse, text)
-    assert expected[0] == kind
+    assert expected[0] == ("error" if kind == "error" else "query")
     assert _outcome(parse_query, text) == expected
+    assert (_step_query(text) is not None) == (kind == "step")
 
 
-def _fixture_queries(fixtures_dir, graph: Graph) -> list[str]:
+def _coverage_queries(graph: Graph) -> list[str]:
     engines = sorted(t.subject for t in graph.triples(None, RDF_TYPE, CLOUD_ENGINE))
     standards = sorted({t.object for p in (IMPLEMENTS_STANDARD, COMPLIES_WITH)
                         for t in graph.triples(None, p, None)})
-    texts = [(fixtures_dir / "q_missing_encryption.rq").read_text(encoding="utf-8")]
-    for engine in engines:
-        for standard in standards:
-            texts.extend(coverage_queries(engine, standard))
-    return texts
+    return [text for engine in engines for standard in standards
+            for text in coverage_queries(engine, standard)]
 
 
 def test_query_steps_read_every_fixture_query(fixtures_dir, model_graph, gap_graph):
-    texts = _fixture_queries(fixtures_dir, model_graph) + _fixture_queries(fixtures_dir, gap_graph)
+    fixture = (fixtures_dir / "q_missing_encryption.rq").read_text(encoding="utf-8")
+    expected = _outcome(_token_parse, fixture)
+    assert expected[0] == "query"
+    assert _outcome(parse_query, fixture) == expected
+    texts = _coverage_queries(model_graph) + _coverage_queries(gap_graph)
     assert len(texts) > 100
     for text in texts:
         expected = _outcome(_token_parse, text)
