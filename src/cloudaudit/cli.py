@@ -8,9 +8,12 @@ CI-friendly:
     2  shape violations present
     3  compliance gaps present
 
-Unless --no-inference is given, query runs against the RDFS-materialized
-graph, and so does validate when a shape's path is rdf:type or
-rdfs:subClassOf; compliance reads neither and runs on the asserted graph.
+Unless --no-inference is given, query reads the RDFS closure through a
+view of the asserted graph (reasoner.EntailmentView), which builds the
+closure only for a lookup that the asserted graph and its subClassOf edges
+cannot answer, and validate runs against the materialized graph when a
+shape's path is rdf:type or rdfs:subClassOf; compliance reads neither and
+runs on the asserted graph.
 
 Each command handler imports the layers it runs, so a command pays the
 start-up cost of those layers only.  `main` runs a command with the cyclic
@@ -115,12 +118,6 @@ def _resolve_iri(text: str, doc: Document) -> Iri:
     raise _CliError(f"not an IRI or prefixed name: {text!r}")
 
 
-def _working_graph(doc: Document, no_inference: bool):
-    from .reasoner import materialize
-
-    return doc.graph if no_inference else materialize(doc.graph).graph
-
-
 def _cmd_parse(args) -> int:
     doc = _load_document(args.file)
     if args.format == "json":
@@ -153,6 +150,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .reasoner import EntailmentView
     from .sparql import evaluate, parse_query
 
     doc = _load_document(args.file)
@@ -160,7 +158,7 @@ def _cmd_query(args) -> int:
         query = parse_query(_read_text(args.query))
     except ParseError as exc:
         raise _CliError(f"{args.query}:{exc.line}:{exc.column}: {exc.detail}") from exc
-    table = evaluate(query, _working_graph(doc, args.no_inference))
+    table = evaluate(query, doc.graph if args.no_inference else EntailmentView(doc.graph))
     if args.format == "json":
         _emit_json(table.to_json_dict(), args.output)
     else:
@@ -169,7 +167,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .reasoner import subclasses_of
+    from .reasoner import materialize, subclasses_of
     from .shacl import ShapeError, parse_shapes, validate
     from .vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
@@ -180,7 +178,7 @@ def _cmd_validate(args) -> int:
     except ShapeError as exc:
         raise _CliError(f"{args.shapes}: {exc}") from exc
     reads_closure = any(c.path in (RDF_TYPE, RDFS_SUBCLASS_OF) for s in shapes for c in s.constraints)
-    graph = _working_graph(doc, args.no_inference) if reads_closure else doc.graph
+    graph = materialize(doc.graph).graph if reads_closure and not args.no_inference else doc.graph
     report = validate(graph, shapes, subclasses_of)
     if args.format == "json":
         _emit_json(report.to_json_dict(), args.output)

@@ -239,18 +239,19 @@ class Graph:
     answer in insertion order, whatever the hash seed; the graph never
     sorts.  Reports that must not depend on load order sort what they read.
 
-    The index at each position (subject, predicate, object) is built from
-    the triple set by the first lookup that reads that position; a write
-    that adds a triple drops all three, and a copy starts without them.
-    Loading or writing a graph builds none.  Each index is published whole
-    in one assignment, so concurrent first readers each see either none,
-    and build their own, or a complete one.
+    The index at each position (subject, predicate, object) maps a term to
+    its pool, the list of the triples that hold it there, in insertion
+    order.  It is built from the triple set by the first lookup that reads
+    that position; a write that adds a triple drops all three, and a copy
+    starts without them.  Loading or writing a graph builds none.  Each
+    index is published whole in one assignment, so concurrent first readers
+    each see either none, and build their own, or a complete one.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: dict[Triple, None] = {}
-        # pools by subject, predicate and object: insertion-ordered dicts used
-        # as sets, each None until read; the list is None until a lookup
+        # pools by subject, predicate and object: lists, each index None
+        # until read; the list of the three is None until a lookup
         self._index: Optional[list[Optional[dict]]] = None
         self.update(triples)
 
@@ -275,7 +276,9 @@ class Graph:
     def _pools(self, position: int) -> dict:
         """The index at `position` (0 subject, 1 predicate, 2 object), built
         in one pass over the triples at its first read, which keeps its pools
-        near each other in memory, and published whole."""
+        near each other in memory, and published whole.  A pool is a list:
+        the triples are a set and a write drops the index, so it holds no
+        duplicate."""
         index = self._index
         if index is None:
             index = self._index = [None, None, None]
@@ -283,7 +286,7 @@ class Graph:
         if pools is None:
             pools = {}
             for t in self._triples:
-                pools.setdefault(t[position], {})[t] = None
+                pools.setdefault(t[position], []).append(t)
             index[position] = pools
         return pools
 

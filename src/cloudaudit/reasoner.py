@@ -27,6 +27,11 @@ edges).  So a pair d edges apart appears in round (d-1).bit_length(), a
 type δ edges above in round δ.bit_length(), and `iterations` is one more
 than the latest of these: 1 when nothing is inferred.
 
+`EntailmentView` answers the lookups of a query on the closure from the
+asserted graph, by backward chaining over subClassOf where it can (as in
+QueryPIE, Urbani et al. 2011), and builds the closure only for a lookup it
+cannot answer so.
+
 Reflexivity of subClassOf is answered by `subclasses_of` rather than being
 materialized, which keeps inferred graphs small.  Domain/range entailment is
 deliberately not applied: the model declares domains and ranges as
@@ -36,8 +41,9 @@ documentation, and materializing them would type nodes nobody asserted.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator, Optional
 
-from .rdf import Graph, Iri, Record, Term, Triple
+from .rdf import Graph, Iri, Record, Term, Triple, _triple
 from .vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
 
@@ -129,3 +135,57 @@ def subclasses_of(graph: Graph, cls: Iri) -> set[Term]:
                 seen.add(sub)
                 queue.append(sub)
     return seen
+
+
+class EntailmentView:
+    """The closure of an asserted graph as `sparql.evaluate` reads it: its
+    `triples`, `pool_size` and `len`, answered from the asserted graph where
+    the rules allow.
+
+    A lookup (s?, rdf:type, C) with a given class is the asserted instances
+    of each class in `subclasses_of(asserted, C)`, once per subject, typed C.
+    A lookup whose predicate is given and is neither rdf:type nor
+    rdfs:subClassOf reads the asserted graph, as R1 and R2 add no other
+    triples.  Any other lookup (a free predicate, rdf:type with a free
+    object, or rdfs:subClassOf) reads the closure, built by the first such
+    lookup and indexed by its own lookups.  So each lookup answers the
+    closure's triples, though not in the closure's order.  `pool_size` and
+    `len` are the asserted graph's: they only order a plan.  The asserted
+    graph must not change while the view is in use.
+    """
+
+    def __init__(self, asserted: Graph):
+        self.asserted = asserted
+        self._closed: Optional[Graph] = None
+        self._subclasses: dict[Term, set[Term]] = {}  # class -> subclasses_of it
+
+    def __len__(self) -> int:
+        return len(self.asserted)
+
+    def pool_size(self, position: int, term: Optional[Term] = None) -> float:
+        return self.asserted.pool_size(position, term)
+
+    def triples(
+        self,
+        subject: Optional[Term] = None,
+        predicate: Optional[Term] = None,
+        obj: Optional[Term] = None,
+    ) -> Iterator[Triple]:
+        if predicate == RDF_TYPE and obj is not None:
+            return self._instances(subject, obj)
+        if predicate is not None and predicate != RDF_TYPE and predicate != RDFS_SUBCLASS_OF:
+            return self.asserted.triples(subject, predicate, obj)
+        if self._closed is None:
+            self._closed = _closure(self.asserted).graph
+        return self._closed.triples(subject, predicate, obj)
+
+    def _instances(self, subject: Optional[Term], cls: Term) -> Iterator[Triple]:
+        classes = self._subclasses.get(cls)
+        if classes is None:
+            classes = self._subclasses[cls] = subclasses_of(self.asserted, cls)
+        seen: set[Term] = set()
+        for c in classes:
+            for t in self.asserted.triples(subject, RDF_TYPE, c):
+                if t.subject not in seen:
+                    seen.add(t.subject)
+                    yield _triple((t.subject, RDF_TYPE, cls))

@@ -493,8 +493,10 @@ def _solve(lookup, plan: _Plan, seed: tuple) -> Iterator[tuple]:
 
 
 def evaluate(query: Query, graph: Graph) -> SolutionTable:
-    """Evaluate a query against a graph (the caller picks asserted or
-    materialized) and return the projected, deduplicated, sorted table.
+    """Evaluate a query against a graph, or anything that answers its
+    `triples`, `pool_size` and `len` as reasoner.EntailmentView does, and
+    return the projected, deduplicated, sorted table.  The rows do not
+    depend on the order in which a lookup yields its triples.
 
     An empty WHERE group yields a single empty solution, so `SELECT *
     WHERE { }` has one row of no columns.

@@ -1,6 +1,7 @@
 """The summary `tools/bench_pairs.py` writes, on synthetic pairs of runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,51 @@ def test_a_failed_run_shows_its_stderr_and_exits_one(tmp_path, capsys):
     assert err[0] == "cli_gate seed 7: the base run exited 1; the end of its stderr:"
     assert err[1:] == [f"line {k}" for k in range(40 - bench_pairs.STDERR_LINES, 40)]
     assert not out.exists()
+
+
+# What perfbench/run.py prints: a summary line, one line per job (the
+# batch_audit fleet line has no count), then the JSON result line.
+FAKE_RUN = """\
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+fast = "change" in __file__
+print("cli_gate: 40 commands in 2 round(s), scaled p50 130.0 ms")
+print(f"  {'query:m320':32s} scaled median {(90 if fast else 100) + seed:8.1f} ms  x8")
+print(f"  {'parse:m40':32s} scaled median {50 + seed:8.2f} ms  x12")
+print(f"  {'engine audit':32s} scaled median {7.5:8.2f} ms")
+print(json.dumps({"correct": True, "attempted": 40, "failed": 0,
+                  "metrics": {"op_ms": {"value": 130.0, "unit": "ms"}}}))
+"""
+
+
+def test_each_run_keeps_its_job_lines(tmp_path):
+    checkouts = {}
+    for side in ("base", "change"):
+        checkouts[side] = tmp_path / side
+        (checkouts[side] / "perfbench").mkdir(parents=True)
+        (checkouts[side] / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (checkouts["change"] / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "op_ms", "better": "lower", "bound": 0.25}], "per_layer": []}'
+    )
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--base", str(checkouts["base"]), "--change", str(checkouts["change"]),
+                             "--workload", "cli_gate", "--pairs", "2", "--first-seed", "3",
+                             "--seconds", "1", "--out", str(out)])
+    assert code == 0
+    entry = json.loads(out.read_text())["cli_gate"]
+    first = entry["pairs"][0]
+    assert first["base"]["jobs"] == {
+        "query:m320": {"value": 103.0, "unit": "ms"},
+        "parse:m40": {"value": 53.0, "unit": "ms"},
+        "engine audit": {"value": 7.5, "unit": "ms"},
+    }
+    assert first["change"]["jobs"]["query:m320"] == {"value": 93.0, "unit": "ms"}
+    jobs = entry["job_summary"]
+    assert sorted(jobs) == ["engine audit", "parse:m40", "query:m320"]
+    assert jobs["query:m320"]["change_wins"] == 2 and jobs["parse:m40"]["change_wins"] == 0
+    assert jobs["query:m320"]["base_quartiles"] == [103.25, 103.5, 103.75]
+    assert entry["summary"]["op_ms"]["pairs"] == 2
+
+
+def test_records_without_job_lines_have_no_job_summary():
+    assert bench_pairs.summary(pairs_of(STEADY, STEADY), DECLARED, "jobs") == {}

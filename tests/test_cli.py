@@ -16,10 +16,11 @@ import cloudaudit
 from cloudaudit import cli
 from cloudaudit.cli import main
 from cloudaudit.rdf import Graph
-from cloudaudit.reasoner import materialize, subclasses_of
+from cloudaudit.reasoner import EntailmentView, materialize, subclasses_of
 from cloudaudit.shacl import parse_shapes, validate
+from cloudaudit.sparql import evaluate, parse_query
 from cloudaudit.turtle import Document, parse_turtle, serialize_turtle
-from cloudaudit.vocab import RDF_TYPE
+from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
 from oracles import CLOUDENG, gen, isomorphic, naive_rounds, type_closure
 
@@ -217,6 +218,32 @@ class TestEntailment:
         assert expected != validate(asserted, typed, subclasses_of)
         assert (code, json.loads(out)) == (2, expected.to_json_dict())
 
+    def test_query_with_the_fixture_query_builds_no_closure(self, run, model, gap_model,
+                                                            gap_query, closures):
+        """Its type pattern is answered from the asserted subClassOf edges."""
+        assert run("query", model, gap_query)[0] == 0
+        code, out, _ = run("query", gap_model, gap_query, "--format", "json")
+        assert code == 0 and "Swift" in out
+        assert closures == []
+
+    @pytest.mark.parametrize("where", [
+        "?s ?p ?o",
+        f"?c <{RDFS_SUBCLASS_OF.value}> <{CLOUDENG}Interface>",
+        "?s a ?c . FILTER EXISTS { ?s ?p ?o . FILTER NOT EXISTS { ?o a ?c } }",
+    ], ids=["variable predicate", "subClassOf", "type with a variable object"])
+    def test_query_reading_the_closure_builds_it_once(self, run, model, tmp_path, closures,
+                                                      where):
+        query_path = tmp_path / "closure.rq"
+        query_path.write_text(f"SELECT * WHERE {{ {where} }}", encoding="utf-8")
+        code, out, _ = run("query", model, str(query_path), "--format", "json")
+        (built,) = closures
+        asserted = parse_turtle(Path(model).read_text(encoding="utf-8")).graph
+        assert list(built) == list(asserted)
+        expected = evaluate(parse_query(query_path.read_text(encoding="utf-8")),
+                            materialize(asserted).graph)
+        assert expected.rows
+        assert (code, json.loads(out)) == (0, expected.to_json_dict())
+
 
 class TestIndexesBuilt:
     """A graph builds the index of a position (subject, predicate, object)
@@ -269,10 +296,16 @@ class TestIndexesBuilt:
 
     @pytest.mark.parametrize("options", [[], ["--no-inference"]], ids=["closure", "asserted"])
     def test_query_reads_all_three(self, run, model, gap_query, graphs, options):
+        """With inference, the query reads the asserted graph through a view,
+        which answers the fixture query without building the closure."""
         assert run("query", model, gap_query, *options)[0] == 0
         asserted, queried = graphs
-        assert (queried is asserted) is bool(options)
-        assert self.built(queried) == ["subject", "predicate", "object"]
+        if options:
+            assert queried is asserted
+        else:
+            assert isinstance(queried, EntailmentView) and queried.asserted is asserted
+            assert queried._closed is None
+        assert self.built(asserted) == ["subject", "predicate", "object"]
 
     def test_parse_builds_none(self, run, model, graphs):
         assert run("parse", model)[0] == 0

@@ -28,7 +28,7 @@ from cloudaudit.rdf import (
 from cloudaudit.reasoner import materialize
 from cloudaudit.openstack import ingest, parse_cli_json
 from cloudaudit.turtle import parse_turtle, serialize_turtle
-from cloudaudit.vocab import RDF_TYPE
+from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
 from oracles import CLOUDENG, ISO, SEC, ce, isomorphic, scan_match, sec
 
@@ -43,6 +43,10 @@ objects_st = st.one_of(
     st.builds(Literal, st.text(alphabet="xyz", max_size=2)),
 )
 triples_st = st.builds(Triple, subjects_st, predicates_st, objects_st)
+# triples the reasoner's rules read, among others
+class_triples_st = st.builds(
+    Triple, subjects_st, st.sampled_from([RDF_TYPE, RDFS_SUBCLASS_OF, IRIS[0]]), objects_st
+)
 
 # terms of every kind whose strings collide on purpose
 COLLIDING = ["x", "_:x", "http://x/a"]
@@ -83,6 +87,18 @@ def index_pools(g: Graph) -> list:
     for position in range(3):
         g.pool_size(position)
     return [[(term, list(pool)) for term, pool in index.items()] for index in g._index]
+
+
+def assert_pools_equal_scan(g: Graph) -> None:
+    """Each pool of each index, built by a lookup, is the list a scan finds:
+    the same triples, in insertion order, none twice."""
+    for position in range(3):
+        g.pool_size(position)
+        index = g._index[position]
+        assert list(index) == list(dict.fromkeys(t[position] for t in g))
+        for key, pool in index.items():
+            assert type(pool) is list
+            assert pool == [t for t in g if t[position] == key]
 
 
 def pattern_slot(concrete_st):
@@ -338,6 +354,32 @@ class TestGraph:
             assert clone.subjects(IRIS[1], IRIS[2]) == [IRIS[0]]
             for graph in (original, clone):
                 assert_lookups_equal_scan(graph, TriplePattern(Var("s"), IRIS[1], Var("o")))
+
+    @given(st.lists(st.one_of(class_triples_st, st.lists(class_triples_st, max_size=8)),
+                    max_size=12))
+    def test_pools_equal_a_scan(self, writes):
+        """After each write by `add` or `update` the pools are rebuilt as a
+        scan finds them; so are those of a copy, of a copy written to, and
+        of the closure that `materialize` indexes."""
+        g = Graph()
+        for write in writes:
+            if isinstance(write, Triple):
+                g.add(write)
+            else:
+                g.update(write)
+            assert_pools_equal_scan(g)
+        clone = g.copy()
+        assert_pools_equal_scan(clone)
+        clone.update(Triple(t.object, t.predicate, t.subject) for t in g
+                     if not isinstance(t.object, Literal))
+        assert_pools_equal_scan(clone)
+        closure = materialize(g).graph
+        assert closure._index is not None and None not in closure._index
+        assert_pools_equal_scan(closure)
+
+    def test_pools_of_the_fixture_closure_equal_a_scan(self, model_doc):
+        assert_pools_equal_scan(model_doc.graph.copy())
+        assert_pools_equal_scan(materialize(model_doc.graph).graph)
 
     def test_parse_builds_no_index_and_materialize_builds_one(self, fixtures_dir):
         asserted = parse_turtle((fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")).graph

@@ -2,6 +2,7 @@
 
 import os
 import subprocess
+from itertools import product
 import sys
 from pathlib import Path
 
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloudaudit
-from cloudaudit.rdf import BlankNode, Graph, Iri, Literal, Triple
-from cloudaudit.reasoner import materialize, subclasses_of
+from cloudaudit.rdf import BlankNode, Graph, Iri, Literal, PrefixMap, Triple, TriplePattern, Var
+from cloudaudit.reasoner import EntailmentView, materialize, subclasses_of
+from cloudaudit.sparql import FilterExistence, GraphPattern, Polarity, Query, evaluate
 from cloudaudit.vocab import (
     AUDIT_INTERFACE,
     BUSINESS_INTERFACE,
@@ -172,6 +174,97 @@ def test_general_hierarchies_match_reachability_oracle(g):
     again = materialize(result.graph)
     assert (again.iterations, again.inferred_count) == (1, 0)
     assert list(again.graph) == list(result.graph)
+
+
+# --- the entailment view against the closure ---------------------------------
+
+OTHER = Iri("http://hier.test/p")  # a predicate the rules never add
+DEEP = [Iri(f"http://hier.test/D{i}") for i in (0, 1, 7, 30)]
+VIEW_TERMS = CLASSES[:4] + BNODE_CLASSES + INSTANCES[:4] + DEEP + [Literal("not a class")]
+_VARS = [Var("x"), Var("y"), Var("z")]
+
+
+@st.composite
+def view_graphs(draw):
+    """`general_class_graphs` plus triples of another predicate, and more
+    types among few instances, so that one node often has two classes
+    under a third."""
+    g = draw(general_class_graphs())
+    nodes = INSTANCES[:4] + CLASSES[:4] + BNODE_CLASSES
+    for _ in range(draw(st.integers(0, 8))):
+        g.add(Triple(draw(st.sampled_from(nodes)), OTHER, draw(st.sampled_from(nodes + SUPERS))))
+    for _ in range(draw(st.integers(0, 8))):
+        g.add(Triple(draw(st.sampled_from(nodes)), RDF_TYPE, draw(st.sampled_from(VIEW_TERMS))))
+    return g
+
+
+def _slot_st(terms):
+    return st.one_of(st.sampled_from(_VARS), st.sampled_from(terms))
+
+
+# predicates are rdf:type, rdfs:subClassOf, the other predicate or a variable
+_view_pattern_st = st.builds(
+    TriplePattern,
+    _slot_st(VIEW_TERMS),
+    _slot_st([RDF_TYPE, RDF_TYPE, RDFS_SUBCLASS_OF, OTHER]),
+    _slot_st(VIEW_TERMS),
+)
+
+
+@st.composite
+def _view_group_st(draw, depth=0):
+    """Up to three patterns, and FILTER [NOT] EXISTS groups nested two deep."""
+    group = GraphPattern(triples=draw(st.lists(_view_pattern_st, min_size=1, max_size=3)))
+    for _ in range(draw(st.integers(0, 2 - depth))):
+        polarity = draw(st.sampled_from([Polarity.EXISTS, Polarity.NOT_EXISTS]))
+        group.filters.append(FilterExistence(polarity, draw(_view_group_st(depth + 1))))
+    return group
+
+
+@given(view_graphs())
+@settings(max_examples=150, deadline=None)
+def test_view_lookups_answer_the_reachability_closure(g):
+    """Every lookup of the view with terms of the graph yields, once each,
+    the triples of the closure that the reachability oracle computes."""
+    answers: dict[tuple, set] = {}  # lookup -> the closure's triples it matches
+    for t in type_closure(g):
+        for given_terms in product(*((None, term) for term in t)):
+            answers.setdefault(given_terms, set()).add(t)
+    view = EntailmentView(g)
+    keys = [None] + VIEW_TERMS
+    for given_terms in product(keys, [None, RDF_TYPE, RDFS_SUBCLASS_OF, OTHER], keys):
+        hits = list(view.triples(*given_terms))
+        assert len(hits) == len(set(hits))
+        assert set(hits) == answers.get(given_terms, set()), given_terms
+
+
+@given(view_graphs(), _view_group_st())
+@settings(max_examples=200, deadline=None)
+def test_view_evaluates_like_the_closure(g, where):
+    query = Query(PrefixMap(), None, where)
+    assert evaluate(query, EntailmentView(g)) == evaluate(query, materialize(g).graph)
+
+
+def test_view_builds_the_closure_once_and_only_when_a_lookup_needs_it(monkeypatch):
+    from cloudaudit import reasoner
+
+    built = []
+    unpatched = reasoner._closure
+
+    def closure(graph):
+        built.append(graph)
+        return unpatched(graph)
+
+    monkeypatch.setattr(reasoner, "_closure", closure)
+    a, b, i = Iri("http://x.test/A"), Iri("http://x.test/B"), Iri("http://x.test/i")
+    g = Graph([Triple(a, RDFS_SUBCLASS_OF, b), Triple(i, RDF_TYPE, a), Triple(i, OTHER, b)])
+    view = EntailmentView(g)
+    assert list(view.triples(None, RDF_TYPE, b)) == [Triple(i, RDF_TYPE, b)]
+    assert list(view.triples(i, OTHER, None)) == [Triple(i, OTHER, b)]
+    assert built == [] and len(view) == 3 and view.pool_size(1, RDF_TYPE) == 1
+    for lookup in ((None, None, None), (i, RDF_TYPE, None), (None, RDFS_SUBCLASS_OF, b)):
+        assert set(view.triples(*lookup)) <= type_closure(g)
+    assert built == [g]
 
 
 def chain(depth: int) -> Graph:

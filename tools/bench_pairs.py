@@ -4,7 +4,10 @@ Runs `perfbench/run.py` of a base checkout and of a changed one on the same
 seeds, alternating which side goes first, and records the JSON result line
 each run prints, both sides, with a per-metric summary: each side's
 quartiles, how many pairs the change won and a verdict (see `verdict`), and
-each side's attempted and failed operations.  Results for other workloads
+each side's attempted and failed operations.  Each run also keeps the
+per-job lines it prints before that line (`name  scaled median X ms  xN`)
+under "jobs", summarized per job under "job_summary" the same way, so that
+a record shows which commands moved.  Results for other workloads
 already in the output file are kept, and their summaries recomputed, so one
 file can collect several workloads:
 
@@ -20,22 +23,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 STDERR_LINES = 20  # of a failed run, written before giving up
+JOB_LINE_RE = re.compile(r"\s*(\S.*?)\s+scaled median\s+(\S+) ms(?:\s+x\d+)?")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The last stdout line of one perfbench run, decoded."""
+    """The last stdout line of one perfbench run, decoded, with the scaled
+    median of each job line before it under "jobs"."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    *lines, last = proc.stdout.strip().splitlines()
+    result = json.loads(last)
+    result["jobs"] = {m[1]: {"value": float(m[2]), "unit": "ms"}
+                      for m in map(JOB_LINE_RE.fullmatch, lines) if m}
+    return result
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -69,13 +79,15 @@ def verdict(base: list[float], change: list[float], wins: int, lower: bool,
     return "no change"
 
 
-def summary(pairs: list[dict], declared: dict[str, dict]) -> dict:
-    """Per metric: both sides' quartiles, in how many pairs the change was
-    better in the direction BENCHMARK.json gives, and the verdict."""
+def summary(pairs: list[dict], declared: dict[str, dict], part: str = "metrics") -> dict:
+    """Per metric, or per job with `part="jobs"`: both sides' quartiles, in
+    how many pairs the change was better in the direction BENCHMARK.json
+    gives (lower when it gives none), and the verdict."""
     out = {}
-    for name in pairs[0]["base"]["metrics"]:
-        base = [p["base"]["metrics"][name]["value"] for p in pairs]
-        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+    runs = [p[side].get(part, {}) for p in pairs for side in ("base", "change")]
+    for name in [n for n in runs[0] if all(n in run for run in runs)]:
+        base = [p["base"][part][name]["value"] for p in pairs]
+        change = [p["change"][part][name]["value"] for p in pairs]
         spec = declared.get(name, {})
         lower = spec.get("better", "lower") == "lower"
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
@@ -134,6 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     results[key] = {"seconds": args.seconds, "pairs": pairs}
     for entry in results.values():
         entry["summary"] = summary(entry["pairs"], declared)
+        entry["job_summary"] = summary(entry["pairs"], {}, "jobs")
         entry["outcomes"] = outcomes(entry["pairs"])
     args.out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     return 0
