@@ -8,18 +8,19 @@ CI-friendly:
     2  shape violations present
     3  compliance gaps present
 
-Unless --no-inference is given, query reads the RDFS closure through a
-view of the asserted graph (reasoner.EntailmentView), which builds the
-closure only for a lookup that the asserted graph and its subClassOf edges
-cannot answer, and validate runs against the materialized graph when a
-shape's path is rdf:type or rdfs:subClassOf; compliance reads neither and
-runs on the asserted graph.
+Unless --no-inference is given, query and validate answer on the RDFS
+closure, built only where they read a predicate the closure adds (the
+reasoner's module docstring states the rule): query reads the asserted
+graph through reasoner.EntailmentView, and validate materializes for a
+shape whose path is one of reasoner.INFERRED_PREDICATES.  compliance runs
+on the asserted graph.
 
 Each command handler imports the layers it runs, so a command pays the
-start-up cost of those layers only.  `main` runs a command with the cyclic
-garbage collector off, as a one-shot command makes no reference cycles that
-grow with its input, and restores the collector's earlier state however the
-command ends.
+start-up cost of those layers only.  It reads each file through
+`_from_file`, which names the file in any error, and writes its report
+through `_report`.  `main` runs a command with the cyclic garbage collector
+off, as a one-shot command makes no reference cycles that grow with its
+input, and restores the collector's earlier state however the command ends.
 """
 
 from __future__ import annotations
@@ -29,10 +30,13 @@ import gc
 import os
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import __version__
 from .rdf import Iri, UnknownPrefixError
 from .turtle import Document, ParseError, parse_turtle, serialize_turtle
+
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,11 +74,17 @@ def _read_text(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_document(path: str) -> Document:
+def _from_file(path: str, read: Callable[[str], T]) -> T:
+    """`read` of the text of the file at `path`, with a `ParseError` told as
+    `path:line:col: detail` and any other `ValueError` (a shape, JSON or
+    record error) as `path: message`."""
+    text = _read_text(path)
     try:
-        return parse_turtle(_read_text(path))
+        return read(text)
     except ParseError as exc:
         raise _CliError(f"{path}:{exc.line}:{exc.column}: {exc.detail}") from exc
+    except ValueError as exc:
+        raise _CliError(f"{path}: {exc}") from exc
 
 
 def _write_output(text: str, out_path: str | None):
@@ -97,10 +107,15 @@ def _write_output(text: str, out_path: str | None):
         raise _CliError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
-def _emit_json(payload: dict, out_path: str | None):
-    import json
+def _report(args, payload: Callable[[], dict], text: Callable[[], str]):
+    """Write a command's report as --format asks: `payload()` as JSON, or
+    `text()` and a newline."""
+    if args.format == "json":
+        import json
 
-    _write_output(json.dumps(payload, indent=2) + "\n", out_path)
+        _write_output(json.dumps(payload(), indent=2) + "\n", args.output)
+    else:
+        _write_output(text() + "\n", args.output)
 
 
 def _resolve_iri(text: str, doc: Document) -> Iri:
@@ -119,24 +134,19 @@ def _resolve_iri(text: str, doc: Document) -> Iri:
 
 
 def _cmd_parse(args) -> int:
-    doc = _load_document(args.file)
-    if args.format == "json":
-        _emit_json(
-            {"file": args.file, "triples": len(doc.graph), "prefixes": len(doc.prefixes)},
-            args.output,
-        )
-    else:
-        _write_output(
-            f"{args.file}: {len(doc.graph)} triples, {len(doc.prefixes)} prefixes\n",
-            args.output,
-        )
+    doc = _from_file(args.file, parse_turtle)
+    _report(
+        args,
+        lambda: {"file": args.file, "triples": len(doc.graph), "prefixes": len(doc.prefixes)},
+        lambda: f"{args.file}: {len(doc.graph)} triples, {len(doc.prefixes)} prefixes",
+    )
     return EXIT_OK
 
 
 def _cmd_infer(args) -> int:
     from .reasoner import _closure  # the writer makes no lookup, so no indexes
 
-    doc = _load_document(args.file)
+    doc = _from_file(args.file, parse_turtle)
     closure = _closure(doc.graph)
     try:
         text = serialize_turtle(Document(closure.graph, doc.prefixes))
@@ -153,44 +163,30 @@ def _cmd_query(args) -> int:
     from .reasoner import EntailmentView
     from .sparql import evaluate, parse_query
 
-    doc = _load_document(args.file)
-    try:
-        query = parse_query(_read_text(args.query))
-    except ParseError as exc:
-        raise _CliError(f"{args.query}:{exc.line}:{exc.column}: {exc.detail}") from exc
+    doc = _from_file(args.file, parse_turtle)
+    query = _from_file(args.query, parse_query)
     table = evaluate(query, doc.graph if args.no_inference else EntailmentView(doc.graph))
-    if args.format == "json":
-        _emit_json(table.to_json_dict(), args.output)
-    else:
-        _write_output(table.to_text(doc.prefixes) + "\n", args.output)
+    _report(args, table.to_json_dict, lambda: table.to_text(doc.prefixes))
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    from .reasoner import materialize, subclasses_of
-    from .shacl import ShapeError, parse_shapes, validate
-    from .vocab import RDF_TYPE, RDFS_SUBCLASS_OF
+    from .reasoner import INFERRED_PREDICATES, materialize, subclasses_of
+    from .shacl import parse_shapes, validate
 
-    doc = _load_document(args.file)
-    shapes_doc = _load_document(args.shapes)
-    try:
-        shapes = parse_shapes(shapes_doc)
-    except ShapeError as exc:
-        raise _CliError(f"{args.shapes}: {exc}") from exc
-    reads_closure = any(c.path in (RDF_TYPE, RDFS_SUBCLASS_OF) for s in shapes for c in s.constraints)
+    doc = _from_file(args.file, parse_turtle)
+    shapes = _from_file(args.shapes, lambda text: parse_shapes(parse_turtle(text)))
+    reads_closure = any(c.path in INFERRED_PREDICATES for s in shapes for c in s.constraints)
     graph = materialize(doc.graph).graph if reads_closure and not args.no_inference else doc.graph
     report = validate(graph, shapes, subclasses_of)
-    if args.format == "json":
-        _emit_json(report.to_json_dict(), args.output)
-    else:
-        _write_output(report.to_text() + "\n", args.output)
+    _report(args, report.to_json_dict, report.to_text)
     return EXIT_OK if report.conforms else EXIT_VIOLATIONS
 
 
 def _cmd_compliance(args) -> int:
     from .compliance import NoPolicyError, coverage, remediation_hints
 
-    doc = _load_document(args.file)
+    doc = _from_file(args.file, parse_turtle)
     engine = _resolve_iri(args.engine, doc)
     try:
         report = coverage(doc.graph, engine)
@@ -199,15 +195,14 @@ def _cmd_compliance(args) -> int:
     for warning in report.warnings:
         sys.stderr.write(f"warning: {warning}\n")
     hints = remediation_hints(report, doc.graph, doc.prefixes)
-    if args.format == "json":
-        payload = report.to_json_dict()
-        payload["hints"] = hints
-        _emit_json(payload, args.output)
-    else:
-        text = report.to_text(doc.prefixes)
+
+    def text() -> str:
+        body = report.to_text(doc.prefixes)
         if hints:
-            text += "\n\nhints:\n" + "\n".join(f"  - {h}" for h in hints)
-        _write_output(text + "\n", args.output)
+            body += "\n\nhints:\n" + "\n".join(f"  - {h}" for h in hints)
+        return body
+
+    _report(args, lambda: {**report.to_json_dict(), "hints": hints}, text)
     return EXIT_GAPS if report.gap_count else EXIT_OK
 
 
@@ -222,36 +217,23 @@ def _parse_policy_file_args(pairs: list[str]) -> dict[str, str]:
 
 
 def _cmd_ingest(args) -> int:
-    from .openstack import (
-        IngestConfig,
-        IngestError,
-        JsonShapeError,
-        ingest,
-        load_json,
-        parse_cli_json,
-    )
+    from .openstack import IngestConfig, IngestError, ingest, load_json, parse_cli_json
+
+    def read_versions(text: str) -> dict[str, str]:
+        versions = load_json(text)
+        if not isinstance(versions, dict):
+            raise ValueError("expected an object of service -> version")
+        for service, version in versions.items():
+            if not isinstance(version, str):
+                raise ValueError(f"service {service!r}: expected a version string, "
+                                 f"got {type(version).__name__}")
+        return versions
 
     records = {}
     for kind in ("endpoints", "projects", "users", "assignments"):
         path = getattr(args, kind)
-        try:
-            records[kind] = [] if path is None else parse_cli_json(_read_text(path), kind)
-        except JsonShapeError as exc:
-            raise _CliError(f"{path}: {exc}") from exc
-
-    versions: dict[str, str] = {}
-    if args.versions:
-        try:
-            raw = load_json(_read_text(args.versions))
-        except JsonShapeError as exc:
-            raise _CliError(f"{args.versions}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise _CliError(f"{args.versions}: expected an object of service -> version")
-        for service, version in raw.items():
-            if not isinstance(version, str):
-                raise _CliError(f"{args.versions}: service {service!r}: expected a version "
-                                f"string, got {type(version).__name__}")
-        versions = raw
+        records[kind] = [] if path is None else _from_file(path, lambda text: parse_cli_json(text, kind))
+    versions = _from_file(args.versions, read_versions) if args.versions else {}
 
     config = IngestConfig(
         instance_namespace=args.namespace,

@@ -27,6 +27,11 @@ edges).  So a pair d edges apart appears in round (d-1).bit_length(), a
 type δ edges above in round δ.bit_length(), and `iterations` is one more
 than the latest of these: 1 when nothing is inferred.
 
+R1 adds only rdfs:subClassOf triples and R2 only rdf:type triples
+(`INFERRED_PREDICATES`), so a reader of any other predicate finds the same
+triples in the asserted graph, and needs the closure only if it reads one
+of these two.
+
 `EntailmentView` answers the lookups of a query on the closure from the
 asserted graph, by backward chaining over subClassOf where it can (as in
 QueryPIE, Urbani et al. 2011), and builds the closure only for a lookup it
@@ -45,6 +50,8 @@ from typing import Iterator, Optional
 
 from .rdf import Graph, Iri, Record, Term, Triple, _triple
 from .vocab import RDF_TYPE, RDFS_SUBCLASS_OF
+
+INFERRED_PREDICATES = (RDFS_SUBCLASS_OF, RDF_TYPE)  # of R1's and R2's triples
 
 
 class ClosureResult(Record):
@@ -144,11 +151,10 @@ class EntailmentView:
 
     A lookup (s?, rdf:type, C) with a given class is the asserted instances
     of each class in `subclasses_of(asserted, C)`, once per subject, typed C.
-    A lookup whose predicate is given and is neither rdf:type nor
-    rdfs:subClassOf reads the asserted graph, as R1 and R2 add no other
-    triples.  Any other lookup (a free predicate, rdf:type with a free
-    object, or rdfs:subClassOf) reads the closure, built by the first such
-    lookup and indexed by its own lookups.  So each lookup answers the
+    A lookup whose predicate is given and not in `INFERRED_PREDICATES` reads
+    the asserted graph.  Any other lookup (a free predicate, rdf:type with a
+    free object, or rdfs:subClassOf) reads the closure, built by the first
+    such lookup and indexed by its own lookups.  So each lookup answers the
     closure's triples, though not in the closure's order.  `pool_size` and
     `len` are the asserted graph's: they only order a plan.  The asserted
     graph must not change while the view is in use.
@@ -173,7 +179,7 @@ class EntailmentView:
     ) -> Iterator[Triple]:
         if predicate == RDF_TYPE and obj is not None:
             return self._instances(subject, obj)
-        if predicate is not None and predicate != RDF_TYPE and predicate != RDFS_SUBCLASS_OF:
+        if predicate is not None and predicate not in INFERRED_PREDICATES:
             return self.asserted.triples(subject, predicate, obj)
         if self._closed is None:
             self._closed = _closure(self.asserted).graph

@@ -235,7 +235,6 @@ class _QueryParser(TokenStream):
         if tok.kind == "string" and allow_literal:
             return Literal(tok.value)
         self._fail(tok, f"unsupported term here: {tok.kind!r}")
-        raise AssertionError("unreachable")
 
 
 def _keyword(word: str) -> str:

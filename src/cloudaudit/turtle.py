@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .rdf import (
     BlankNode,
@@ -357,7 +357,7 @@ class TokenStream:
     def _error(self, tok: Token, kind: ErrorKind, detail: str) -> ParseError:
         return ParseError.at(self.text, tok.offset, kind, detail)
 
-    def _fail(self, tok: Token, detail: str):
+    def _fail(self, tok: Token, detail: str) -> NoReturn:
         raise self._error(tok, ErrorKind.UNEXPECTED_TOKEN, detail)
 
     def _iri(self, tok: Token, prefixes: PrefixMap) -> Iri:
@@ -533,7 +533,6 @@ class _Parser(TokenStream):
         if tok.kind in ("iriref", "pname"):
             return self._iri(tok, self.doc.prefixes)
         self._fail(tok, f"expected a subject, found {self._describe(tok)}")
-        raise AssertionError("unreachable")
 
     def _verb(self) -> Iri:
         tok = self._take()
@@ -542,7 +541,6 @@ class _Parser(TokenStream):
         if tok.kind in ("iriref", "pname"):
             return self._iri(tok, self.doc.prefixes)
         self._fail(tok, f"expected a predicate, found {self._describe(tok)}")
-        raise AssertionError("unreachable")
 
     def _object(self) -> Term:
         tok = self._cur()
@@ -556,7 +554,6 @@ class _Parser(TokenStream):
         if tok.kind == "integer":
             return Literal(tok.value, XSD_INTEGER)
         self._fail(tok, f"expected an object, found {self._describe(tok)}")
-        raise AssertionError("unreachable")
 
     def _predicate_object_list(self, subject: Term):
         while True:

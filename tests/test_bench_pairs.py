@@ -97,6 +97,22 @@ def test_a_failed_run_shows_its_stderr_and_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_a_usage_error_before_any_run(tmp_path, capsys, pairs):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    ran = tmp_path / "ran"
+    (checkout / "perfbench" / "run.py").write_text(f"open({str(ran)!r}, 'w').close()\n")
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--base", str(checkout), "--change", str(checkout),
+                          "--workload", "cli_gate", "--pairs", pairs, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: --pairs must be at least 1, got {pairs}")
+    assert not ran.exists() and not out.exists()
+
+
 # What perfbench/run.py prints: a summary line, one line per job (the
 # batch_audit fleet line has no count), then the JSON result line.
 FAKE_RUN = """\

@@ -164,6 +164,25 @@ class TestComplianceCommand:
         assert code == 1
         assert "no security policy" in err
 
+    def test_a_second_policy_warns_on_stderr_and_in_the_report(self, run, tmp_path):
+        model = tmp_path / "two_policies.ttl"
+        model.write_text(
+            "@prefix ex: <http://e.test/> .\n"
+            "@prefix sec: <http://example.org/security#> .\n"
+            "ex:E sec:hasSecurityPolicy ex:P1, ex:P2 .\n"
+            "ex:P1 sec:compliesWith ex:A1 .\n"
+            "ex:P2 sec:compliesWith ex:A2 .\n"
+        )
+        warning = ("warning: engine declares multiple security policies "
+                   "(http://e.test/P1, http://e.test/P2); using the union of their standards")
+        code, out, err = run("compliance", str(model), "--engine", "ex:E")
+        assert code == 3
+        assert err == warning + "\n"
+        assert out.splitlines()[:5] == [
+            "engine: ex:E", "policy: ex:P1", "standards: 2 declared, 0 covered, 2 gap(s)",
+            warning, "",
+        ]
+
     def test_json_is_stable_across_runs(self, run, model):
         _, first, _ = run("compliance", model, "--engine", "cloudeng:SecureCloudEngine", "--format", "json")
         _, second, _ = run("compliance", model, "--engine", "cloudeng:SecureCloudEngine", "--format", "json")

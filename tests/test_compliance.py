@@ -127,9 +127,15 @@ class TestCoverage:
             Triple(sec("P2"), COMPLIES_WITH, Iri(ISO + "A.2")),
         ])
         report = coverage(g, ce("E"))
-        assert len(report.warnings) == 1
+        warning = (f"engine declares multiple security policies ({sec('P1').value}, "
+                   f"{sec('P2').value}); using the union of their standards")
+        assert report.warnings == [warning]
         assert {s.standard for s in report.statuses} == {Iri(ISO + "A.1"), Iri(ISO + "A.2")}
         assert report.policy == sec("P1")
+        # the text report gives it its own line, under the counts
+        assert report.to_text().splitlines()[2:5] == [
+            "standards: 2 declared, 0 covered, 2 gap(s)", f"warning: {warning}", "",
+        ]
 
     def test_sibling_standards_do_not_roll_up(self, model_graph):
         # SEC02/SEC03 are implemented, the pillar itself is not; exact-IRI

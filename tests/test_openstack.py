@@ -307,6 +307,10 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"endpoints\[0\]\.id"):
             ingest(endpoints=[EndpointRecord("", "keystone", "identity", "public", "https://x")])
 
+    def test_empty_endpoint_url_rejected(self):
+        with pytest.raises(IngestError, match=r"^endpoints\[0\]\.url: must be non-empty$"):
+            ingest(endpoints=[EndpointRecord("e1", "keystone", "identity", "public", "")])
+
     def test_version_metadata(self):
         doc = ingest(config=IngestConfig(version_metadata={"keystone": "v3.14"}))
         assert Triple(

@@ -488,6 +488,12 @@ class TestPrefixMap:
         with pytest.raises(UnknownPrefixError):
             PrefixMap().expand("nosuch:x")
 
+    def test_a_name_without_a_colon_is_no_prefixed_name(self):
+        with pytest.raises(ValueError) as refusal:
+            PrefixMap({"e": "http://e.test/"}).expand("ea")
+        assert str(refusal.value) == "not a prefixed name (missing ':'): 'ea'"
+        assert not isinstance(refusal.value, UnknownPrefixError)
+
     def test_rebinding_is_last_write_wins(self):
         pm = PrefixMap()
         pm.bind("p", "http://one.test/")

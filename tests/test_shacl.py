@@ -89,6 +89,34 @@ class TestParseShapes:
                 f"  sh:property [ sh:path sec:encryptsData ; {count} ] .\n"
             )
 
+    def test_iri_class_constraint(self):
+        (shape,) = shapes_from(
+            "cloudeng:S a sh:NodeShape ;\n"
+            "  sh:targetClass cloudeng:DataInterface ;\n"
+            "  sh:property [ sh:path sec:uses ; sh:class sec:KeyManagement ] .\n"
+        )
+        (constraint,) = shape.constraints
+        assert constraint.path == sec("uses")
+        assert constraint.class_constraint == sec("KeyManagement")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('cloudeng:S a sh:NodeShape ; sh:targetClass cloudeng:C ;\n'
+             '  sh:property [ sh:path sec:uses ; sh:class "K" ] .\n',
+             "sh:class of http://example.org/cloudengine#S must be an IRI"),
+            ("[] a sh:NodeShape ; sh:targetClass cloudeng:C .\n",
+             "node shapes must be IRIs, got BlankNode('b1')"),
+            ('cloudeng:S a sh:NodeShape ; sh:targetClass "C" .\n',
+             "sh:targetClass of http://example.org/cloudengine#S must be an IRI"),
+        ],
+        ids=["literal-class", "blank-node-shape", "literal-target-class"],
+    )
+    def test_non_iri_terms_are_an_error(self, text, message):
+        with pytest.raises(ShapeError) as refusal:
+            shapes_from(text)
+        assert str(refusal.value) == message
+
     def test_inverted_count_bounds_are_an_error(self):
         with pytest.raises(ShapeError):
             shapes_from(

@@ -269,6 +269,12 @@ class TestRejections:
                   UNEXPECTED, 3, 1, "unsupported directive '@prefixes'"),
             _case(HEADER + "@ .", UNEXPECTED, 3, 1, "unsupported directive '@'"),
             _case("# comment\n  @", UNEXPECTED, 2, 3, "unsupported directive '@'"),
+            _case("@prefix ex:a <http://e.test/> .",
+                  UNEXPECTED, 1, 9, "expected a prefix label ending in ':'"),
+            # '\u00b2' is a digit to str.isdigit(), but no token starts with it
+            _case("\u00b2a:b sec:p sec:o .", UNEXPECTED, 1, 1, "unexpected character '\u00b2'"),
+            _case("@prefix\u00b2 ex: <http://e.test/> .",
+                  UNEXPECTED, 1, 8, "unexpected character '\u00b2'"),
             # grammar errors name what they found
             _case(HEADER + "a sec:p sec:Y .", UNEXPECTED, 3, 1, "expected a subject, found 'a'"),
             _case(HEADER + 'sec:X "p" sec:Y .',

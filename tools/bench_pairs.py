@@ -121,6 +121,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 1:  # a summary needs at least one pair
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     pairs = []
     for k in range(args.pairs):
