@@ -3,7 +3,8 @@
 Each oracle deliberately uses a different algorithm than the code under
 test: plain linear scans instead of indexes, exhaustive enumeration instead
 of joins, a per-node walk without distances and the naive fixpoint instead
-of the reasoner's shortest distances and their closed-form round count.
+of the reasoner's shortest distances and their closed-form round count, and
+a standard-by-standard scan instead of coverage's one read per node.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from cloudaudit.rdf import (BlankNode, Graph, Iri, Term, Triple, TriplePattern, Var,
-                            term_sort_key)
+from cloudaudit.compliance import (ComplianceReport, CoverageEvidence, CoverageState,
+                                   EvidenceKind, StandardStatus)
+from cloudaudit.rdf import (BlankNode, Graph, Iri, Literal, PrefixMap, Term, Triple,
+                            TriplePattern, Var, term_sort_key)
 from cloudaudit.sparql import GraphPattern, Polarity, Query
-from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
+from cloudaudit.vocab import (ATTACHMENT_PROPERTIES, COMPLIES_WITH, HAS_SECURITY_POLICY,
+                              IMPLEMENTS_STANDARD, MECHANISM_PROPERTIES, RDF_TYPE, RDFS_LABEL,
+                              RDFS_SUBCLASS_OF)
 
 CLOUDENG = "http://example.org/cloudengine#"
 SEC = "http://example.org/security#"
@@ -141,6 +146,77 @@ def naive_rounds(g: Graph) -> tuple[int, int]:
         if not fresh:
             return rounds, len(facts) - len(g)
         facts |= fresh
+
+
+def _scan_objects(graph: Graph, subject: Term, predicates) -> list[Term]:
+    """Objects of `subject` under any of `predicates` that are nodes (no
+    literal), by a full scan."""
+    return [o for s, p, o in graph if s == subject and p in predicates and not isinstance(o, Literal)]
+
+
+def _node_order(node: Term) -> tuple:
+    # IRIs by value, then blank nodes by label
+    return (isinstance(node, BlankNode), node.label if isinstance(node, BlankNode) else node.value)
+
+
+def _node_text(node: Term) -> str:
+    return f"_:{node.label}" if isinstance(node, BlankNode) else node.value
+
+
+def scan_coverage(graph: Graph, engine: Iri) -> ComplianceReport | None:
+    """The report `compliance.coverage` should give, or None where it should
+    raise NoPolicyError, worked out one standard at a time by full scans:
+    for each declared standard, each attached interface in order and then
+    each of its mechanisms, property by property."""
+    policies = sorted(set(_scan_objects(graph, engine, (HAS_SECURITY_POLICY,))), key=_node_order)
+    if not policies:
+        return None
+    declared = {o for policy in policies for o in _scan_objects(graph, policy, (COMPLIES_WITH,))
+                if isinstance(o, Iri)}
+    interfaces = sorted(set(_scan_objects(graph, engine, ATTACHMENT_PROPERTIES)), key=_node_order)
+    statuses = []
+    for standard in sorted(declared, key=lambda s: s.value):
+        evidence = []
+        for interface in interfaces:
+            if _contains(graph, interface, IMPLEMENTS_STANDARD, standard):
+                evidence.append(CoverageEvidence(standard, interface, EvidenceKind.DIRECT))
+            for prop in MECHANISM_PROPERTIES:
+                for mechanism in sorted(set(_scan_objects(graph, interface, (prop,))),
+                                        key=term_sort_key):
+                    if _contains(graph, mechanism, IMPLEMENTS_STANDARD, standard):
+                        evidence.append(CoverageEvidence(standard, interface, EvidenceKind.MECHANISM,
+                                                         mechanism, prop))
+        labels = [o for s, p, o in graph if s == standard and p == RDFS_LABEL and isinstance(o, Literal)]
+        label = sorted(labels, key=term_sort_key)[0].lexical if labels else None
+        state = CoverageState.COVERED if evidence else CoverageState.GAP
+        statuses.append(StandardStatus(standard, label, state, tuple(evidence)))
+    warnings = []
+    if len(policies) > 1:
+        listed = ", ".join(map(_node_text, policies))
+        warnings.append(f"engine declares multiple security policies ({listed}); "
+                        "using the union of their standards")
+    gap_count = sum(s.state is CoverageState.GAP for s in statuses)
+    return ComplianceReport(engine, policies[0], statuses, gap_count, warnings)
+
+
+def scan_hints(report: ComplianceReport, graph: Graph, prefixes: PrefixMap) -> list[str]:
+    """The hints `compliance.remediation_hints` should give, by full scans:
+    the IRI subjects implementing each gap, by IRI value."""
+    show = prefixes.render
+    hints = []
+    for status in report.statuses:
+        if status.state is not CoverageState.GAP:
+            continue
+        standard = status.standard
+        implementers = sorted({s.value for s, p, o in graph
+                               if p == IMPLEMENTS_STANDARD and o == standard and isinstance(s, Iri)})
+        if implementers:
+            names = ", ".join(show(Iri(i)) for i in implementers)
+            hints.append(f"{show(standard)}: implemented in the model by {names}; "
+                         f"attach one of them to {show(report.engine)}")
+        else:
+            hints.append(f"{show(standard)}: no node in the model implements this standard")
+    return hints
 
 
 def _contains(graph: Graph, s, p, o) -> bool:

@@ -15,19 +15,22 @@ from cloudaudit.compliance import (
     remediation_hints,
     standards_of,
 )
-from cloudaudit.rdf import Graph, Iri, Triple
+from cloudaudit.rdf import XSD_INTEGER, Graph, Iri, Literal, PrefixMap, Triple
 from cloudaudit.reasoner import materialize
 from cloudaudit.sparql import evaluate, parse_query
 from cloudaudit.turtle import parse_turtle
 from cloudaudit.vocab import (
+    ATTACHMENT_PROPERTIES,
     COMPLIES_WITH,
     HAS_DATA_INTERFACE,
     HAS_SECURITY_POLICY,
     IMPLEMENTS_STANDARD,
+    MECHANISM_PROPERTIES,
     RDF_TYPE,
+    RDFS_LABEL,
 )
 
-from oracles import AWS, CSA, ISO, NIST, OPENSTACK, ce, gen, sec
+from oracles import AWS, CSA, ISO, NIST, OPENSTACK, ce, gen, scan_coverage, scan_hints, sec
 
 SECURE = ce("SecureCloudEngine")
 HYBRID = ce("HybridCompliantEngine")
@@ -235,3 +238,99 @@ def test_asserted_graph_reports_like_its_closure(fixtures_dir, engines, depth):
         assert report == coverage(closure, engine)
         assert (remediation_hints(report, doc.graph, doc.prefixes)
                 == remediation_hints(report, closure, doc.prefixes))
+
+
+EX = "http://example.test/"
+# local names sharing a prefix: by IRI value a < a-b < a/b, but by
+# term_sort_key (`<...>`, and '-' < '/' < '>') a-b < a/b < a
+SHARED_SUFFIXES = ("", "-b", "/b")
+
+
+def random_coverage_graph(rng: random.Random) -> tuple[Graph, list[Iri]]:
+    """A graph of engines, policies, interfaces, mechanisms and standards in
+    which roles overlap, and the engines to audit.
+
+    Every graph has an engine that is also an interface, interfaces shared
+    between engines, a mechanism under two properties of one interface, a
+    standard covered both directly and through that mechanism, an engine
+    with two policies, a literal object on every property, several labels,
+    and IRIs that share a prefix; its triples are inserted in shuffled
+    order."""
+    def pool(role):
+        return [Iri(f"{EX}{role}{suffix}") for suffix in SHARED_SUFFIXES]
+
+    engines, policies, mechanisms, standards = pool("e"), pool("p"), pool("m"), pool("s")
+    standards.append(Iri(EX + "t"))
+    interfaces = pool("i") + engines[:1]
+    mechanisms.append(interfaces[0])
+    triples = []
+
+    def some(nodes, most):
+        return rng.sample(nodes, rng.randint(0, min(most, len(nodes))))
+
+    for engine in engines:
+        for policy in some(policies, 2):
+            triples.append((engine, HAS_SECURITY_POLICY, policy))
+        for interface in some(interfaces, 3):
+            for prop in rng.sample(ATTACHMENT_PROPERTIES, rng.choice((1, 1, 2))):
+                triples.append((engine, prop, interface))
+    for policy in policies:
+        triples += [(policy, COMPLIES_WITH, s) for s in some(standards, 3)]
+    for node in interfaces + mechanisms:
+        triples += [(node, IMPLEMENTS_STANDARD, s) for s in some(standards, 2)]
+    for interface in interfaces:
+        for mechanism in some(mechanisms, 3):
+            for prop in rng.sample(MECHANISM_PROPERTIES, rng.choice((1, 1, 2))):
+                triples.append((interface, prop, mechanism))
+    for standard in standards:
+        for lexical in some(["b", "a", "A", "a b"], 3):
+            triples.append((standard, RDFS_LABEL, Literal(lexical)))
+        if rng.random() < 0.3:
+            triples.append((standard, RDFS_LABEL, Literal("7", XSD_INTEGER)))
+        if rng.random() < 0.3:
+            triples.append((standard, RDFS_LABEL, Iri(EX + "label")))
+    subjects = engines + policies + interfaces + mechanisms + standards
+    for prop in (HAS_SECURITY_POLICY, COMPLIES_WITH, IMPLEMENTS_STANDARD, RDFS_LABEL,
+                 *ATTACHMENT_PROPERTIES, *MECHANISM_PROPERTIES):
+        triples += [(node, prop, Literal(EX + "s")) for node in rng.sample(subjects, 2)]
+    interface, mechanism, standard = rng.choice(interfaces), rng.choice(mechanisms), rng.choice(standards)
+    triples += [
+        (engines[0], HAS_SECURITY_POLICY, policies[0]),
+        (engines[0], HAS_SECURITY_POLICY, policies[1]),
+        (policies[0], COMPLIES_WITH, standard),
+        (engines[0], ATTACHMENT_PROPERTIES[0], interface),
+        (engines[1], ATTACHMENT_PROPERTIES[1], interface),
+        (interface, IMPLEMENTS_STANDARD, standard),
+        (interface, MECHANISM_PROPERTIES[0], mechanism),
+        (interface, MECHANISM_PROPERTIES[2], mechanism),
+        (mechanism, IMPLEMENTS_STANDARD, standard),
+    ]
+    rng.shuffle(triples)
+    return Graph(Triple(*t) for t in triples), engines + [Iri(EX + "ghost")]
+
+
+def test_coverage_and_hints_equal_the_scan_oracle():
+    """Full reports and hints equal the standard-by-standard scan's on
+    random graphs; the cases each graph is built to hold show up."""
+    prefixes = PrefixMap({"ex": EX})
+    seen = set()
+    for seed in range(150):
+        graph, engines = random_coverage_graph(random.Random(seed))
+        for engine in engines:
+            expected = scan_coverage(graph, engine)
+            if expected is None:
+                with pytest.raises(NoPolicyError):
+                    coverage(graph, engine)
+                continue
+            report = coverage(graph, engine)
+            assert report == expected, (seed, engine)
+            assert remediation_hints(report, graph, prefixes) == scan_hints(report, graph, prefixes)
+            seen.add("warning" if report.warnings else "one policy")
+            for status in report.statuses:
+                kinds = {e.via for e in status.evidence}
+                seen.add("both kinds" if len(kinds) == 2 else status.state)
+                links = [(e.interface, e.mechanism) for e in status.evidence if e.mechanism]
+                if len(links) > len(set(links)):
+                    seen.add("two properties")
+    assert seen >= {"warning", "one policy", "both kinds", "two properties",
+                    CoverageState.GAP, CoverageState.COVERED}
