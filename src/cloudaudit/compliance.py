@@ -8,6 +8,16 @@ Coverage is engine-scoped on purpose: facts about services the engine does
 not attach never cover it.  Standards match by exact IRI; no hierarchy
 among them is assumed.
 
+Policies, interfaces and mechanisms may be IRIs or blank nodes, as for the
+`coverage_queries` cross-check, which binds ?i and ?m to any node; JSON
+reports and warnings write a blank node as _:label.  Standards are IRIs,
+and so are the implementers a remediation hint names.  Reports do not
+depend on load order: policies and interfaces go by IRI value, blank nodes
+after the IRIs by label; standards by IRI value; a standard's evidence by
+interface, its direct evidence first, then its mechanisms in
+MECHANISM_PROPERTIES order and, under each property, in `term_sort_key`
+order (which differs from IRI-value order: `ex:a-b` before `ex:a`).
+
 Every covered standard carries its full evidence chain so reports can be
 replayed against the graph, and every gap can be paired with remediation
 hints naming the model nodes that do implement the missing standard.
@@ -16,8 +26,10 @@ hints naming the model nodes that do implement the missing standard.
 from __future__ import annotations
 
 import enum
+from typing import Union
 
-from .rdf import Graph, Iri, Literal, PrefixMap, Record, Triple, iriref, term_sort_key
+from .rdf import (BlankNode, Graph, Iri, Literal, PrefixMap, Record, Triple, iriref, one_line,
+                  term_sort_key)
 from .vocab import (
     ATTACHMENT_PROPERTIES,
     COMPLIES_WITH,
@@ -26,6 +38,9 @@ from .vocab import (
     MECHANISM_PROPERTIES,
     RDFS_LABEL,
 )
+
+
+Node = Union[Iri, BlankNode]
 
 
 class NoPolicyError(ValueError):
@@ -56,8 +71,8 @@ class CoverageEvidence(Record):
 
     __slots__ = ("standard", "interface", "via", "mechanism", "linking_property")
 
-    def __init__(self, standard: Iri, interface: Iri, via: EvidenceKind,
-                 mechanism: Iri | None = None, linking_property: Iri | None = None):
+    def __init__(self, standard: Iri, interface: Node, via: EvidenceKind,
+                 mechanism: Node | None = None, linking_property: Iri | None = None):
         mediated = via is EvidenceKind.MECHANISM
         if mediated != (mechanism is not None and linking_property is not None):
             raise ValueError("mechanism evidence requires mechanism and linking property")
@@ -73,10 +88,10 @@ class CoverageEvidence(Record):
         ]
 
     def to_json_dict(self) -> dict:
-        out = {"interface": self.interface.value, "via": self.via.value}
+        out = {"interface": _node_text(self.interface), "via": self.via.value}
         if self.via is EvidenceKind.MECHANISM:
             out["linkingProperty"] = self.linking_property.value
-            out["mechanism"] = self.mechanism.value
+            out["mechanism"] = _node_text(self.mechanism)
         return out
 
 
@@ -92,7 +107,7 @@ class ComplianceReport(Record):
     __slots__ = ("engine", "policy", "statuses", "gap_count", "warnings")
     __hash__ = None
 
-    def __init__(self, engine: Iri, policy: Iri, statuses: list[StandardStatus], gap_count: int,
+    def __init__(self, engine: Iri, policy: Node, statuses: list[StandardStatus], gap_count: int,
                  warnings: list[str] | None = None):
         self.engine, self.policy, self.statuses = engine, policy, statuses
         self.gap_count = gap_count
@@ -105,7 +120,7 @@ class ComplianceReport(Record):
     def to_json_dict(self) -> dict:
         return {
             "engine": self.engine.value,
-            "policy": self.policy.value,
+            "policy": _node_text(self.policy),
             "standards": [
                 {
                     "iri": s.standard.value,
@@ -132,7 +147,7 @@ class ComplianceReport(Record):
         lines.append("")
         for status in self.statuses:
             tag = "COVERED" if status.state is CoverageState.COVERED else "GAP    "
-            label = f"  ({status.label})" if status.label else ""
+            label = f"  ({one_line(status.label)})" if status.label else ""
             lines.append(f"{tag}  {show(status.standard)}{label}")
             for ev in status.evidence:
                 if ev.via is EvidenceKind.DIRECT:
@@ -145,25 +160,35 @@ class ComplianceReport(Record):
         return "\n".join(lines)
 
 
-def attached_interfaces(graph: Graph, engine: Iri) -> set[Iri]:
-    """Objects of the four interface attachment properties on the engine."""
-    found: set[Iri] = set()
+_ATTACHMENTS = frozenset(ATTACHMENT_PROPERTIES)
+# linking property -> its place in MECHANISM_PROPERTIES, the order evidence follows
+_MECHANISM_POSITION = {prop: position for position, prop in enumerate(MECHANISM_PROPERTIES)}
+
+
+def _node_key(node: Node) -> tuple[bool, str]:
+    """IRIs by value, then blank nodes by label."""
+    return isinstance(node, BlankNode), node[0]
+
+
+def _node_text(node: Node) -> str:
+    """A node as JSON reports and warnings write it: an IRI's value, or _:label."""
+    return f"_:{node.label}" if isinstance(node, BlankNode) else node.value
+
+
+def attached_interfaces(graph: Graph, engine: Iri) -> set[Node]:
+    """Objects of the four interface attachment properties on the engine,
+    IRIs and blank nodes."""
+    found: set[Node] = set()
     for prop in ATTACHMENT_PROPERTIES:
         for obj in graph.objects(engine, prop):
-            if isinstance(obj, Iri):
+            if not isinstance(obj, Literal):
                 found.add(obj)
     return found
 
 
-def standards_of(graph: Graph, node: Iri) -> set[Iri]:
+def standards_of(graph: Graph, node: Node) -> set[Iri]:
     """Standards a node claims to implement (exact-IRI objects)."""
     return {o for o in graph.objects(node, IMPLEMENTS_STANDARD) if isinstance(o, Iri)}
-
-
-def _label_of(graph: Graph, node: Iri) -> str | None:
-    # the first literal label in term order, whatever the load order
-    labels = [o for o in graph.objects(node, RDFS_LABEL) if isinstance(o, Literal)]
-    return min(labels, key=term_sort_key).lexical if labels else None
 
 
 def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
@@ -174,53 +199,84 @@ def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
     neither.
 
     Raises NoPolicyError when the engine has no security policy.  Multiple
-    policies produce a warning and the union of their declared standards.
+    policies produce a warning and the union of their declared standards;
+    the report names the first in the module docstring's order.  A
+    standard's label is its first literal label in `term_sort_key` order.
+
+    Reads the triples of each node it visits through `Graph.about`, once
+    for each role: the engine, each policy, each interface or mechanism (a
+    node that is both is read once), and each declared standard; each
+    triple is dispatched on its predicate.
     """
-    policies = sorted(
-        (p for p in graph.objects(engine, HAS_SECURITY_POLICY) if isinstance(p, Iri)),
-        key=lambda p: p.value,
-    )
+    about = graph.about
+    policies: list[Node] = []
+    attached: set[Node] = set()
+    for t in about(engine):
+        obj = t.object
+        if isinstance(obj, Literal):
+            continue
+        if t.predicate == HAS_SECURITY_POLICY:
+            policies.append(obj)
+        elif t.predicate in _ATTACHMENTS:
+            attached.add(obj)
     if not policies:
         raise NoPolicyError(engine)
+    policies.sort(key=_node_key)
     warnings = []
     if len(policies) > 1:
-        listed = ", ".join(p.value for p in policies)
+        listed = ", ".join(map(_node_text, policies))
         warnings.append(f"engine declares multiple security policies ({listed}); using the union of their standards")
 
     declared: set[Iri] = set()
     for policy in policies:
-        declared.update(o for o in graph.objects(policy, COMPLIES_WITH) if isinstance(o, Iri))
+        declared.update(t.object for t in about(policy)
+                        if t.predicate == COMPLIES_WITH and isinstance(t.object, Iri))
 
-    # one walk over the interfaces and their mechanisms, bucketing evidence by
-    # standard; mechanisms go in term order so evidence ignores load order
+    # the declared standards each interface and mechanism implements, from
+    # its one read; the interfaces are read first, so that one which is
+    # also a mechanism is not read again
+    claims: dict[Node, list[Iri]] = {}
+    links = []  # per interface: (position, term_sort_key, mechanism, property), sorted
+    interfaces = sorted(attached, key=_node_key)
+    for interface in interfaces:
+        implemented = claims[interface] = []
+        linked = []
+        for t in about(interface):
+            predicate = t.predicate
+            if predicate == IMPLEMENTS_STANDARD:
+                if t.object in declared:
+                    implemented.append(t.object)
+            elif predicate in _MECHANISM_POSITION and not isinstance(t.object, Literal):
+                linked.append((_MECHANISM_POSITION[predicate], term_sort_key(t.object), t.object, predicate))
+        linked.sort()
+        links.append(linked)
+
     evidence: dict[Iri, list[CoverageEvidence]] = {standard: [] for standard in declared}
-    for interface in sorted(attached_interfaces(graph, engine), key=lambda i: i.value):
-        for standard in standards_of(graph, interface) & declared:
-            evidence[standard].append(
-                CoverageEvidence(standard=standard, interface=interface, via=EvidenceKind.DIRECT)
-            )
-        for prop in MECHANISM_PROPERTIES:
-            mechanisms = (m for m in graph.objects(interface, prop) if isinstance(m, Iri))
-            for mechanism in sorted(mechanisms, key=term_sort_key):
-                for standard in standards_of(graph, mechanism) & declared:
-                    evidence[standard].append(
-                        CoverageEvidence(
-                            standard=standard,
-                            interface=interface,
-                            via=EvidenceKind.MECHANISM,
-                            mechanism=mechanism,
-                            linking_property=prop,
-                        )
-                    )
-    statuses = [
-        StandardStatus(
+    for interface, linked in zip(interfaces, links):
+        for standard in claims[interface]:
+            evidence[standard].append(CoverageEvidence(standard, interface, EvidenceKind.DIRECT))
+        for _, _, mechanism, prop in linked:
+            implemented = claims.get(mechanism)
+            if implemented is None:
+                implemented = claims[mechanism] = [
+                    t.object for t in about(mechanism)
+                    if t.predicate == IMPLEMENTS_STANDARD and t.object in declared
+                ]
+            for standard in implemented:
+                evidence[standard].append(
+                    CoverageEvidence(standard, interface, EvidenceKind.MECHANISM, mechanism, prop)
+                )
+    statuses = []
+    for standard in sorted(declared):  # an Iri is the tuple (value,): by value
+        labels = [t.object for t in about(standard)
+                  if t.predicate == RDFS_LABEL and isinstance(t.object, Literal)]
+        found = evidence[standard]
+        statuses.append(StandardStatus(
             standard=standard,
-            label=_label_of(graph, standard),
-            state=CoverageState.COVERED if evidence[standard] else CoverageState.GAP,
-            evidence=tuple(evidence[standard]),
-        )
-        for standard in sorted(declared, key=lambda s: s.value)
-    ]
+            label=min(labels, key=term_sort_key).lexical if labels else None,
+            state=CoverageState.COVERED if found else CoverageState.GAP,
+            evidence=tuple(found),
+        ))
     return ComplianceReport(
         engine=engine,
         policy=policies[0],

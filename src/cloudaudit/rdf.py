@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 try:  # namedtuple's field descriptor: reads the item with no call in between
     from _collections import _tuplegetter
@@ -145,6 +145,22 @@ def iriref(iri: Iri) -> str:
     """An IRI as Turtle and SPARQL text write it, `<...>`, so that it reads
     back as the same IRI: a backslash becomes the escape \\u005C."""
     return "<" + iri.value.replace("\\", "\\u005C") + ">"
+
+
+# The string escapes the Turtle reader decodes, as one str.translate table.
+_LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
+# and \uXXXX for the other characters at which str.splitlines() breaks a line
+_ONE_LINE_ESCAPES = {
+    **_LITERAL_ESCAPES,
+    **{ord(c): f"\\u{ord(c):04X}" for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"},
+}
+
+
+def one_line(text: str) -> str:
+    """Literal text as text reports print it: with the Turtle writer's string
+    escapes, and any other line break as \\uXXXX, so that it stays on its
+    line and cannot pass for a line of the report."""
+    return text.translate(_ONE_LINE_ESCAPES)
 
 
 class Triple(tuple):
@@ -360,6 +376,12 @@ class Graph:
             return len(self._triples) / len(index) if index else 0.0
         return len(index.get(term, ()))
 
+    def about(self, subject: Term) -> Sequence[Triple]:
+        """The triples whose subject is `subject`, in insertion order: the
+        subject index's pool itself, which the caller must not change, or
+        an empty tuple."""
+        return self._pools(0).get(subject, ())
+
     def objects(self, subject: Term, predicate: Iri) -> list[Term]:
         """Objects of (subject, predicate, ?) in insertion order."""
         return [t.object for t in self._pools(0).get(subject, ()) if t.predicate == predicate]
@@ -452,7 +474,7 @@ class PrefixMap:
         if isinstance(term, Iri):
             return self.compact(term) or f"<{term.value}>"
         if isinstance(term, Literal):
-            return f'"{term.lexical}"'
+            return f'"{one_line(term.lexical)}"'
         return f"_:{term.label}"
 
     @property

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Union
 
-from .rdf import Graph, Iri, Literal, Record, Term, XSD_INTEGER, term_json, term_sort_key
+from .rdf import Graph, Iri, Literal, Record, Term, XSD_INTEGER, one_line, term_json, term_sort_key
 from .turtle import Document
 from .vocab import (
     RDF_TYPE,
@@ -116,7 +116,7 @@ class ValidationReport(Record):
             focus = term_sort_key(r.focus)
             lines.append(
                 f"violation [{r.constraint.value}] focus={focus} "
-                f"path=<{r.path.value}> shape=<{r.shape.value}>: {r.message}"
+                f"path=<{r.path.value}> shape=<{r.shape.value}>: {one_line(r.message)}"
             )
         return "\n".join(lines)
 

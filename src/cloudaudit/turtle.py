@@ -91,6 +91,7 @@ from .rdf import (
     UnknownPrefixError,
     XSD_INTEGER,
     XSD_STRING,
+    _LITERAL_ESCAPES,
     _iri,
     _literal,
     _triple,
@@ -588,10 +589,6 @@ def parse_turtle(text: str) -> Document:
     supported subset.
     """
     return _Parser(text, []).parse_by_statement()
-
-
-# The string escapes the reader decodes, as one str.translate table.
-_LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
 
 
 def serialize_turtle(doc: Document) -> str:

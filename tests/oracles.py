@@ -219,6 +219,11 @@ def scan_hints(report: ComplianceReport, graph: Graph, prefixes: PrefixMap) -> l
     return hints
 
 
+# The characters at which str.splitlines() breaks a line; test_rdf checks
+# the list against every code point.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _contains(graph: Graph, s, p, o) -> bool:
     return any(t.subject == s and t.predicate == p and t.object == o for t in graph)
 

@@ -183,6 +183,46 @@ class TestComplianceCommand:
             warning, "",
         ]
 
+    def test_blank_node_interfaces_and_mechanisms_cover(self, run, tmp_path):
+        model = tmp_path / "blank.ttl"
+        model.write_text(
+            "@prefix cloudeng: <http://example.org/cloudengine#> .\n"
+            "@prefix sec: <http://example.org/security#> .\n"
+            "@prefix ex: <http://e.test/> .\n"
+            "ex:E sec:hasSecurityPolicy ex:P ;\n"
+            "  cloudeng:hasDataInterface [ sec:implementsStandard ex:S1 ] ;\n"
+            "  cloudeng:hasControlInterface ex:C .\n"
+            "ex:C sec:supportsAuthentication [ sec:implementsStandard ex:S2 ] .\n"
+            "ex:P sec:compliesWith ex:S1, ex:S2 .\n"
+        )
+        code, out, _ = run("compliance", str(model), "--engine", "ex:E")
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "standards: 2 declared, 2 covered, 0 gap(s)", "",
+            "COVERED  ex:S1", "         via _:b1 (direct)",
+            "COVERED  ex:S2", "         via ex:C -> sec:supportsAuthentication -> _:b2",
+        ]
+        code, out, _ = run("compliance", str(model), "--engine", "ex:E", "--format", "json")
+        s1, s2 = (s["evidence"] for s in json.loads(out)["standards"])
+        assert s1 == [{"interface": "_:b1", "via": "Direct"}]
+        assert s2[0]["interface"] == "http://e.test/C" and s2[0]["mechanism"] == "_:b2"
+
+    def test_blank_node_policies_are_read_and_sort_after_iris(self, run, tmp_path):
+        model = tmp_path / "blank_policy.ttl"
+        model.write_text(
+            "@prefix sec: <http://example.org/security#> .\n"
+            "@prefix ex: <http://e.test/> .\n"
+            "ex:E sec:hasSecurityPolicy [ sec:compliesWith ex:S1 ], ex:Z .\n"
+            "ex:Z sec:compliesWith ex:S2 .\n"
+        )
+        warning = ("warning: engine declares multiple security policies "
+                   "(http://e.test/Z, _:b1); using the union of their standards")
+        code, out, err = run("compliance", str(model), "--engine", "ex:E", "--format", "json")
+        assert code == 3 and err == warning + "\n"
+        payload = json.loads(out)
+        assert payload["policy"] == "http://e.test/Z"
+        assert payload["gaps"] == ["http://e.test/S1", "http://e.test/S2"]
+
     def test_json_is_stable_across_runs(self, run, model):
         _, first, _ = run("compliance", model, "--engine", "cloudeng:SecureCloudEngine", "--format", "json")
         _, second, _ = run("compliance", model, "--engine", "cloudeng:SecureCloudEngine", "--format", "json")

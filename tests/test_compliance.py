@@ -15,7 +15,7 @@ from cloudaudit.compliance import (
     remediation_hints,
     standards_of,
 )
-from cloudaudit.rdf import XSD_INTEGER, Graph, Iri, Literal, PrefixMap, Triple
+from cloudaudit.rdf import XSD_INTEGER, BlankNode, Graph, Iri, Literal, PrefixMap, Triple
 from cloudaudit.reasoner import materialize
 from cloudaudit.sparql import evaluate, parse_query
 from cloudaudit.turtle import parse_turtle
@@ -30,7 +30,8 @@ from cloudaudit.vocab import (
     RDFS_LABEL,
 )
 
-from oracles import AWS, CSA, ISO, NIST, OPENSTACK, ce, gen, scan_coverage, scan_hints, sec
+from oracles import (AWS, CSA, ISO, LINE_BREAKS, NIST, OPENSTACK, ce, gen, scan_coverage,
+                     scan_hints, sec)
 
 SECURE = ce("SecureCloudEngine")
 HYBRID = ce("HybridCompliantEngine")
@@ -186,6 +187,28 @@ class TestHints:
         assert remediation_hints(report, model_graph) == []
 
 
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_label_cannot_forge_a_report_line(brk):
+    """A label's line break is escaped in the text report, which so has as
+    many lines as with a plain label; JSON keeps the label as it is."""
+    prefixes = PrefixMap({"ex": EX})
+
+    def report(label):
+        engine, policy, s1, s2 = Iri(EX + "E"), Iri(EX + "P"), Iri(EX + "S1"), Iri(EX + "S2")
+        return coverage(Graph([
+            Triple(engine, HAS_SECURITY_POLICY, policy),
+            Triple(policy, COMPLIES_WITH, s1),
+            Triple(policy, COMPLIES_WITH, s2),
+            Triple(s1, RDFS_LABEL, Literal(label)),
+        ]), engine)
+
+    forged = report(f"Encryption{brk}COVERED  ex:S2  (forged)")
+    plain = report("Encryption COVERED  ex:S2  (forged)")
+    assert len(forged.to_text(prefixes).splitlines()) == len(plain.to_text(prefixes).splitlines())
+    assert "COVERED" not in [line[:7] for line in forged.to_text(prefixes).splitlines()]
+    assert forged.to_json_dict()["standards"][0]["label"] == f"Encryption{brk}COVERED  ex:S2  (forged)"
+
+
 def test_vocabulary_constants_expand_under_the_model_prefixes(model_doc):
     from cloudaudit import vocab as v
 
@@ -254,13 +277,15 @@ def random_coverage_graph(rng: random.Random) -> tuple[Graph, list[Iri]]:
     between engines, a mechanism under two properties of one interface, a
     standard covered both directly and through that mechanism, an engine
     with two policies, a literal object on every property, several labels,
-    and IRIs that share a prefix; its triples are inserted in shuffled
-    order."""
+    IRIs that share a prefix, and blank-node policies, interfaces and
+    mechanisms whose labels sort apart from their numbers (b1 < b10 < b2);
+    its triples are inserted in shuffled order."""
     def pool(role):
-        return [Iri(f"{EX}{role}{suffix}") for suffix in SHARED_SUFFIXES]
+        return ([Iri(f"{EX}{role}{suffix}") for suffix in SHARED_SUFFIXES]
+                + [BlankNode(f"{role}{n}") for n in (1, 10, 2)])
 
-    engines, policies, mechanisms, standards = pool("e"), pool("p"), pool("m"), pool("s")
-    standards.append(Iri(EX + "t"))
+    engines, policies, mechanisms = pool("e")[:3], pool("p"), pool("m")
+    standards = pool("s")[:3] + [Iri(EX + "t")]
     interfaces = pool("i") + engines[:1]
     mechanisms.append(interfaces[0])
     triples = []
@@ -326,11 +351,79 @@ def test_coverage_and_hints_equal_the_scan_oracle():
             assert report == expected, (seed, engine)
             assert remediation_hints(report, graph, prefixes) == scan_hints(report, graph, prefixes)
             seen.add("warning" if report.warnings else "one policy")
+            if isinstance(report.policy, BlankNode):
+                seen.add("blank policy")
             for status in report.statuses:
                 kinds = {e.via for e in status.evidence}
                 seen.add("both kinds" if len(kinds) == 2 else status.state)
                 links = [(e.interface, e.mechanism) for e in status.evidence if e.mechanism]
                 if len(links) > len(set(links)):
                     seen.add("two properties")
-    assert seen >= {"warning", "one policy", "both kinds", "two properties",
-                    CoverageState.GAP, CoverageState.COVERED}
+                for e in status.evidence:
+                    for node in (e.interface, e.mechanism):
+                        if isinstance(node, BlankNode):
+                            seen.add("blank evidence")
+    assert seen >= {"warning", "one policy", "both kinds", "two properties", "blank policy",
+                    "blank evidence", CoverageState.GAP, CoverageState.COVERED}
+
+
+def test_coverage_agrees_with_generated_queries_on_random_graphs():
+    """Blank-node interfaces and mechanisms cover a standard for the query
+    cross-check, which binds ?i and ?m to any node, and so for coverage."""
+    for seed in range(30):
+        graph, engines = random_coverage_graph(random.Random(seed))
+        for engine in engines:
+            if scan_coverage(graph, engine) is None:
+                continue
+            for status in coverage(graph, engine).statuses:
+                hit = any(evaluate(parse_query(text), graph).rows
+                          for text in coverage_queries(engine, status.standard))
+                assert hit == (status.state is CoverageState.COVERED), (seed, engine, status)
+
+
+def interface_grid(k: int, m: int) -> tuple[Graph, set]:
+    """An engine with k interfaces of m mechanisms each, all of them also
+    linking one shared mechanism under two properties, each mechanism
+    implementing one of m declared, labelled standards; and the nodes that
+    coverage visits: every subject of the graph."""
+    engine, policy, shared = Iri(EX + "e"), Iri(EX + "p"), Iri(EX + "shared")
+    standards = [Iri(f"{EX}s{j}") for j in range(m)]
+    triples = [(engine, HAS_SECURITY_POLICY, policy), (shared, IMPLEMENTS_STANDARD, standards[0])]
+    triples += [(policy, COMPLIES_WITH, s) for s in standards]
+    triples += [(s, RDFS_LABEL, Literal(f"standard {j}")) for j, s in enumerate(standards)]
+    for i in range(k):
+        interface = Iri(f"{EX}i{i}")
+        triples += [(engine, ATTACHMENT_PROPERTIES[i % 4], interface),
+                    (interface, MECHANISM_PROPERTIES[0], shared),
+                    (interface, MECHANISM_PROPERTIES[1], shared)]
+        for j in range(m):
+            mechanism = Iri(f"{EX}i{i}m{j}")
+            triples += [(interface, MECHANISM_PROPERTIES[j % 5], mechanism),
+                        (mechanism, IMPLEMENTS_STANDARD, standards[j])]
+    graph = Graph(Triple(*t) for t in triples)
+    return graph, {t.subject for t in graph}
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_coverage_reads_each_visited_node_once(n):
+    """Work counted, not timed: at n and 2n, coverage makes one subject read
+    per visited node, which together hold every triple once, and no other
+    lookup."""
+    graph, visited = interface_grid(n, n)
+    reads = []
+    about = graph.about
+
+    def counted(subject):
+        reads.append(subject)
+        return about(subject)
+
+    def refused(*args):
+        raise AssertionError("coverage made a lookup other than Graph.about")
+
+    graph.about = counted
+    graph.objects = graph.subjects = graph.triples = graph.match = refused
+    report = coverage(graph, Iri(EX + "e"))
+    assert report.gap_count == 0 and len(report.statuses) == n
+    assert sorted(reads) == sorted(visited)
+    assert len(visited) == 3 + n + n * n + n
+    assert sum(len(about(node)) for node in reads) == len(graph)

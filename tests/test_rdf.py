@@ -23,6 +23,7 @@ from cloudaudit.rdf import (
     TriplePattern,
     UnknownPrefixError,
     Var,
+    one_line,
     term_sort_key,
 )
 from cloudaudit.reasoner import materialize
@@ -30,7 +31,7 @@ from cloudaudit.openstack import ingest, parse_cli_json
 from cloudaudit.turtle import parse_turtle, serialize_turtle
 from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
-from oracles import CLOUDENG, ISO, SEC, ce, isomorphic, scan_match, sec
+from oracles import CLOUDENG, ISO, LINE_BREAKS, SEC, ce, isomorphic, scan_match, sec
 
 
 IRIS = [Iri(f"http://terms.test/{name}") for name in "abcdefg"]
@@ -509,6 +510,7 @@ class TestPrefixMap:
         assert pm.render(Iri("http://x.test/a")) == "p:a"
         assert pm.render(Iri("http://x.test/a/b")) == "<http://x.test/a/b>"
         assert pm.render(Literal("v")) == '"v"'
+        assert pm.render(Literal('a"b\\c\td\ne\rf')) == '"a\\"b\\\\c\\td\\ne\\u000Df"'
         assert pm.render(BlankNode("b1")) == "_:b1"
 
     def test_bind_refuses_a_label_with_a_trailing_newline(self):
@@ -656,3 +658,16 @@ class TestIsomorphism:
     def test_agrees_with_brute_force(self, a, b):
         assert isomorphic(a, b) == brute_isomorphic(a, b)
 
+
+
+def test_one_line_text_holds_no_line_break():
+    """Every character at which str.splitlines() breaks a line is in
+    LINE_BREAKS, and one_line escapes each: the Turtle writer's own escapes
+    first, \\uXXXX for the rest."""
+    breaks = "".join(c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2)
+    assert breaks == "".join(sorted(LINE_BREAKS))
+    for c in LINE_BREAKS:
+        escaped = one_line(f"a{c}b")
+        assert escaped.splitlines() == [escaped]
+        assert escaped == ("a\\nb" if c == "\n" else f"a\\u{ord(c):04X}b")
+    assert one_line('\\"\t') == '\\\\\\"\\t'

@@ -13,6 +13,8 @@ from cloudaudit.shacl import (
     NodeShape,
     PropertyConstraint,
     ShapeError,
+    ValidationReport,
+    ValidationResult,
     parse_shapes,
     validate,
 )
@@ -20,7 +22,7 @@ from cloudaudit.sparql import evaluate, parse_query
 from cloudaudit.turtle import parse_turtle
 from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
-from oracles import ce, sec
+from oracles import LINE_BREAKS, ce, sec
 from test_reasoner import BNODE_CLASSES, CLASSES, INSTANCES, general_class_graphs
 
 ENCRYPTION_MESSAGE = "Data interfaces must declare an encryption method (at-rest)."
@@ -343,3 +345,17 @@ def test_asserted_graph_reports_like_its_closure(g, shapes):
     included, so with no rdf:type or rdfs:subClassOf path the closure
     changes nothing a shape reads."""
     assert validate(g, shapes, subclasses_of) == validate(materialize(g).graph, shapes, subclasses_of)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_message_stays_on_its_line(brk):
+    """An sh:message line break is escaped in the text report, which so has
+    as many lines as with a plain message; JSON keeps the message as it is."""
+    def report(message):
+        result = ValidationResult(ce("X"), sec("p"), sec("Shape"), ConstraintKind.MIN_COUNT,
+                                  message, 0)
+        return ValidationReport(False, [result])
+
+    forged = report(f"missing{brk}conforms: true")
+    assert len(forged.to_text().splitlines()) == len(report("missing conforms: true").to_text().splitlines())
+    assert forged.to_json_dict()["results"][0]["message"] == f"missing{brk}conforms: true"

@@ -13,6 +13,7 @@ from cloudaudit.sparql import (
     GraphPattern,
     Polarity,
     Query,
+    SolutionTable,
     _QueryParser,
     _step_query,
     evaluate,
@@ -22,7 +23,7 @@ from cloudaudit.rdf import PrefixMap
 from cloudaudit.turtle import MAX_NESTING, ErrorKind, ParseError
 from cloudaudit.vocab import CLOUD_ENGINE, COMPLIES_WITH, IMPLEMENTS_STANDARD, RDF_TYPE
 
-from oracles import CLOUDENG, SEC, brute_rows, ce, sec, table_rows
+from oracles import CLOUDENG, LINE_BREAKS, SEC, brute_rows, ce, sec, table_rows
 
 B1_QUERY = """\
 PREFIX cloudeng: <http://example.org/cloudengine#>
@@ -667,3 +668,15 @@ def test_query_steps_read_every_fixture_query(fixtures_dir, model_graph, gap_gra
         assert expected[0] == "query"
         assert _outcome(parse_query, text) == expected
         assert _step_query(text) is not None  # not left to the token parser
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_literal_cell_stays_on_its_row(brk):
+    """A literal's line break is escaped in the text table, which so has as
+    many lines as with a plain literal; JSON keeps the literal as it is."""
+    def table(lexical):
+        return SolutionTable(["x", "y"], [(Literal(lexical), ce("A")), (Literal("b"), ce("B"))])
+
+    forged = table(f"a{brk}(2 rows)")
+    assert len(forged.to_text().splitlines()) == len(table("a (2 rows)").to_text().splitlines())
+    assert forged.to_json_dict()["results"]["bindings"][0]["x"]["value"] == f"a{brk}(2 rows)"
