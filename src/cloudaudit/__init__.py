@@ -40,11 +40,9 @@ _LAYER_EXPORTS = {
         "ComplianceReport",
         "CoverageEvidence",
         "NoPolicyError",
-        "attached_interfaces",
         "coverage",
         "coverage_queries",
         "remediation_hints",
-        "standards_of",
     ),
     "openstack": (
         "EndpointRecord",

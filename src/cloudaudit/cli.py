@@ -171,13 +171,13 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .reasoner import INFERRED_PREDICATES, materialize, subclasses_of
+    from .reasoner import INFERRED_PREDICATES, _closure, subclasses_of
     from .shacl import parse_shapes, validate
 
     doc = _from_file(args.file, parse_turtle)
     shapes = _from_file(args.shapes, lambda text: parse_shapes(parse_turtle(text)))
     reads_closure = any(c.path in INFERRED_PREDICATES for s in shapes for c in s.constraints)
-    graph = materialize(doc.graph).graph if reads_closure and not args.no_inference else doc.graph
+    graph = _closure(doc.graph).graph if reads_closure and not args.no_inference else doc.graph
     report = validate(graph, shapes, subclasses_of)
     _report(args, report.to_json_dict, report.to_text)
     return EXIT_OK if report.conforms else EXIT_VIOLATIONS

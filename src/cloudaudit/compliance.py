@@ -11,12 +11,15 @@ among them is assumed.
 Policies, interfaces and mechanisms may be IRIs or blank nodes, as for the
 `coverage_queries` cross-check, which binds ?i and ?m to any node; JSON
 reports and warnings write a blank node as _:label.  Standards are IRIs,
-and so are the implementers a remediation hint names.  Reports do not
-depend on load order: policies and interfaces go by IRI value, blank nodes
-after the IRIs by label; standards by IRI value; a standard's evidence by
-interface, its direct evidence first, then its mechanisms in
-MECHANISM_PROPERTIES order and, under each property, in `term_sort_key`
-order (which differs from IRI-value order: `ex:a-b` before `ex:a`).
+and so are the implementers a remediation hint names: attaching a blank
+node would make it the object of two triples, which the Turtle writer
+refuses, so a gap that only blank nodes implement gets a hint saying so.
+Reports do not depend on load order: policies and interfaces go by IRI
+value, blank nodes after the IRIs by label; standards and hint
+implementers by IRI value; a standard's evidence by interface, its direct
+evidence first, then its mechanisms in MECHANISM_PROPERTIES order and,
+under each property, in `term_sort_key` order (which differs from
+IRI-value order: `ex:a-b` before `ex:a`).
 
 Every covered standard carries its full evidence chain so reports can be
 replayed against the graph, and every gap can be paired with remediation
@@ -175,22 +178,6 @@ def _node_text(node: Node) -> str:
     return f"_:{node.label}" if isinstance(node, BlankNode) else node.value
 
 
-def attached_interfaces(graph: Graph, engine: Iri) -> set[Node]:
-    """Objects of the four interface attachment properties on the engine,
-    IRIs and blank nodes."""
-    found: set[Node] = set()
-    for prop in ATTACHMENT_PROPERTIES:
-        for obj in graph.objects(engine, prop):
-            if not isinstance(obj, Literal):
-                found.add(obj)
-    return found
-
-
-def standards_of(graph: Graph, node: Node) -> set[Iri]:
-    """Standards a node claims to implement (exact-IRI objects)."""
-    return {o for o in graph.objects(node, IMPLEMENTS_STANDARD) if isinstance(o, Iri)}
-
-
 def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
     """Compute the coverage report for one engine over a graph.
 
@@ -203,10 +190,10 @@ def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
     the report names the first in the module docstring's order.  A
     standard's label is its first literal label in `term_sort_key` order.
 
-    Reads the triples of each node it visits through `Graph.about`, once
-    for each role: the engine, each policy, each interface or mechanism (a
-    node that is both is read once), and each declared standard; each
-    triple is dispatched on its predicate.
+    Reads the triples of each node it visits through `Graph.about`, once:
+    the engine, each policy, each interface or mechanism (a node that is
+    both is read once), and each declared standard; each triple is
+    dispatched on its predicate.
     """
     about = graph.about
     policies: list[Node] = []
@@ -232,37 +219,32 @@ def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
         declared.update(t.object for t in about(policy)
                         if t.predicate == COMPLIES_WITH and isinstance(t.object, Iri))
 
-    # the declared standards each interface and mechanism implements, from
-    # its one read; the interfaces are read first, so that one which is
-    # also a mechanism is not read again
-    claims: dict[Node, list[Iri]] = {}
-    links = []  # per interface: (position, term_sort_key, mechanism, property), sorted
-    interfaces = sorted(attached, key=_node_key)
-    for interface in interfaces:
-        implemented = claims[interface] = []
-        linked = []
-        for t in about(interface):
-            predicate = t.predicate
-            if predicate == IMPLEMENTS_STANDARD:
-                if t.object in declared:
-                    implemented.append(t.object)
-            elif predicate in _MECHANISM_POSITION and not isinstance(t.object, Literal):
-                linked.append((_MECHANISM_POSITION[predicate], term_sort_key(t.object), t.object, predicate))
-        linked.sort()
-        links.append(linked)
+    # each interface or mechanism's one read, by the first role to meet it: the declared
+    # standards it implements and its links (position, term_sort_key, mechanism, property), sorted
+    memo: dict[Node, tuple[list[Iri], list]] = {}
+
+    def read(node: Node) -> tuple[list[Iri], list]:
+        entry = memo.get(node)
+        if entry is None:
+            implemented, linked = entry = memo[node] = [], []
+            for t in about(node):
+                predicate = t.predicate
+                if predicate == IMPLEMENTS_STANDARD:
+                    if t.object in declared:
+                        implemented.append(t.object)
+                elif predicate in _MECHANISM_POSITION and not isinstance(t.object, Literal):
+                    linked.append((_MECHANISM_POSITION[predicate], term_sort_key(t.object),
+                                   t.object, predicate))
+            linked.sort()
+        return entry
 
     evidence: dict[Iri, list[CoverageEvidence]] = {standard: [] for standard in declared}
-    for interface, linked in zip(interfaces, links):
-        for standard in claims[interface]:
+    for interface in sorted(attached, key=_node_key):
+        implemented, linked = read(interface)
+        for standard in implemented:
             evidence[standard].append(CoverageEvidence(standard, interface, EvidenceKind.DIRECT))
         for _, _, mechanism, prop in linked:
-            implemented = claims.get(mechanism)
-            if implemented is None:
-                implemented = claims[mechanism] = [
-                    t.object for t in about(mechanism)
-                    if t.predicate == IMPLEMENTS_STANDARD and t.object in declared
-                ]
-            for standard in implemented:
+            for standard in read(mechanism)[0]:
                 evidence[standard].append(
                     CoverageEvidence(standard, interface, EvidenceKind.MECHANISM, mechanism, prop)
                 )
@@ -289,21 +271,20 @@ def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
 def remediation_hints(
     report: ComplianceReport, graph: Graph, prefixes: PrefixMap | None = None
 ) -> list[str]:
-    """One actionable line per gap: who in the model implements the missing
-    standard, or a statement that nobody does."""
+    """One actionable line per gap: which IRIs in the model implement the
+    missing standard, that only blank nodes do, or that nothing does."""
     show = (PrefixMap() if prefixes is None else prefixes).render
     hints = []
     for standard in report.gaps:
-        implementers = sorted(
-            {s for s in graph.subjects(IMPLEMENTS_STANDARD, standard) if isinstance(s, Iri)},
-            key=lambda s: s.value,
-        )
-        if implementers:
-            names = ", ".join(show(i) for i in implementers)
-            hints.append(
-                f"{show(standard)}: implemented in the model by {names}; "
-                f"attach one of them to {show(report.engine)}"
-            )
+        implementers = graph.subjects(IMPLEMENTS_STANDARD, standard)
+        named = sorted({s for s in implementers if isinstance(s, Iri)}, key=lambda s: s.value)
+        if named:
+            names = ", ".join(map(show, named))
+            hints.append(f"{show(standard)}: implemented in the model by {names}; "
+                         f"attach one of them to {show(report.engine)}")
+        elif implementers:
+            hints.append(f"{show(standard)}: implemented in the model only by blank nodes; "
+                         f"give one an IRI to attach it to {show(report.engine)}")
         else:
             hints.append(f"{show(standard)}: no node in the model implements this standard")
     return hints

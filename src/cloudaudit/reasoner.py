@@ -78,8 +78,8 @@ def materialize(asserted: Graph) -> ClosureResult:
 
 
 def _closure(asserted: Graph) -> ClosureResult:
-    """`materialize` without building the result's indexes, for a caller
-    that only iterates the closure, as `infer` does to write it."""
+    """`materialize` without building the result's indexes, each built by its
+    first lookup: `infer` only iterates the closure, and `validate` reads two."""
     supers: dict[Term, list[Term]] = {}  # class -> its asserted superclasses
     classes_of: dict[Term, dict[Term, None]] = {}  # node -> its asserted classes
     for t in asserted:

@@ -201,19 +201,23 @@ def scan_coverage(graph: Graph, engine: Iri) -> ComplianceReport | None:
 
 def scan_hints(report: ComplianceReport, graph: Graph, prefixes: PrefixMap) -> list[str]:
     """The hints `compliance.remediation_hints` should give, by full scans:
-    the IRI subjects implementing each gap, by IRI value."""
+    the IRI subjects implementing each gap, by IRI value, or else whether
+    blank nodes implement it."""
     show = prefixes.render
     hints = []
     for status in report.statuses:
         if status.state is not CoverageState.GAP:
             continue
         standard = status.standard
-        implementers = sorted({s.value for s, p, o in graph
-                               if p == IMPLEMENTS_STANDARD and o == standard and isinstance(s, Iri)})
+        subjects = [s for s, p, o in graph if p == IMPLEMENTS_STANDARD and o == standard]
+        implementers = sorted({s.value for s in subjects if isinstance(s, Iri)})
         if implementers:
             names = ", ".join(show(Iri(i)) for i in implementers)
             hints.append(f"{show(standard)}: implemented in the model by {names}; "
                          f"attach one of them to {show(report.engine)}")
+        elif any(isinstance(s, BlankNode) for s in subjects):
+            hints.append(f"{show(standard)}: implemented in the model only by blank nodes; "
+                         f"give one an IRI to attach it to {show(report.engine)}")
         else:
             hints.append(f"{show(standard)}: no node in the model implements this standard")
     return hints

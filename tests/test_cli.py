@@ -223,6 +223,36 @@ class TestComplianceCommand:
         assert payload["policy"] == "http://e.test/Z"
         assert payload["gaps"] == ["http://e.test/S1", "http://e.test/S2"]
 
+    def test_a_gap_only_blank_nodes_implement_gets_its_own_hint(self, run, tmp_path):
+        """Hints name IRI implementers only; a gap whose implementers are all
+        blank nodes says so, and one with any IRI implementer names it."""
+        model = tmp_path / "blank_implementers.ttl"
+        model.write_text(
+            "@prefix cloudeng: <http://example.org/cloudengine#> .\n"
+            "@prefix sec: <http://example.org/security#> .\n"
+            "@prefix ex: <http://e.test/> .\n"
+            "ex:E sec:hasSecurityPolicy ex:P .\n"
+            "ex:P sec:compliesWith ex:S1 .\n"
+            "ex:F cloudeng:hasDataInterface [ sec:implementsStandard ex:S1 ] .\n"
+            "ex:E2 sec:hasSecurityPolicy ex:P2 .\n"
+            "ex:P2 sec:compliesWith ex:S1, ex:S2, ex:S3 .\n"
+            "ex:G sec:implementsStandard ex:S2 .\n"
+            "ex:F cloudeng:hasControlInterface [ sec:implementsStandard ex:S2 ] .\n"
+        )
+        blank_only = ("ex:S1: implemented in the model only by blank nodes; "
+                      "give one an IRI to attach it to ex:E")
+        code, out, _ = run("compliance", str(model), "--engine", "ex:E")
+        assert code == 3
+        assert out.endswith(f"GAP      ex:S1\n\nhints:\n  - {blank_only}\n")
+        code, out, _ = run("compliance", str(model), "--engine", "ex:E", "--format", "json")
+        assert code == 3 and json.loads(out)["hints"] == [blank_only]
+        code, out, _ = run("compliance", str(model), "--engine", "ex:E2", "--format", "json")
+        assert code == 3 and json.loads(out)["hints"] == [
+            blank_only.replace("ex:E", "ex:E2"),
+            "ex:S2: implemented in the model by ex:G; attach one of them to ex:E2",
+            "ex:S3: no node in the model implements this standard",
+        ]
+
     def test_json_is_stable_across_runs(self, run, model):
         _, first, _ = run("compliance", model, "--engine", "cloudeng:SecureCloudEngine", "--format", "json")
         _, second, _ = run("compliance", model, "--engine", "cloudeng:SecureCloudEngine", "--format", "json")
@@ -352,6 +382,32 @@ class TestIndexesBuilt:
         assert run("validate", model, shapes)[0] == 0
         data, _ = graphs
         assert self.built(data) == ["subject", "object"]
+
+    def test_validate_on_the_closure_reads_no_predicate_index(self, run, model, tmp_path,
+                                                              graphs, monkeypatch):
+        """A shape whose path is rdf:type makes validate build the closure,
+        which builds only the indexes the shapes read, as the data does."""
+        from cloudaudit import shacl
+
+        unpatched = shacl.validate
+
+        def validate(graph, *rest):
+            graphs.append(graph)
+            return unpatched(graph, *rest)
+
+        monkeypatch.setattr(shacl, "validate", validate)
+        type_shapes = tmp_path / "type_shapes.ttl"
+        type_shapes.write_text(
+            "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+            "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+            "@prefix cloudeng: <http://example.org/cloudengine#> .\n"
+            "cloudeng:TypedShape a sh:NodeShape ; sh:targetClass cloudeng:DataInterface ;\n"
+            "  sh:property [ sh:path rdf:type ; sh:minCount 1 ] .\n"
+        )
+        assert run("validate", model, str(type_shapes))[0] == 0
+        data, _, closure = graphs
+        assert len(closure) > len(data)
+        assert self.built(closure) == ["subject", "object"]
 
     @pytest.mark.parametrize("options", [[], ["--no-inference"]], ids=["closure", "asserted"])
     def test_query_reads_all_three(self, run, model, gap_query, graphs, options):

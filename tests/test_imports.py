@@ -27,9 +27,8 @@ EXPORTS = {
     "sparql": ["Query", "SolutionTable", "evaluate", "parse_query"],
     "shacl": ["NodeShape", "PropertyConstraint", "ShapeError", "ValidationReport",
               "parse_shapes", "validate"],
-    "compliance": ["ComplianceReport", "CoverageEvidence", "NoPolicyError",
-                   "attached_interfaces", "coverage", "coverage_queries",
-                   "remediation_hints", "standards_of"],
+    "compliance": ["ComplianceReport", "CoverageEvidence", "NoPolicyError", "coverage",
+                   "coverage_queries", "remediation_hints"],
     "openstack": ["EndpointRecord", "IngestConfig", "IngestError", "JsonShapeError",
                   "ProjectRecord", "RoleAssignmentRecord", "UserRecord", "ingest",
                   "parse_cli_json"],
