@@ -397,6 +397,61 @@ def test_exists_stops_at_the_first_witness(monkeypatch):
     assert reads[0] <= 2  # the type triple and one witness of the thousand
 
 
+def record_lookups(graph: Graph, monkeypatch) -> list[tuple]:
+    """Wrap the graph's lookup; the returned list gets each call's arguments."""
+    calls = []
+    lookup = graph.triples
+
+    def recording(*given):
+        calls.append(given)
+        return lookup(*given)
+
+    monkeypatch.setattr(graph, "triples", recording)
+    return calls
+
+
+H, E, S, K = _ex("has"), _ex("enc"), _ex("scope"), _ex("knows")
+
+
+@pytest.mark.parametrize("where, lookups, rows", [
+    pytest.param(  # starts at the most given pattern, then follows the join back
+        "?e <http://w.test/has> ?d . ?d <http://w.test/enc> ?m . "
+        "?m <http://w.test/scope> <http://w.test/AtRest>",
+        [(None, S, _ex("AtRest")), (None, E, _ex("m1")), (None, H, _ex("d1")),
+         (None, E, _ex("m3")), (None, H, _ex("d3"))],
+        [("a", "d1", "m1"), ("b", "d3", "m3")],
+        id="text order unlike plan order"),
+    pytest.param(  # one lookup for ?x twice; only c knows itself
+        "?x <http://w.test/knows> ?x . ?x <http://w.test/knows> ?y",
+        [(None, K, None), (_ex("c"), K, None)],
+        [("c", "a"), ("c", "c")],
+        id="repeated new variable"),
+    pytest.param(  # the first pattern binds positions 0 and 2, read in ties' text order
+        "?s <http://w.test/has> ?o . ?o <http://w.test/enc> ?m . ?s <http://w.test/knows> ?k",
+        [(None, H, None), (_ex("d1"), E, None), (_ex("a"), K, None), (_ex("d2"), E, None),
+         (_ex("a"), K, None), (_ex("d3"), E, None), (_ex("b"), K, None)],
+        [("a", "d1", "m1", "b"), ("a", "d2", "m2", "b")],
+        id="new subject and object"),
+    pytest.param(  # the filter reads only ?e, so a's two rows share one answer
+        "?e <http://w.test/has> ?d . FILTER NOT EXISTS { ?e <http://w.test/knows> ?f }",
+        [(None, H, None), (_ex("a"), K, None), (_ex("b"), K, None)],
+        [("b", "d3")],
+        id="filter reads part of the row"),
+])
+def test_each_plan_makes_its_lookups_in_order(monkeypatch, where, lookups, rows):
+    g = Graph()
+    for s, p, o in [("a", "has", "d1"), ("a", "has", "d2"), ("b", "has", "d3"),
+                    ("d1", "enc", "m1"), ("d2", "enc", "m2"), ("d3", "enc", "m3"),
+                    ("m1", "scope", "AtRest"), ("m2", "scope", "InTransit"),
+                    ("m3", "scope", "AtRest"),
+                    ("c", "knows", "c"), ("c", "knows", "a"), ("a", "knows", "b")]:
+        g.add(Triple(_ex(s), _ex(p), _ex(o)))
+    calls = record_lookups(g, monkeypatch)
+    table = evaluate(parse_query(f"SELECT * WHERE {{ {where} }}"), g)
+    assert calls == lookups
+    assert table.rows == [tuple(_ex(name) for name in row) for row in rows]
+
+
 def _not_exists_chain(depth: int) -> str:
     """SELECT over `depth` nested NOT EXISTS groups that share no variable."""
     opened = "".join(f"FILTER NOT EXISTS {{ ?s{k} ?p{k} ?o{k} " for k in range(1, depth + 1))
