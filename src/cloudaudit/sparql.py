@@ -29,22 +29,23 @@ the Turtle module's lexical errors and the token parser's grammar errors.
 Evaluation plans each group once per query: its triple patterns are
 joined greedily, most bound positions first (constants and variables bound
 by earlier patterns), then fewest estimated candidates (the index pool of a
-constant, the average pool of a bound variable), ties in text order.  Each
-pattern reads `Graph.triples` lazily per row and binds only its new
-variables; a group's FILTERs run after its patterns, and EXISTS / NOT
-EXISTS stop at the first inner solution.  A FILTER group that reads only
-some of the row's variables remembers its answer for each combination of
-their terms, so an uncorrelated group is solved once per query, and a
-chain of them costs time linear in its depth.  Solution rows are deduplicated
-and sorted, so repeated evaluation of one query is byte-stable.
+constant, the average pool of a bound variable), ties in text order.  A
+plan is plain tuples.  Each step reads `Graph.triples` lazily per row and
+binds only its new variables, one slice of each triple it reads; a group's
+FILTERs run after its patterns, and EXISTS / NOT EXISTS stop at the first
+inner solution.  A FILTER group that reads only some of the row's
+variables remembers its answer for each combination of their terms, so an
+uncorrelated group is solved once per query, and a chain of them costs
+time linear in its depth.  Solution rows are deduplicated and sorted, so
+repeated evaluation of one query is byte-stable.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Iterator
 
 from .rdf import (
     Graph,
@@ -322,39 +323,6 @@ def parse_query(text: str) -> Query:
     return _QueryParser(text).parse() if query is None else query
 
 
-_ATTRS = ("subject", "predicate", "object")
-
-
-class _Step(Record):
-    """One triple pattern of a plan.  A row is a tuple of terms aligned with
-    the plan's layout; a hit of the lookup appends the new variables' terms."""
-
-    __slots__ = ("given", "from_row", "take", "same")
-    __hash__ = None
-
-    def __init__(self, given: list[Term | None], from_row: tuple[tuple[int, int], ...],
-                 take: Callable[[Triple], tuple] | None, same: tuple[tuple[str, str], ...]):
-        self.given = given  # constants by position, else None (free or from the row)
-        self.from_row = from_row  # (position, row index) of bound variables
-        self.take = take  # new variables' terms of a hit, or None
-        self.same = same  # attributes a repeated new variable binds
-
-
-class _Plan(Record):
-    __slots__ = ("steps", "filters", "layout", "reads")
-    __hash__ = None
-
-    def __init__(self, steps: list[_Step],
-                 filters: list[tuple[bool, _Plan, Callable[[tuple], object] | None, dict]],
-                 layout: dict[str, int], reads: set[int]):
-        self.steps = steps
-        # (keep rows that have a solution, inner plan, the row's terms the inner
-        # plan reads or None for the whole row, answers by those terms)
-        self.filters = filters
-        self.layout = layout  # variable name -> its row index after the steps, in row order
-        self.reads = reads  # indices of the seed row that the steps and filters read
-
-
 def _rank(graph: Graph, tp: TriplePattern, layout: dict[str, int]) -> tuple[int, float]:
     """Order key for the next pattern to join: most given positions first
     (constants and variables bound so far), then fewest estimated candidates."""
@@ -370,37 +338,41 @@ def _rank(graph: Graph, tp: TriplePattern, layout: dict[str, int]) -> tuple[int,
     return -given, estimate
 
 
-def _step(tp: TriplePattern, layout: dict[str, int]) -> _Step:
-    """Compile a pattern against the variables bound so far; adds its new
-    variables to `layout` at the next row indices."""
-    given: list[Term | None] = [None, None, None]
-    from_row = []
-    first: dict[str, str] = {}  # new variable -> attribute that binds it
-    same = []
+def _step(tp: TriplePattern, layout: dict[str, int]) -> tuple:
+    """Compile a pattern against the variables bound so far into
+    (given, from_row, take, same); adds its new variables to `layout` at the
+    next row indices.  A row is a tuple of terms aligned with the layout,
+    and a hit `t` of the lookup extends it by `t[take]`."""
+    given: list[Term | None] = [None, None, None]  # constants by position
+    from_row = []  # (position, row index) of bound variables
+    first: dict[str, int] = {}  # new variable -> position that binds it
+    same = []  # (first, later) positions of a repeated new variable
     for position, slot in enumerate((tp.subject, tp.predicate, tp.object)):
-        attr = _ATTRS[position]
         if not isinstance(slot, Var):
             given[position] = slot
         elif slot.name in layout:
             from_row.append((position, layout[slot.name]))
         elif slot.name in first:
-            same.append((first[slot.name], attr))
+            same.append((first[slot.name], position))
         else:
-            first[slot.name] = attr
+            first[slot.name] = position
     for name in first:
         layout[name] = len(layout)
     take = None
-    if len(first) == 1:
-        (attr,) = first.values()
-        take = lambda t, attr=attr: (getattr(t, attr),)  # noqa: E731
-    elif first:
-        take = attrgetter(*first.values())
-    return _Step(given, tuple(from_row), take, tuple(same))
+    if first:
+        # ascending subsets of (0, 1, 2) are evenly spaced, so one slice
+        # of the triple is the new variables' terms as a plain tuple
+        at = list(first.values())
+        take = slice(at[0], at[-1] + 1, at[1] - at[0] if len(at) > 1 else 1)
+    return given, tuple(from_row), take, tuple(same)
 
 
-def _plan(graph: Graph, pattern: GraphPattern, bound: dict[str, int]) -> _Plan:
+def _plan(graph: Graph, pattern: GraphPattern, bound: dict[str, int]) -> tuple:
     """Order a group's patterns greedily by `_rank`, ties in text order, and
-    plan its filters against every variable the group binds."""
+    plan its filters against every variable the group binds.  The plan is
+    (steps, filters, layout, reads): `layout` maps each variable to its row
+    index after the steps, and `reads` holds the indices of the seed row
+    that the steps and filters read."""
     layout = dict(bound)
     remaining = list(pattern.triples)
     ranks = None  # of `remaining`, until the layout grows
@@ -416,6 +388,8 @@ def _plan(graph: Graph, pattern: GraphPattern, bound: dict[str, int]) -> _Plan:
         steps.append(_step(remaining.pop(best), layout))
         if len(layout) > width:  # new variables give more positions
             ranks = None
+    seed = len(bound)
+    reads = {index for _, from_row, _, _ in steps for _, index in from_row if index < seed}
     # A filter that reads only part of the row remembers its answer for
     # each combination of the terms it reads, so rows that agree on them,
     # or all rows when it reads none, share one evaluation.  A filter that
@@ -423,15 +397,13 @@ def _plan(graph: Graph, pattern: GraphPattern, bound: dict[str, int]) -> _Plan:
     filters = []
     for flt in pattern.filters:
         inner = _plan(graph, flt.inner, layout)
+        _, _, _, inner_reads = inner
         key = None
-        if len(inner.reads) < len(layout):
-            key = itemgetter(*inner.reads) if inner.reads else _no_terms
+        if len(inner_reads) < len(layout):
+            key = itemgetter(*inner_reads) if inner_reads else _no_terms
         filters.append((flt.polarity is Polarity.EXISTS, inner, key, {}))
-    seed = len(bound)
-    reads = {index for step in steps for _, index in step.from_row if index < seed}
-    for _, inner, _, _ in filters:
-        reads.update(index for index in inner.reads if index < seed)
-    return _Plan(steps, filters, layout, reads)
+        reads.update(index for index in inner_reads if index < seed)
+    return steps, filters, layout, reads
 
 
 def _no_terms(row: tuple) -> tuple:
@@ -454,11 +426,11 @@ def _passes(lookup, filters: list[tuple], row: tuple) -> bool:
     return True
 
 
-def _solve(lookup, plan: _Plan, seed: tuple) -> Iterator[tuple]:
+def _solve(lookup, plan: tuple, seed: tuple) -> Iterator[tuple]:
     """Lazy solutions of a plan extending one row: the steps depth first,
     one live lookup per step, then the correlated filters.  The stack does
     not grow with the number of patterns or filters in a group."""
-    steps, filters = plan.steps, plan.filters
+    steps, filters, _, _ = plan
     last = len(steps) - 1
     if last < 0:
         if not filters or _passes(lookup, filters, seed):
@@ -469,19 +441,18 @@ def _solve(lookup, plan: _Plan, seed: tuple) -> Iterator[tuple]:
     k = 0
     opening: tuple | None = seed  # a row for step k to start a lookup on
     while k >= 0:
-        step = steps[k]
+        given, from_row, take, same = steps[k]
         if opening is not None:
-            args = step.given
-            if step.from_row:
-                args = args.copy()
-                for position, index in step.from_row:
+            args = given
+            if from_row:
+                args = given.copy()
+                for position, index in from_row:
                     args[position] = opening[index]
             rows[k], live[k], opening = opening, iter(lookup(*args)), None
-        take, same = step.take, step.same
         for t in live[k]:
-            if same and any(getattr(t, a) != getattr(t, b) for a, b in same):
+            if same and any(t[a] != t[b] for a, b in same):
                 continue
-            row = rows[k] if take is None else rows[k] + take(t)
+            row = rows[k] if take is None else rows[k] + t[take]
             if k < last:
                 k, opening = k + 1, row
                 break
@@ -501,6 +472,7 @@ def evaluate(query: Query, graph: Graph) -> SolutionTable:
     WHERE { }` has one row of no columns.
     """
     plan = _plan(graph, query.where, {})
+    _, _, layout, _ = plan
     if query.projection is None:
         variables = []
         for tp in query.where.triples:
@@ -510,7 +482,7 @@ def evaluate(query: Query, graph: Graph) -> SolutionTable:
     else:
         variables = list(query.projection)
     # a variable that occurs only inside filters is never bound
-    columns = [plan.layout.get(v) for v in variables]
+    columns = [layout.get(v) for v in variables]
     unique = dict.fromkeys(
         tuple(None if c is None else solution[c] for c in columns)
         for solution in _solve(graph.triples, plan, ())

@@ -23,8 +23,6 @@ SAMPLES = {
                           [sparql.FilterExistence(sparql.Polarity.EXISTS, sparql.GraphPattern())]),
     sparql.Query: ([PrefixMap(), None, sparql.GraphPattern()], sparql.GraphPattern([PATTERN])),
     sparql.SolutionTable: ([["x"], []], [(S,)]),
-    sparql._Step: ([[None, P, None], (), None, ()], (("subject", "object"),)),
-    sparql._Plan: ([[], [], [], set()], {0}),
     shacl.PropertyConstraint: ([P, 1, 2, O, "m"], "n"),
     shacl.NodeShape: ([S, frozenset({O}), ()], (shacl.PropertyConstraint(P),)),
     shacl.ValidationResult: ([S, P, O, shacl.ConstraintKind.MIN_COUNT, "m", 0], 1),
@@ -42,8 +40,8 @@ SAMPLES = {
 # the classes that compare by value but are mutable, so unhashable
 MUTABLE = {
     turtle.Document, reasoner.ClosureResult, sparql.FilterExistence, sparql.GraphPattern,
-    sparql.Query, sparql.SolutionTable, sparql._Step, sparql._Plan, shacl.ValidationReport,
-    compliance.ComplianceReport, openstack.IngestConfig,
+    sparql.Query, sparql.SolutionTable, shacl.ValidationReport, compliance.ComplianceReport,
+    openstack.IngestConfig,
 }
 
 
