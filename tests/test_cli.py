@@ -433,7 +433,7 @@ class TestInferCommand:
         code, _, err = run("infer", model, "-o", str(out_path))
         assert code == 0
         assert "9 inferred triple(s)" in err
-        original = parse_turtle(open(model).read())
+        original = parse_turtle(Path(model).read_text(encoding="utf-8"))
         written = parse_turtle(out_path.read_text())
         assert isomorphic(written.graph, materialize(original.graph).graph)
 
@@ -812,6 +812,29 @@ class TestBadInputExitsOne:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert expected.format(path=path) in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["query", "validate", "compliance"])
+def test_reports_do_not_depend_on_the_hash_seed(model, gap_model, shapes, gap_query,
+                                                command, fmt):
+    """Evaluation iterates sets (a plan's seed reads, the subclass sets of
+    the entailment view); the report is byte-identical under two hash seeds.
+    Runs in child processes, since a process has one hash seed."""
+    argv, code = {
+        "query": (["query", gap_model, gap_query], 0),
+        "validate": (["validate", gap_model, shapes], 2),
+        "compliance": (["compliance", model, "--engine", "cloudeng:SecureCloudEngine"], 3),
+    }[command]
+    src = str(Path(cloudaudit.__file__).resolve().parent.parent)
+    reports = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "cloudaudit.cli", *argv, "--format", fmt],
+                              capture_output=True, env=env, timeout=120)
+        reports.append((proc.returncode, proc.stdout))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == code and b"cloudeng" in reports[0][1]  # a report with findings
 
 
 FUZZ_PREAMBLE = (
