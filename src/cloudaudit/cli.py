@@ -1,7 +1,7 @@
 """Command-line front end: parse, infer, query, validate, compliance, ingest.
 
-Reports go to stdout, diagnostics to stderr, and exit codes are
-CI-friendly:
+Reports go to stdout, diagnostics to stderr (dropped if stderr is
+closed), and exit codes are CI-friendly:
 
     0  success / conforms / no gaps
     1  usage, I/O or parse error
@@ -53,8 +53,7 @@ class _CliError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 means violations here
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        _diagnose(f"{self.format_usage()}{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_ERROR)
 
     # --help and --version text goes to stdout, where a write can fail as a report's can
@@ -87,8 +86,20 @@ def _from_file(path: str, read: Callable[[str], T]) -> T:
         raise _CliError(f"{path}: {exc}") from exc
 
 
+def _diagnose(text: str):
+    """Write `text` to stderr, or drop it if stderr is closed: a diagnostic
+    that cannot be written changes no exit code."""
+    if sys.stderr is not None:  # None: fd 2 was closed at start-up
+        try:
+            sys.stderr.write(text)
+        except OSError:  # e.g. fd 2 is not open for writing, or its pipe's reader has gone
+            pass
+
+
 def _write_output(text: str, out_path: str | None):
     if out_path is None:
+        if sys.stdout is None:  # fd 1 was closed at start-up
+            raise _CliError("cannot write to stdout: it is closed")
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -144,17 +155,15 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    from .reasoner import _closure  # the writer makes no lookup, so no indexes
+    from .reasoner import materialize  # builds no index, and the writer makes no lookup
 
     doc = _from_file(args.file, parse_turtle)
-    closure = _closure(doc.graph)
+    closure = materialize(doc.graph)
     try:
         text = serialize_turtle(Document(closure.graph, doc.prefixes))
     except ValueError as exc:
         raise _CliError(f"cannot write the inferred graph of {args.file}: {exc}") from exc
-    sys.stderr.write(
-        f"{closure.inferred_count} inferred triple(s) in {closure.iterations} iteration(s)\n"
-    )
+    _diagnose(f"{closure.inferred_count} inferred triple(s) in {closure.iterations} iteration(s)\n")
     _write_output(text, args.output)
     return EXIT_OK
 
@@ -171,13 +180,13 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .reasoner import INFERRED_PREDICATES, _closure, subclasses_of
+    from .reasoner import INFERRED_PREDICATES, materialize, subclasses_of
     from .shacl import parse_shapes, validate
 
     doc = _from_file(args.file, parse_turtle)
     shapes = _from_file(args.shapes, lambda text: parse_shapes(parse_turtle(text)))
     reads_closure = any(c.path in INFERRED_PREDICATES for s in shapes for c in s.constraints)
-    graph = _closure(doc.graph).graph if reads_closure and not args.no_inference else doc.graph
+    graph = materialize(doc.graph).graph if reads_closure and not args.no_inference else doc.graph
     report = validate(graph, shapes, subclasses_of)
     _report(args, report.to_json_dict, report.to_text)
     return EXIT_OK if report.conforms else EXIT_VIOLATIONS
@@ -193,7 +202,7 @@ def _cmd_compliance(args) -> int:
     except NoPolicyError as exc:
         raise _CliError(str(exc)) from exc
     for warning in report.warnings:
-        sys.stderr.write(f"warning: {warning}\n")
+        _diagnose(f"warning: {warning}\n")
     hints = remediation_hints(report, doc.graph, doc.prefixes)
 
     def text() -> str:
@@ -245,7 +254,7 @@ def _cmd_ingest(args) -> int:
     except IngestError as exc:
         raise _CliError(str(exc)) from exc
     counts = ", ".join(f"{len(found)} {kind[:-1]}(s)" for kind, found in records.items())
-    sys.stderr.write(f"ingested {counts}: {len(doc.graph)} triples\n")
+    _diagnose(f"ingested {counts}: {len(doc.graph)} triples\n")
     _write_output(serialize_turtle(doc), args.output)
     return EXIT_OK
 
@@ -328,10 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.handler(args)
     except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _diagnose(f"error: {exc}\n")
         return exc.code
     except MemoryError:  # e.g. a query whose answer does not fit in memory
-        sys.stderr.write("error: out of memory\n")
+        _diagnose("error: out of memory\n")
         return EXIT_ERROR
     finally:
         if enabled:

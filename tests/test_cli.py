@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -274,13 +275,13 @@ class TestEntailment:
         from cloudaudit import reasoner
 
         calls = []
-        unpatched = reasoner._closure
+        unpatched = reasoner.materialize
 
         def closure(graph):
             calls.append(graph)
             return unpatched(graph)
 
-        monkeypatch.setattr(reasoner, "_closure", closure)
+        monkeypatch.setattr(reasoner, "materialize", closure)
         return calls
 
     def test_compliance_builds_no_closure(self, run, model, closures):
@@ -814,6 +815,85 @@ class TestBadInputExitsOne:
         assert expected.format(path=path) in err
 
 
+class TestClosedStreams:
+    """A diagnostic that cannot be written is dropped and changes no exit
+    code; a report that cannot go to stdout is a failed write: exit 1 and
+    one error line, with no traceback.
+
+    Runs the real entry point in a child process whose fd 1 or fd 2 is
+    closed before the interpreter starts, as `>&-` or `2>&-` does in a shell,
+    or whose stderr is a pipe with no reader.
+    """
+
+    @staticmethod
+    def cli(argv, closed=None, stderr=subprocess.PIPE):
+        """Exit code, stdout bytes and stderr text of one command, with fd
+        `closed` closed in the child."""
+        src = str(Path(cloudaudit.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cloudaudit.cli", *argv],
+            stdout=subprocess.PIPE, stderr=stderr, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120, preexec_fn=None if closed is None else partial(os.close, closed),
+        )
+        err = proc.stderr.decode("utf-8") if proc.stderr is not None else ""
+        return proc.returncode, proc.stdout, err
+
+    @pytest.fixture(params=["closed", "readerless"])
+    def no_stderr(self, request):
+        """`cli` options for a stderr that takes no write."""
+        if request.param == "closed":
+            yield {"closed": 2}
+            return
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            yield {"stderr": write_end}
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("command", ["infer", "ingest"])
+    def test_a_count_on_no_stderr_changes_no_report(self, model, fixtures_dir, command,
+                                                   no_stderr):
+        argv = {"infer": ["infer", model],
+                "ingest": ["ingest", "openstack", "--endpoints",
+                           str(fixtures_dir / "openstack_sample" / "endpoints.json")]}[command]
+        code, out, err = self.cli(argv)
+        assert code == 0 and out and err.count("\n") == 1
+        assert self.cli(argv, **no_stderr)[:2] == (0, out)
+
+    def test_a_warning_on_no_stderr_changes_no_exit_code(self, tmp_path, no_stderr):
+        model = tmp_path / "two_policies.ttl"
+        model.write_text(
+            "@prefix ex: <http://e.test/> .\n"
+            "@prefix sec: <http://example.org/security#> .\n"
+            "ex:E sec:hasSecurityPolicy ex:P1 , ex:P2 .\n"
+            "ex:P1 sec:compliesWith ex:S1 .\n",
+            encoding="utf-8",
+        )
+        argv = ["compliance", str(model), "--engine", "ex:E"]
+        code, out, err = self.cli(argv)
+        assert code == 3 and err.startswith("warning: ")
+        assert self.cli(argv, **no_stderr)[:2] == (3, out)
+
+    def test_an_error_on_no_stderr_keeps_its_exit_code(self, tmp_path):
+        argv = ["parse", str(tmp_path / "missing.ttl")]
+        assert self.cli(argv, closed=2) == (1, b"", "")
+        assert self.cli(["parse"], closed=2) == (1, b"", "")  # usage: nothing goes to stdout
+
+    @pytest.mark.parametrize("argv", [["parse", "MODEL"], ["--version"], ["infer", "--help"]],
+                             ids=["parse", "--version", "--help"])
+    def test_a_report_to_a_closed_stdout_is_an_error_line(self, model, argv):
+        code, _, err = self.cli([model if arg == "MODEL" else arg for arg in argv], closed=1)
+        assert code == 1
+        assert err == "error: cannot write to stdout: it is closed\n"
+
+    def test_a_report_to_a_closed_stdout_can_go_to_a_file(self, model, tmp_path):
+        out = tmp_path / "closure.ttl"
+        code, _, err = self.cli(["infer", model, "-o", str(out)], closed=1)
+        assert code == 0 and "inferred triple(s)" in err
+        assert out.read_bytes() == self.cli(["infer", model])[1]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", ["query", "validate", "compliance"])
 def test_reports_do_not_depend_on_the_hash_seed(model, gap_model, shapes, gap_query,
@@ -888,6 +968,23 @@ engine_text = st.one_of(
 )
 
 
+# the stream a second run of the same arguments goes without, or None for no second run
+closed_stream = st.sampled_from([None, "stdout", "stderr"])
+
+
+def exit_code(argv: list[str], monkeypatch, closed: str | None = None) -> int:
+    """`main(argv)`, or argparse's exit code, with `sys.<closed>` None as
+    Python leaves a stream whose fd was closed at start-up."""
+    with monkeypatch.context() as patch:
+        if closed is not None:
+            patch.setattr(sys, closed, None)
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            assert exc.code == 1
+            return exc.code
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     command=st.sampled_from(["parse", "infer", "query", "validate", "compliance"]),
@@ -895,8 +992,10 @@ engine_text = st.one_of(
     query=query_text,
     shapes_text=turtle_text,
     engine=engine_text,
+    closed=closed_stream,
 )
-def test_any_input_exits_with_a_contract_code(tmp_path, command, model_text, query, shapes_text, engine):
+def test_any_input_exits_with_a_contract_code(tmp_path, monkeypatch, command, model_text, query,
+                                              shapes_text, engine, closed):
     """In process, so any exception the CLI lets escape fails the test."""
     paths = {}
     for name, text in (("model.ttl", model_text), ("query.rq", query), ("shapes.ttl", shapes_text)):
@@ -911,12 +1010,10 @@ def test_any_input_exits_with_a_contract_code(tmp_path, command, model_text, que
         # the = form keeps an engine text such as --help from reading as an option
         "compliance": ["compliance", paths["model.ttl"], f"--engine={engine}"],
     }[command]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the arguments
-        assert exc.code == 1
-    else:
-        assert code in (0, 1, 2, 3)
+    code = exit_code(argv, monkeypatch)
+    assert code in (0, 1, 2, 3)
+    if closed is not None:  # no stdout is a failed write; no stderr changes no code
+        assert exit_code(argv, monkeypatch, closed) == (1 if closed == "stdout" else code)
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -982,8 +1079,9 @@ INGEST_OPTIONS = ("--endpoints", "--projects", "--users", "--assignments", "--ve
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(files=st.fixed_dictionaries({option: ingest_json for option in INGEST_OPTIONS}))
-def test_any_ingest_input_exits_with_a_contract_code(tmp_path, files):
+@given(files=st.fixed_dictionaries({option: ingest_json for option in INGEST_OPTIONS}),
+       closed=closed_stream)
+def test_any_ingest_input_exits_with_a_contract_code(tmp_path, monkeypatch, files, closed):
     """In process, so any exception the CLI lets escape fails the test."""
     argv = ["ingest", "openstack"]
     for option, text in files.items():
@@ -991,7 +1089,10 @@ def test_any_ingest_input_exits_with_a_contract_code(tmp_path, files):
             path = tmp_path / f"{option.strip('-')}.json"
             path.write_text(text, encoding="utf-8", errors="surrogatepass")
             argv += [option, str(path)]
-    assert main(argv) in (0, 1)
+    code = main(argv)
+    assert code in (0, 1)
+    if closed is not None:  # no stdout is a failed write; no stderr changes no code
+        assert exit_code(argv, monkeypatch, closed) == (1 if closed == "stdout" else code)
 
 
 @settings(max_examples=100, deadline=None,
