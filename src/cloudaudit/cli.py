@@ -155,10 +155,10 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    from .reasoner import materialize  # builds no index, and the writer makes no lookup
+    from .reasoner import _closure  # the writer makes no lookup, so no indexes
 
     doc = _from_file(args.file, parse_turtle)
-    closure = materialize(doc.graph)
+    closure = _closure(doc.graph)
     try:
         text = serialize_turtle(Document(closure.graph, doc.prefixes))
     except ValueError as exc:
@@ -180,13 +180,13 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .reasoner import INFERRED_PREDICATES, materialize, subclasses_of
+    from .reasoner import INFERRED_PREDICATES, _closure, subclasses_of
     from .shacl import parse_shapes, validate
 
     doc = _from_file(args.file, parse_turtle)
     shapes = _from_file(args.shapes, lambda text: parse_shapes(parse_turtle(text)))
     reads_closure = any(c.path in INFERRED_PREDICATES for s in shapes for c in s.constraints)
-    graph = materialize(doc.graph).graph if reads_closure and not args.no_inference else doc.graph
+    graph = _closure(doc.graph).graph if reads_closure and not args.no_inference else doc.graph
     report = validate(graph, shapes, subclasses_of)
     _report(args, report.to_json_dict, report.to_text)
     return EXIT_OK if report.conforms else EXIT_VIOLATIONS

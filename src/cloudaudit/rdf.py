@@ -259,7 +259,7 @@ class Graph:
     its pool, the list of the triples that hold it there, in insertion
     order.  It is built from the triple set by the first lookup that reads
     that position; a write that adds a triple drops all three, and a copy
-    starts without them; parsing, writing and `materialize` build none.  Each
+    starts without them.  Loading or writing a graph builds none.  Each
     index is published whole in one assignment, so concurrent first readers
     each see either none, and build their own, or a complete one.
     """

@@ -16,8 +16,7 @@ asserted in exactly that set gets those types.  The inferred triples go
 into the graph in one update: the subClassOf triples by class and then by
 distance, then each typed node's types, nodes in the order of their first
 type triple.  All maps are insertion-ordered dicts, so the closure's
-iteration order does not depend on the hash seed.  Like any graph, the
-closure starts with no index: a lookup builds the one it reads (`rdf.Graph`).
+iteration order does not depend on the hash seed.
 
 `iterations` is the number of rounds the naive fixpoint takes, which
 applies both rules to the whole graph each round until one adds nothing.
@@ -69,8 +68,18 @@ def materialize(asserted: Graph) -> ClosureResult:
     """Compute the R1/R2 closure of a graph.
 
     The asserted graph is not modified; the result holds a fresh graph
-    containing asserted plus inferred triples, with no index built.
+    containing asserted plus inferred triples, with its lookup indexes
+    built.
     """
+    result = _closure(asserted)
+    for position in range(3):  # here, so that the first lookups pay nothing
+        result.graph._pools(position)
+    return result
+
+
+def _closure(asserted: Graph) -> ClosureResult:
+    """`materialize` without building the result's indexes, each built by its
+    first lookup: `infer` only iterates the closure, and `validate` reads two."""
     supers: dict[Term, list[Term]] = {}  # class -> its asserted superclasses
     classes_of: dict[Term, dict[Term, None]] = {}  # node -> its asserted classes
     for t in asserted:
@@ -173,7 +182,7 @@ class EntailmentView:
         if predicate is not None and predicate not in INFERRED_PREDICATES:
             return self.asserted.triples(subject, predicate, obj)
         if self._closed is None:
-            self._closed = materialize(self.asserted).graph
+            self._closed = _closure(self.asserted).graph
         return self._closed.triples(subject, predicate, obj)
 
     def _instances(self, subject: Optional[Term], cls: Term) -> Iterator[Triple]:

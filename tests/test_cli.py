@@ -275,13 +275,13 @@ class TestEntailment:
         from cloudaudit import reasoner
 
         calls = []
-        unpatched = reasoner.materialize
+        unpatched = reasoner._closure
 
         def closure(graph):
             calls.append(graph)
             return unpatched(graph)
 
-        monkeypatch.setattr(reasoner, "materialize", closure)
+        monkeypatch.setattr(reasoner, "_closure", closure)
         return calls
 
     def test_compliance_builds_no_closure(self, run, model, closures):

@@ -361,7 +361,7 @@ class TestGraph:
     def test_pools_equal_a_scan(self, writes):
         """After each write by `add` or `update` the pools are rebuilt as a
         scan finds them; so are those of a copy, of a copy written to, and
-        of the closure that `materialize` returns."""
+        of the closure that `materialize` indexes."""
         g = Graph()
         for write in writes:
             if isinstance(write, Triple):
@@ -375,31 +375,34 @@ class TestGraph:
                      if not isinstance(t.object, Literal))
         assert_pools_equal_scan(clone)
         closure = materialize(g).graph
-        assert closure._index is None
+        assert closure._index is not None and None not in closure._index
         assert_pools_equal_scan(closure)
 
     def test_pools_of_the_fixture_closure_equal_a_scan(self, model_doc):
         assert_pools_equal_scan(model_doc.graph.copy())
         assert_pools_equal_scan(materialize(model_doc.graph).graph)
 
-    def test_parse_and_materialize_build_no_index(self, fixtures_dir):
+    def test_parse_builds_no_index_and_materialize_builds_one(self, fixtures_dir):
         asserted = parse_turtle((fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")).graph
         assert asserted._index is None
         closure = materialize(asserted).graph
-        assert asserted._index is None and closure._index is None
+        assert asserted._index is None
+        by_subject, by_predicate, by_object = closure._index
+        for pools in (by_subject, by_predicate, by_object):
+            assert sum(map(len, pools.values())) == len(closure)
 
     def test_infer_builds_no_index(self, fixtures_dir, tmp_path, monkeypatch):
         """`infer` only writes the closure, so it builds no index pools."""
         from cloudaudit import cli, reasoner
 
         closures = []
-        unindexed = reasoner.materialize
+        unindexed = reasoner._closure
 
         def closure(graph):
             closures.append(unindexed(graph))
             return closures[-1]
 
-        monkeypatch.setattr(reasoner, "materialize", closure)
+        monkeypatch.setattr(reasoner, "_closure", closure)
         model = fixtures_dir / "cloudengine.ttl"
         assert cli.main(["infer", str(model), "-o", str(tmp_path / "closure.ttl")]) == 0
         (result,) = closures

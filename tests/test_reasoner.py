@@ -249,13 +249,13 @@ def test_view_builds_the_closure_once_and_only_when_a_lookup_needs_it(monkeypatc
     from cloudaudit import reasoner
 
     built = []
-    unpatched = reasoner.materialize
+    unpatched = reasoner._closure
 
     def closure(graph):
         built.append(graph)
         return unpatched(graph)
 
-    monkeypatch.setattr(reasoner, "materialize", closure)
+    monkeypatch.setattr(reasoner, "_closure", closure)
     a, b, i = Iri("http://x.test/A"), Iri("http://x.test/B"), Iri("http://x.test/i")
     g = Graph([Triple(a, RDFS_SUBCLASS_OF, b), Triple(i, RDF_TYPE, a), Triple(i, OTHER, b)])
     view = EntailmentView(g)
