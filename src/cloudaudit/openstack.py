@@ -22,7 +22,14 @@ Mapping rules:
 
 Node IRIs are minted inside a configurable instance namespace with
 percent-encoded ids/names, so identical inputs always produce identical
-Turtle.  Each distinct (category, id) is minted once per call.
+Turtle.  Each distinct (category, id) is minted once per call, and each
+distinct record text becomes one literal per call.
+
+Every IRI and literal is built by its checked constructor, and record text
+with a lone surrogate, which no UTF-8 output can hold, is refused there.
+So each triple is valid by construction: `ingest` builds it with `rdf`'s
+unchecked `_triple` and puts it straight into the new graph's triple set,
+as the Turtle reader's statement steps do.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import quote
 
-from .rdf import Graph, Iri, Literal, PrefixMap, Record, Triple
+from .rdf import Graph, Iri, Literal, PrefixMap, Record, _triple
 from .turtle import Document
 from . import vocab
 
@@ -134,17 +141,6 @@ _KEYS = {
 }
 
 
-def _get(obj: dict, index: int, name: str, required: bool):
-    for key in _KEYS[name]:
-        if key in obj:
-            return obj[key]
-    if required:
-        raise JsonShapeError(
-            f"record {index}: missing key {_KEYS[name][0]!r} (or {_KEYS[name][-1]!r})"
-        )
-    return None
-
-
 def _wrong_kind(obj: dict, index: int, name: str, expected: str, value) -> JsonShapeError:
     key = next(key for key in _KEYS[name] if key in obj)
     return JsonShapeError(
@@ -197,17 +193,28 @@ def parse_cli_json(text: str, kind: str) -> list:
     if not isinstance(payload, list):
         raise JsonShapeError(f"expected a JSON array, got {type(payload).__name__}")
     records = []
+    required = [(name, _KEYS[name]) for name in required]
+    optional = [(name, _KEYS[name]) for name in optional]
     for index, obj in enumerate(payload):
         if not isinstance(obj, dict):
             raise JsonShapeError(f"record {index}: expected an object, got {type(obj).__name__}")
         values = []
-        for name in required:
-            value = _get(obj, index, name, required=True)
+        for name, keys in required:
+            for key in keys:  # the first accepted spelling present
+                if key in obj:
+                    value = obj[key]
+                    break
+            else:
+                raise JsonShapeError(f"record {index}: missing key {keys[0]!r} (or {keys[-1]!r})")
             if not isinstance(value, str):
                 raise _wrong_kind(obj, index, name, "a string", value)
             values.append(value)
-        for name in optional:
-            value = _get(obj, index, name, required=False)
+        for name, keys in optional:
+            value = None
+            for key in keys:
+                if key in obj:
+                    value = obj[key]
+                    break
             if name == "enabled":
                 if not isinstance(value, (bool, str, type(None))):
                     raise _wrong_kind(obj, index, name, "a boolean, string or null", value)
@@ -231,8 +238,9 @@ def ingest(
 
     Raises IngestError (naming record index and field) for invariant
     breaches, for policy files that cannot be read, for an instance
-    namespace that is not an IRI of UTF-8 text, and for a name that holds
-    a lone surrogate.
+    namespace that is not an IRI of UTF-8 text, and for an id or a text
+    written as a literal (name, URL, interface, region, role or version)
+    that holds a lone surrogate.
     """
     config = config or IngestConfig()
     ns = config.instance_namespace
@@ -242,7 +250,12 @@ def ingest(
     except ValueError as exc:  # UnicodeEncodeError is a ValueError
         raise IngestError(f"instance namespace: {exc}") from exc
     graph = Graph()
+    # the triple set itself (see the module docstring): setdefault keeps
+    # the first insertion of a repeated triple, and a new graph has no
+    # index to drop
+    add = graph._triples.setdefault
     minted: dict[tuple[str, str], Iri] = {}  # (category, raw id) -> its IRI
+    literals: dict[str, Literal] = {}  # record text -> its literal
 
     def mint(category: str, raw: str) -> Iri:
         iri = minted.get((category, raw))
@@ -255,6 +268,24 @@ def ingest(
                 ) from exc
         return iri
 
+    def literal(text: str, kind: str, i: int, field: str) -> Literal:
+        """The literal of the text of `kind`[i].`field`, made once per
+        distinct text; refuses a lone surrogate, which is no Unicode text
+        and cannot be written."""
+        # anything but a str goes to Literal, whose TypeError names it
+        lit = literals.get(text) if text.__class__ is str else None
+        if lit is None:
+            lit = Literal(text)
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise IngestError(
+                        f"{kind}[{i!r}].{field}: lone surrogate {text[exc.start]!r}"
+                    ) from None
+            literals[text] = lit
+        return lit
+
     for i, ep in enumerate(endpoints):
         if not ep.id:
             raise IngestError(f"endpoints[{i}].id: must be non-empty")
@@ -262,15 +293,18 @@ def ingest(
             raise IngestError(f"endpoints[{i}].url: must be non-empty")
         service = mint("service", ep.service_name)
         cls = DEFAULT_SERVICE_TYPE_MAP.get(ep.service_type, vocab.INTERFACE)
-        graph.add(Triple(service, vocab.RDF_TYPE, cls))
-        graph.add(Triple(service, vocab.RDFS_LABEL, Literal(ep.service_name)))
+        add(_triple((service, vocab.RDF_TYPE, cls)))
+        add(_triple((service, vocab.RDFS_LABEL,
+                     literal(ep.service_name, "endpoints", i, "service_name"))))
         endpoint = mint("endpoint", ep.id)
-        graph.add(Triple(service, vocab.HAS_ENDPOINT, endpoint))
-        graph.add(Triple(endpoint, vocab.RDF_TYPE, vocab.ENDPOINT))
-        graph.add(Triple(endpoint, vocab.ENDPOINT_URL, Literal(ep.url)))
-        graph.add(Triple(endpoint, vocab.ENDPOINT_INTERFACE, Literal(ep.interface)))
+        add(_triple((service, vocab.HAS_ENDPOINT, endpoint)))
+        add(_triple((endpoint, vocab.RDF_TYPE, vocab.ENDPOINT)))
+        add(_triple((endpoint, vocab.ENDPOINT_URL, literal(ep.url, "endpoints", i, "url"))))
+        add(_triple((endpoint, vocab.ENDPOINT_INTERFACE,
+                     literal(ep.interface, "endpoints", i, "interface"))))
         if ep.region is not None:
-            graph.add(Triple(endpoint, vocab.ENDPOINT_REGION, Literal(ep.region)))
+            add(_triple((endpoint, vocab.ENDPOINT_REGION,
+                         literal(ep.region, "endpoints", i, "region"))))
 
     for category, records, cls in (("project", projects, vocab.PROJECT),
                                    ("user", users, vocab.USER)):
@@ -278,8 +312,8 @@ def ingest(
             if not record.id:
                 raise IngestError(f"{category}s[{i}].id: must be non-empty")
             node = mint(category, record.id)
-            graph.add(Triple(node, vocab.RDF_TYPE, cls))
-            graph.add(Triple(node, vocab.RDFS_LABEL, Literal(record.name)))
+            add(_triple((node, vocab.RDF_TYPE, cls)))
+            add(_triple((node, vocab.RDFS_LABEL, literal(record.name, f"{category}s", i, "name"))))
 
     for i, ra in enumerate(assignments):
         if bool(ra.user_id) == bool(ra.group_id):
@@ -287,20 +321,19 @@ def ingest(
                 f"assignments[{i}].user_id/group_id: exactly one subject must be present"
             )
         node = Iri(f"{ns}assignment/{i + 1}")
-        graph.add(Triple(node, vocab.RDF_TYPE, vocab.ROLE_ASSIGNMENT))
-        graph.add(Triple(node, vocab.ASSIGNMENT_ROLE, Literal(ra.role)))
+        add(_triple((node, vocab.RDF_TYPE, vocab.ROLE_ASSIGNMENT)))
+        add(_triple((node, vocab.ASSIGNMENT_ROLE, literal(ra.role, "assignments", i, "role"))))
         if ra.user_id:
-            graph.add(Triple(node, vocab.ASSIGNMENT_USER, mint("user", ra.user_id)))
+            add(_triple((node, vocab.ASSIGNMENT_USER, mint("user", ra.user_id))))
         else:
-            graph.add(Triple(node, vocab.ASSIGNMENT_GROUP, mint("group", ra.group_id)))
+            add(_triple((node, vocab.ASSIGNMENT_GROUP, mint("group", ra.group_id))))
         if ra.project_id:
-            graph.add(
-                Triple(node, vocab.ASSIGNMENT_PROJECT, mint("project", ra.project_id))
-            )
+            add(_triple((node, vocab.ASSIGNMENT_PROJECT, mint("project", ra.project_id))))
 
     for name in sorted(config.version_metadata):
-        graph.add(Triple(mint("service", name), vocab.SERVICE_VERSION,
-                         Literal(config.version_metadata[name])))
+        service = mint("service", name)
+        version = literal(config.version_metadata[name], "version_metadata", name, "version")
+        add(_triple((service, vocab.SERVICE_VERSION, version)))
 
     for name in sorted(config.policy_files):
         path = Path(config.policy_files[name])
@@ -308,7 +341,7 @@ def ingest(
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
         except OSError as exc:
             raise IngestError(f"policy file for {name!r} unreadable: {exc}") from exc
-        graph.add(Triple(mint("service", name), vocab.POLICY_FILE_HASH, Literal(digest)))
+        add(_triple((mint("service", name), vocab.POLICY_FILE_HASH, Literal(digest))))
 
     prefixes = PrefixMap(
         {

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 try:  # namedtuple's field descriptor: reads the item with no call in between
@@ -200,17 +200,29 @@ class Record:
     the class's own `__slots__` count, so each class names all its fields."""
 
     __slots__ = ()
+    # the class's fields as a tuple, read by one compiled getter
+    _fields = staticmethod(lambda record: ())
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if len(names) > 1:
+            cls._fields = staticmethod(attrgetter(*names))
+        elif names:  # attrgetter of one name gives the bare value
+            field = attrgetter(*names)
+            cls._fields = staticmethod(lambda record: (field(record),))
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return self._fields(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        fields = self._fields
+        return fields(self) == fields(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -400,6 +412,8 @@ class Graph:
 PREFIX_LABEL = r"(?:[A-Za-z_][A-Za-z0-9_-]*)?"
 LOCAL_NAME = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?"
 _PREFIX_LABEL_RE = re.compile(PREFIX_LABEL)
+# the characters a local name may hold: the middle class of LOCAL_NAME
+_LOCAL_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-"
 _LOCAL_RE = re.compile(LOCAL_NAME)
 
 
@@ -417,6 +431,9 @@ class PrefixMap:
     def __init__(self, bindings: Optional[dict[str, str]] = None):
         self._bindings: dict[str, str] = {}
         self._compacted: dict[str, Optional[str]] = {}  # IRI string -> compact()
+        # (label, namespace) pairs, longest namespace first and then by
+        # label, as `compact` tries them; None until a compact reads them
+        self._by_length: Optional[list[tuple[str, str]]] = None
         for label, ns in (bindings or {}).items():
             self.bind(label, ns)
 
@@ -427,6 +444,7 @@ class PrefixMap:
         Iri(ns)  # validate
         self._bindings[label] = ns
         self._compacted.clear()
+        self._by_length = None
 
     def namespace(self, label: str) -> str:
         try:
@@ -449,22 +467,26 @@ class PrefixMap:
         name, so expand(compact(iri)) round-trips exactly.  Answers are
         remembered per IRI until the next bind.
         """
-        try:
-            return self._compacted[iri.value]
-        except KeyError:
-            pass
-        best: Optional[tuple[int, str, str]] = None
-        for label, ns in self._bindings.items():
-            if not iri.value.startswith(ns):
-                continue
-            local = iri.value[len(ns):]
-            if not is_local_name(local):
-                continue
-            key = (-len(ns), label, local)
-            if best is None or key < best:
-                best = key
-        answer = None if best is None else f"{best[1]}:{best[2]}"
-        self._compacted[iri.value] = answer
+        value = iri.value
+        answer = self._compacted.get(value, False)
+        if answer is not False:
+            return answer
+        answer = None
+        by_length = self._by_length
+        if by_length is None:
+            by_length = self._by_length = sorted(
+                self._bindings.items(), key=lambda item: (-len(item[1]), item[0]))
+        # a namespace ends at or after the last character no local name holds
+        shortest = len(value.rstrip(_LOCAL_CHARS))
+        for label, ns in by_length:  # the first writable one is the answer
+            if len(ns) < shortest:
+                break
+            if value.startswith(ns):
+                local = value[len(ns):]
+                if is_local_name(local):
+                    answer = f"{label}:{local}"
+                    break
+        self._compacted[value] = answer
         return answer
 
     def render(self, term: Term) -> str:

@@ -68,7 +68,8 @@ It refuses, in this order, a blank node that is the object of two triples,
 a literal the reader would not take back, and blank nodes in a cycle.
 It reads the graph in one pass, grouping each subject's objects by
 predicate, and makes no `Graph` lookup, so writing a graph builds no index.
-Each distinct IRI and literal is rendered once per call.
+Each distinct IRI and literal, and the text of each predicate, is rendered
+once per call.
 """
 
 from __future__ import annotations
@@ -617,11 +618,10 @@ def serialize_turtle(doc: Document) -> str:
         )
 
     rendered: dict[Term, str] = {}  # IRI or literal -> its text, made once
+    verbs: dict[Iri, str] = {}  # predicate -> its text and a space, made once
 
     def term(t: Term) -> str:
-        text = rendered.get(t)
-        if text is not None:
-            return text
+        """The text of a term that `rendered` does not hold yet."""
         if isinstance(t, Iri):
             text = compact(t) or iriref(t)
         elif isinstance(t, BlankNode):  # written inline where it is used
@@ -638,25 +638,31 @@ def serialize_turtle(doc: Document) -> str:
 
     def body(subject: Term, separator: str) -> str:
         """The subject's predicate-object list, one predicate per `separator`."""
+        group = groups.pop(subject, {})
         parts = []
-        for predicate, objects in sorted(groups.pop(subject, {}).items()):  # by IRI value
+        for predicate in sorted(group):  # by IRI value
+            verb = verbs.get(predicate)
+            if verb is None:
+                verb = verbs[predicate] = "a " if predicate == RDF_TYPE else term(predicate) + " "
+            objects = group[predicate]
             if len(objects) == 1:
-                rendered = term(objects[0])
+                o = objects[0]
+                parts.append(verb + (rendered.get(o) or term(o)))
             else:
                 # a blank node sorts by its text, which no label is part of
                 keyed = []
                 for o in objects:
-                    text = term(o)
+                    text = rendered.get(o) or term(o)
                     keyed.append((text if isinstance(o, BlankNode) else term_sort_key(o), text))
-                rendered = ", ".join(text for _, text in sorted(keyed))
-            parts.append(f"{'a' if predicate == RDF_TYPE else term(predicate)} {rendered}")
+                parts.append(verb + ", ".join(text for _, text in sorted(keyed)))
         return separator.join(parts)
 
     iri_subjects = sorted((s for s in groups if isinstance(s, Iri)), key=term_sort_key)
     # blank nodes never used as an object become their own statements
     roots = sorted(s for s in groups if isinstance(s, BlankNode) and s not in referenced)
     try:
-        blocks = [term(s) + " " + body(s, " ;\n  ") + " ." for s in iri_subjects]
+        blocks = [(rendered.get(s) or term(s)) + " " + body(s, " ;\n  ") + " ."
+                  for s in iri_subjects]
         blocks.extend(sorted(term(s) + " ." for s in roots))
     finally:
         # `term` and `body` refer to each other; breaking that cycle frees

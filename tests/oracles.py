@@ -148,6 +148,30 @@ def naive_rounds(g: Graph) -> tuple[int, int]:
         facts |= fresh
 
 
+# what a local name may hold: these characters, with none of ".-" first
+# and no "." last (the Turtle subset's PN_LOCAL)
+_LOCAL_NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
+
+
+def _writable_local(local: str) -> bool:
+    return local == "" or (set(local) <= _LOCAL_NAME_CHARS and local[0] not in ".-"
+                           and not local.endswith("."))
+
+
+def scan_compact(bindings: dict[str, str], iri: Iri) -> str | None:
+    """The prefixed form `PrefixMap.compact` should give for `iri` under the
+    label -> namespace `bindings`, by a scan of every binding: of those whose
+    namespace starts the IRI and leaves a writable local name, the longest
+    namespace, and the smallest label on ties; None when there is none."""
+    fits = [(len(ns), label) for label, ns in bindings.items()
+            if iri.value.startswith(ns) and _writable_local(iri.value[len(ns):])]
+    if not fits:
+        return None
+    longest = max(length for length, _ in fits)
+    label = min(label for length, label in fits if length == longest)
+    return f"{label}:{iri.value[longest:]}"
+
+
 def _scan_objects(graph: Graph, subject: Term, predicates) -> list[Term]:
     """Objects of `subject` under any of `predicates` that are nodes (no
     literal), by a full scan."""

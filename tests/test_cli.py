@@ -894,23 +894,40 @@ class TestClosedStreams:
         assert out.read_bytes() == self.cli(["infer", model])[1]
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", ["query", "validate", "compliance"])
+@pytest.mark.parametrize("command, fmt", [
+    *((command, fmt) for command in ("query", "validate", "compliance") for fmt in ("text", "json")),
+    ("infer", "turtle"),
+    ("ingest", "turtle"),
+])
 def test_reports_do_not_depend_on_the_hash_seed(model, gap_model, shapes, gap_query,
-                                                command, fmt):
+                                                fixtures_dir, tmp_path, command, fmt):
     """Evaluation iterates sets (a plan's seed reads, the subclass sets of
-    the entailment view); the report is byte-identical under two hash seeds.
-    Runs in child processes, since a process has one hash seed."""
+    the entailment view), and the writer groups and memoizes terms in
+    dicts; the report, and the Turtle that `infer` and `ingest` write, is
+    byte-identical under two hash seeds.  Runs in child processes, since a
+    process has one hash seed."""
+    base = fixtures_dir / "openstack_sample"
+    versions = tmp_path / "versions.json"
+    versions.write_text('{"keystone": "v3.14", "nova": "27.1.0"}', encoding="utf-8")
+    policy = tmp_path / "policy.yaml"
+    policy.write_bytes(b"rule: admin_required\n")
     argv, code = {
         "query": (["query", gap_model, gap_query], 0),
         "validate": (["validate", gap_model, shapes], 2),
         "compliance": (["compliance", model, "--engine", "cloudeng:SecureCloudEngine"], 3),
+        "infer": (["infer", model], 0),
+        "ingest": (["ingest", "openstack",
+                    *(arg for kind in ("endpoints", "projects", "users", "assignments")
+                      for arg in (f"--{kind}", str(base / f"{kind}.json"))),
+                    "--versions", str(versions), "--policy-file", f"keystone={policy}"], 0),
     }[command]
+    if fmt != "turtle":
+        argv += ["--format", fmt]
     src = str(Path(cloudaudit.__file__).resolve().parent.parent)
     reports = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
-        proc = subprocess.run([sys.executable, "-m", "cloudaudit.cli", *argv, "--format", fmt],
+        proc = subprocess.run([sys.executable, "-m", "cloudaudit.cli", *argv],
                               capture_output=True, env=env, timeout=120)
         reports.append((proc.returncode, proc.stdout))
     assert reports[0] == reports[1]

@@ -27,6 +27,23 @@ from cloudaudit import vocab
 POLICY_DIGEST = "ec31dfa516982574c40bad5fbc94b695500495920c123716f23a834b348e9a7e"
 
 
+# the record field an IngestError names -> ingest arguments with a lone
+# surrogate in that field's literal text
+LONE_SURROGATES = {
+    "users[1].name": {"users": [UserRecord("u", "fine"), UserRecord("v", "\ud800")]},
+    "projects[0].name": {"projects": [ProjectRecord("p", "a\ud800b")]},
+    "endpoints[0].url": {
+        "endpoints": [EndpointRecord("e", "nova", "compute", "public", "https://x/\ud800")]},
+    "endpoints[0].interface": {
+        "endpoints": [EndpointRecord("e", "nova", "compute", "\ud800", "https://x")]},
+    "endpoints[0].region": {
+        "endpoints": [EndpointRecord("e", "nova", "compute", "public", "https://x", "\ud800")]},
+    "assignments[0].role": {"assignments": [RoleAssignmentRecord("\ud800", user_id="u")]},
+    "version_metadata['nova'].version": {
+        "config": IngestConfig(version_metadata={"nova": "\ud800"})},
+}
+
+
 class TestParseCliJson:
     def test_empty_array(self):
         assert parse_cli_json("[]", "endpoints") == []
@@ -287,6 +304,18 @@ class TestIngest:
                     assignments=[RoleAssignmentRecord("reader", user_id="\udc80")],
                 )
 
+    @pytest.mark.parametrize("where", list(LONE_SURROGATES))
+    def test_lone_surrogate_literal_text_is_refused(self, where):
+        with pytest.raises(IngestError) as refusal:
+            ingest(**LONE_SURROGATES[where])
+        assert str(refusal.value) == f"{where}: lone surrogate '\\ud800'"
+
+    def test_literal_text_beyond_ascii_is_written(self):
+        doc = ingest(users=[UserRecord("u", "Zoë \U0001F600")])
+        assert Triple(Iri("urn:cloudeng:inst:user/u"), vocab.RDFS_LABEL,
+                      Literal("Zoë \U0001F600")) in doc.graph
+        serialize_turtle(doc).encode("utf-8")
+
     def test_group_assignment(self):
         doc = ingest(assignments=[RoleAssignmentRecord(role="auditor", group_id="g1")])
         node = Iri("urn:cloudeng:inst:assignment/1")
@@ -384,6 +413,27 @@ def test_node_counts_match_record_counts(endpoints, projects, users, assignments
     assert len(typed(vocab.PROJECT)) == len(projects)
     assert len(typed(vocab.USER)) == len(users)
     assert len(typed(vocab.ROLE_ASSIGNMENT)) == len(assignments)
+
+
+@given(_endpoints, _projects, _users, _assignments)
+@settings(max_examples=40)
+def test_triples_are_well_formed_and_in_record_order(endpoints, projects, users, assignments):
+    """`ingest` builds its triples unchecked; each passes the checked
+    constructor, none repeats, and each record's node is first typed in
+    record order."""
+    doc = ingest(endpoints=endpoints, projects=projects, users=users, assignments=assignments)
+    triples = list(doc.graph)
+    assert all(type(t) is Triple and t == Triple(*t) for t in triples)
+    assert len(set(triples)) == len(triples) == len(doc.graph)
+
+    def node(category, raw):
+        return Iri(f"urn:cloudeng:inst:{category}/{raw}")  # ids of the strategies need no quoting
+
+    nodes = [n for ep in endpoints for n in (node("service", ep.service_name), node("endpoint", ep.id))]
+    nodes += [node("project", p.id) for p in projects] + [node("user", u.id) for u in users]
+    nodes += [node("assignment", i + 1) for i in range(len(assignments))]
+    typed = [t.subject for t in triples if t.predicate == vocab.RDF_TYPE]
+    assert list(dict.fromkeys(typed)) == list(dict.fromkeys(nodes))
 
 
 @given(_endpoints, _projects, _users, _assignments)

@@ -31,7 +31,8 @@ from cloudaudit.openstack import ingest, parse_cli_json
 from cloudaudit.turtle import parse_turtle, serialize_turtle
 from cloudaudit.vocab import RDF_TYPE, RDFS_SUBCLASS_OF
 
-from oracles import CLOUDENG, ISO, LINE_BREAKS, SEC, ce, isomorphic, scan_match, sec
+from oracles import (CLOUDENG, ISO, LINE_BREAKS, SEC, ce, isomorphic, scan_compact,
+                     scan_match, sec)
 
 
 IRIS = [Iri(f"http://terms.test/{name}") for name in "abcdefg"]
@@ -544,6 +545,44 @@ class TestPrefixMap:
                     assert pm.expand(compact) == term
                     seen += 1
         assert seen > 0
+
+
+# nested namespaces, one of them the start of the others' IRIs, and locals
+# that are writable or not ("/", a "." first or last, "-" first)
+COMPACT_NAMESPACES = ["http://x.test/", "http://x.test/a/", "http://x.test/a", "http://x.test/a#",
+                      "urn:y:"]
+COMPACT_LOCALS = ["", "b", "a", "a/b", "b.", ".b", "-b", "b-", "b.c", "A_9", "é", "a#b"]
+compact_ops_st = st.lists(st.one_of(
+    st.tuples(st.just("bind"), st.sampled_from(["p", "q", "a", "", "_z"]),
+              st.sampled_from(COMPACT_NAMESPACES)),
+    st.tuples(st.just("compact"), st.sampled_from(COMPACT_NAMESPACES),
+              st.sampled_from(COMPACT_LOCALS)),
+), max_size=30)
+
+
+@given(compact_ops_st)
+def test_compact_matches_a_scan_of_the_bindings(ops):
+    """Binds and compacts in any order, so that a memoized answer meets a
+    rebind, two labels share a namespace and namespaces nest."""
+    pm, bindings = PrefixMap(), {}
+    for op, first, second in ops:
+        if op == "bind":
+            pm.bind(first, second)
+            bindings[first] = second
+        else:
+            iri = Iri(first + second)
+            assert pm.compact(iri) == scan_compact(bindings, iri)
+            assert pm.compact(iri) == scan_compact(bindings, iri)  # and when remembered
+
+
+def test_compact_takes_the_smallest_label_of_a_namespace_and_falls_back_to_a_shorter_one():
+    bindings = {"q": "http://x.test/a/", "p": "http://x.test/a/", "s": "http://x.test/",
+                "t": "http://x.test/a."}
+    pm = PrefixMap(bindings)
+    for value, want in [("http://x.test/a/b", "p:b"), ("http://x.test/a/b.", None),
+                        ("http://x.test/a/", "p:"), ("http://x.test/ab", "s:ab"),
+                        ("http://x.test/a.-b", "s:a.-b"), ("http://x.test/a/b/c", None)]:
+        assert pm.compact(Iri(value)) == scan_compact(bindings, Iri(value)) == want
 
 
 @st.composite
