@@ -29,6 +29,7 @@ hints naming the model nodes that do implement the missing standard.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Union
 
 from .rdf import (BlankNode, Graph, Iri, Literal, PrefixMap, Record, Triple, iriref, one_line,
@@ -166,11 +167,18 @@ class ComplianceReport(Record):
 _ATTACHMENTS = frozenset(ATTACHMENT_PROPERTIES)
 # linking property -> its place in MECHANISM_PROPERTIES, the order evidence follows
 _MECHANISM_POSITION = {prop: position for position, prop in enumerate(MECHANISM_PROPERTIES)}
+# an Iri is the tuple (value,): its first item sorts IRIs by value, read in C
+_VALUE = itemgetter(0)
 
 
 def _node_key(node: Node) -> tuple[bool, str]:
     """IRIs by value, then blank nodes by label."""
     return isinstance(node, BlankNode), node[0]
+
+
+def _link_key(link: tuple) -> tuple[int, str]:
+    """A link (position, mechanism, property) by position, then mechanism."""
+    return link[0], term_sort_key(link[1])
 
 
 def _node_text(node: Node) -> str:
@@ -198,13 +206,12 @@ def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
     about = graph.about
     policies: list[Node] = []
     attached: set[Node] = set()
-    for t in about(engine):
-        obj = t.object
+    for _, predicate, obj in about(engine):
         if isinstance(obj, Literal):
             continue
-        if t.predicate == HAS_SECURITY_POLICY:
+        if predicate == HAS_SECURITY_POLICY:
             policies.append(obj)
-        elif t.predicate in _ATTACHMENTS:
+        elif predicate in _ATTACHMENTS:
             attached.add(obj)
     if not policies:
         raise NoPolicyError(engine)
@@ -216,26 +223,27 @@ def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
 
     declared: set[Iri] = set()
     for policy in policies:
-        declared.update(t.object for t in about(policy)
-                        if t.predicate == COMPLIES_WITH and isinstance(t.object, Iri))
+        declared.update(obj for _, predicate, obj in about(policy)
+                        if predicate == COMPLIES_WITH and isinstance(obj, Iri))
 
     # each interface or mechanism's one read, by the first role to meet it: the declared
-    # standards it implements and its links (position, term_sort_key, mechanism, property), sorted
+    # standards it implements and its links (position, mechanism, property), sorted
     memo: dict[Node, tuple[list[Iri], list]] = {}
 
     def read(node: Node) -> tuple[list[Iri], list]:
         entry = memo.get(node)
         if entry is None:
             implemented, linked = entry = memo[node] = [], []
-            for t in about(node):
-                predicate = t.predicate
+            for _, predicate, obj in about(node):
                 if predicate == IMPLEMENTS_STANDARD:
-                    if t.object in declared:
-                        implemented.append(t.object)
-                elif predicate in _MECHANISM_POSITION and not isinstance(t.object, Literal):
-                    linked.append((_MECHANISM_POSITION[predicate], term_sort_key(t.object),
-                                   t.object, predicate))
-            linked.sort()
+                    if obj in declared:
+                        implemented.append(obj)
+                else:
+                    position = _MECHANISM_POSITION.get(predicate)
+                    if position is not None and not isinstance(obj, Literal):
+                        linked.append((position, obj, predicate))
+            if len(linked) > 1:
+                linked.sort(key=_link_key)
         return entry
 
     evidence: dict[Iri, list[CoverageEvidence]] = {standard: [] for standard in declared}
@@ -243,19 +251,21 @@ def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
         implemented, linked = read(interface)
         for standard in implemented:
             evidence[standard].append(CoverageEvidence(standard, interface, EvidenceKind.DIRECT))
-        for _, _, mechanism, prop in linked:
+        for _, mechanism, prop in linked:
             for standard in read(mechanism)[0]:
                 evidence[standard].append(
                     CoverageEvidence(standard, interface, EvidenceKind.MECHANISM, mechanism, prop)
                 )
     statuses = []
     for standard in sorted(declared):  # an Iri is the tuple (value,): by value
-        labels = [t.object for t in about(standard)
-                  if t.predicate == RDFS_LABEL and isinstance(t.object, Literal)]
+        labels = [obj for _, predicate, obj in about(standard)
+                  if predicate == RDFS_LABEL and isinstance(obj, Literal)]
+        if len(labels) > 1:
+            labels.sort(key=term_sort_key)
         found = evidence[standard]
         statuses.append(StandardStatus(
             standard=standard,
-            label=min(labels, key=term_sort_key).lexical if labels else None,
+            label=labels[0].lexical if labels else None,
             state=CoverageState.COVERED if found else CoverageState.GAP,
             evidence=tuple(found),
         ))
@@ -273,18 +283,26 @@ def remediation_hints(
 ) -> list[str]:
     """One actionable line per gap: which IRIs in the model implement the
     missing standard, that only blank nodes do, or that nothing does."""
-    show = (PrefixMap() if prefixes is None else prefixes).render
+    compact = (PrefixMap() if prefixes is None else prefixes).compact
+
+    def show(iri: Iri) -> str:  # PrefixMap.render's rule for an IRI
+        return compact(iri) or f"<{iri.value}>"
+
+    engine = show(report.engine)
     hints = []
     for standard in report.gaps:
+        # a pool holds each triple once, so each implementer appears once
         implementers = graph.subjects(IMPLEMENTS_STANDARD, standard)
-        named = sorted({s for s in implementers if isinstance(s, Iri)}, key=lambda s: s.value)
+        named = [s for s in implementers if isinstance(s, Iri)]
         if named:
-            names = ", ".join(map(show, named))
+            named.sort(key=_VALUE)
+            # show's rule inline, as a gap names dozens of implementers
+            names = ", ".join([compact(s) or f"<{s.value}>" for s in named])
             hints.append(f"{show(standard)}: implemented in the model by {names}; "
-                         f"attach one of them to {show(report.engine)}")
+                         f"attach one of them to {engine}")
         elif implementers:
             hints.append(f"{show(standard)}: implemented in the model only by blank nodes; "
-                         f"give one an IRI to attach it to {show(report.engine)}")
+                         f"give one an IRI to attach it to {engine}")
         else:
             hints.append(f"{show(standard)}: no node in the model implements this standard")
     return hints

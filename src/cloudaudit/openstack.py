@@ -110,6 +110,9 @@ class IngestConfig(Record):
         self.policy_files = {} if policy_files is None else policy_files
 
 
+# the characters quote() never escapes
+_UNRESERVED = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~"
+
 # the JSON escape of a UTF-16 surrogate, lone or one of a pair
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 
@@ -261,7 +264,12 @@ def ingest(
         iri = minted.get((category, raw))
         if iri is None:
             try:
-                iri = minted[category, raw] = Iri(f"{ns}{category}/{quote(raw, safe='')}")
+                # quote returns an id of unreserved characters unchanged (it also takes bytes)
+                if raw.__class__ is not str or raw.rstrip(_UNRESERVED):
+                    part = quote(raw, safe="")
+                else:
+                    part = raw
+                iri = minted[category, raw] = Iri(f"{ns}{category}/{part}")
             except UnicodeEncodeError as exc:
                 raise IngestError(
                     f"cannot mint a {category} IRI from {raw!r}: {exc.reason}"
@@ -286,6 +294,7 @@ def ingest(
             literals[text] = lit
         return lit
 
+    typed: set[tuple[Iri, Iri]] = set()  # (service, class) pairs already written
     for i, ep in enumerate(endpoints):
         if not ep.id:
             raise IngestError(f"endpoints[{i}].id: must be non-empty")
@@ -293,9 +302,12 @@ def ingest(
             raise IngestError(f"endpoints[{i}].url: must be non-empty")
         service = mint("service", ep.service_name)
         cls = DEFAULT_SERVICE_TYPE_MAP.get(ep.service_type, vocab.INTERFACE)
-        add(_triple((service, vocab.RDF_TYPE, cls)))
-        add(_triple((service, vocab.RDFS_LABEL,
-                     literal(ep.service_name, "endpoints", i, "service_name"))))
+        # a service's IRI is minted from its name, so a repeated pair repeats both triples
+        if (service, cls) not in typed:
+            typed.add((service, cls))
+            add(_triple((service, vocab.RDF_TYPE, cls)))
+            add(_triple((service, vocab.RDFS_LABEL,
+                         literal(ep.service_name, "endpoints", i, "service_name"))))
         endpoint = mint("endpoint", ep.id)
         add(_triple((service, vocab.HAS_ENDPOINT, endpoint)))
         add(_triple((endpoint, vocab.RDF_TYPE, vocab.ENDPOINT)))

@@ -18,13 +18,16 @@ string literals (objects).  IRIs are resolved at parse time.
 optional '.', `FILTER [NOT] EXISTS {`, or '}'), and builds the Query from
 the match groups with no Token objects.  They read only what programs
 write, the texts of compliance.coverage_queries among them: keywords,
-variables and IRIREFs without escapes, with whitespace between tokens,
-each token ending where the Turtle module's `tokenize` would end it.  Any
-other text (PREFIX lines, prefixed names, `a`, strings, comments), an
-invalid IRI, nesting deeper than the limit or a projected variable that
-WHERE lacks sends the whole text to the token parser, which splits it with
-`tokenize`: that parser is the only one that reports errors, so they are
-the Turtle module's lexical errors and the token parser's grammar errors.
+variables and IRIREFs of printable ASCII other than space, '<', '>', '"'
+and '\\', with whitespace between tokens, each token ending where the
+Turtle module's `tokenize` would end it.  Such an IRIREF is a valid IRI as
+it stands, so the step reader builds it unchecked.  Any other text (PREFIX
+lines, prefixed names, `a`, strings, comments), any other IRIREF (empty,
+escaped, or holding a control, non-ASCII or space character), nesting
+deeper than the limit or a projected variable that WHERE lacks sends the
+whole text to the token parser, which splits it with `tokenize`: that
+parser is the only one that reports errors, so they are the Turtle
+module's lexical errors and the token parser's grammar errors.
 
 Evaluation plans each group once per query: its triple patterns are
 joined greedily, most bound positions first (constants and variables bound
@@ -49,7 +52,6 @@ from typing import Iterator
 
 from .rdf import (
     Graph,
-    Iri,
     Literal,
     PatternTerm,
     PrefixMap,
@@ -58,6 +60,7 @@ from .rdf import (
     Triple,
     TriplePattern,
     Var,
+    _iri,
     term_json,
     term_sort_key,
 )
@@ -249,7 +252,9 @@ def _keyword(word: str) -> str:
 # `?xwhere` is one variable; a keyword ends before a word character, ':' or
 # '-', so `notexists` is one word.
 _VAR = r"\?\w+(?!\w)"
-_NODE = rf'{_VAR}|<[^<>"\\ \t\n]*>'
+# an IRIREF of printable ASCII other than space, '<', '>', '"' and '\',
+# which is a valid IRI as it stands
+_NODE = rf"{_VAR}|<[!#-;=?-\[\]-~]+>"
 _SELECT_STEP_RE = re.compile(
     rf"\s*{_keyword('select')}\s*(?:\*\s*|((?:{_VAR}\s*)+))"
     rf"{_keyword('where')}\s*\{{"
@@ -273,7 +278,7 @@ def _step_query(text: str) -> Query | None:
     terms: dict[str, PatternTerm] = {}  # by token text
 
     def term(token: str) -> PatternTerm:
-        made = Var(token[1:]) if token[0] == "?" else Iri(token[1:-1])
+        made = Var(token[1:]) if token[0] == "?" else _iri((token[1:-1],))
         terms[token] = made
         return made
 
@@ -281,32 +286,29 @@ def _step_query(text: str) -> Query | None:
     groups = [where]  # open groups, innermost last
     match, get = _ITEM_STEP_RE.match, terms.get
     pos = m.end()
-    try:
-        while True:
-            m = match(text, pos)
-            if m is None:
+    while True:
+        m = match(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        s, p, o, negated, close = m.groups()
+        if s is not None:
+            group.triples.append(TriplePattern(
+                get(s) or term(s), get(p) or term(p), get(o) or term(o)
+            ))
+        elif close is None:
+            if len(groups) == MAX_NESTING:
                 return None
-            pos = m.end()
-            s, p, o, negated, close = m.groups()
-            if s is not None:
-                group.triples.append(TriplePattern(
-                    get(s) or term(s), get(p) or term(p), get(o) or term(o)
-                ))
-            elif close is None:
-                if len(groups) == MAX_NESTING:
-                    return None
-                inner = GraphPattern()
-                polarity = Polarity.EXISTS if negated is None else Polarity.NOT_EXISTS
-                group.filters.append(FilterExistence(polarity, inner))
-                groups.append(inner)
-                group = inner
-            else:
-                groups.pop()
-                if not groups:
-                    break
-                group = groups[-1]
-    except ValueError:  # an invalid IRI
-        return None
+            inner = GraphPattern()
+            polarity = Polarity.EXISTS if negated is None else Polarity.NOT_EXISTS
+            group.filters.append(FilterExistence(polarity, inner))
+            groups.append(inner)
+            group = inner
+        else:
+            groups.pop()
+            if not groups:
+                break
+            group = groups[-1]
     if text[pos:].strip():
         return None
     if projection is not None and any("?" + name not in terms for name in projection):

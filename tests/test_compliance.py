@@ -150,6 +150,32 @@ class TestHints:
         report.gap_count = 0
         assert remediation_hints(report, model_graph) == []
 
+    def test_each_iri_implementer_is_named_once_in_value_order(self):
+        """A graph built from repeated inserts holds each triple once, so a
+        hint names each IRI implementer once, by IRI value (`ex:a` before
+        `ex:a-b`, which `term_sort_key` puts the other way round), and no
+        blank one; with no prefix map an IRI is written <iri>."""
+        ex = "http://ex.test/"
+        engine, policy, standard = Iri(ex + "e"), BlankNode("p"), Iri(ex + "std")
+        implementers = [Iri(ex + "b"), BlankNode("z"), Iri(ex + "a-b"), Iri(ex + "c/d"),
+                        BlankNode("a"), Iri(ex + "a")]
+        triples = [Triple(engine, HAS_SECURITY_POLICY, policy),
+                   Triple(policy, COMPLIES_WITH, standard)]
+        triples += [Triple(node, IMPLEMENTS_STANDARD, standard) for node in implementers]
+        graph = Graph(triples + triples[::-1])
+        for t in triples:
+            assert not graph.add(t)
+        report = coverage(graph, engine)
+        prefixes = PrefixMap({"ex": ex})
+        hints = remediation_hints(report, graph, prefixes)
+        assert hints == [f"ex:std: implemented in the model by ex:a, ex:a-b, ex:b, <{ex}c/d>; "
+                         "attach one of them to ex:e"]
+        assert hints == scan_hints(report, graph, prefixes)
+        assert remediation_hints(report, graph) == [
+            f"<{ex}std>: implemented in the model by <{ex}a>, <{ex}a-b>, <{ex}b>, <{ex}c/d>; "
+            f"attach one of them to <{ex}e>"
+        ]
+
 
 @pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
 def test_a_label_cannot_forge_a_report_line(brk):

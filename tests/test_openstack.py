@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from urllib.parse import quote
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +272,31 @@ class TestIngest:
         subjects = {t.subject.value for t in doc.graph}
         assert "urn:cloudeng:inst:service/object%20store" in subjects
         assert "urn:cloudeng:inst:endpoint/e%201" in subjects
+
+    @pytest.mark.parametrize("raw", ["A-z_0.9~", "a b", "a/b", "%41", "é", "x y"])
+    def test_an_id_is_minted_as_quote_writes_it(self, raw):
+        doc = ingest(projects=[ProjectRecord(raw, "p")])
+        (node,) = {t.subject for t in doc.graph}
+        assert node == Iri("urn:cloudeng:inst:project/" + quote(raw, safe=""))
+
+    def test_a_service_is_typed_and_labelled_once_per_class(self):
+        """Endpoints of one service add its type and label at the first
+        endpoint of each class, in record order."""
+        doc = ingest(endpoints=[
+            EndpointRecord("e1", "nova", "identity", "public", "https://n:1"),
+            EndpointRecord("e2", "nova", "network", "admin", "https://n:2"),
+            EndpointRecord("e3", "nova", "object-store", "public", "https://n:3"),
+            EndpointRecord("e4", "nova", "identity", "internal", "https://n:4"),
+        ])
+        service = Iri("urn:cloudeng:inst:service/nova")
+        about = [(t.predicate, t.object) for t in doc.graph if t.subject == service]
+        endpoint = [Iri(f"urn:cloudeng:inst:endpoint/e{i}") for i in range(5)]
+        assert about == [
+            (vocab.RDF_TYPE, vocab.CONTROL_INTERFACE), (vocab.RDFS_LABEL, Literal("nova")),
+            (vocab.HAS_ENDPOINT, endpoint[1]), (vocab.HAS_ENDPOINT, endpoint[2]),
+            (vocab.RDF_TYPE, vocab.DATA_INTERFACE), (vocab.HAS_ENDPOINT, endpoint[3]),
+            (vocab.HAS_ENDPOINT, endpoint[4]),
+        ]
 
     def test_one_raw_id_in_two_categories_gives_two_iris(self):
         doc = ingest(

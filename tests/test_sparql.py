@@ -636,6 +636,8 @@ def test_query_steps_match_the_token_parser(plain, data):
 _Q_MUTATIONS = list('{}.*?<>"\\#:a_- \n') + [
     "\u00e9", "\u00b2", "\u017f", "ex:", "select", "WHERE", "FILTER", "not", "EXISTS",
     "PREFIX", "\\u0041", "{ ?s ?p ?o }", "@prefix",
+    # characters the step reader's IRIREF refuses: controls, line breaks, non-ASCII
+    "\r", "\x0b", "\x1c", "\x01", "\x85", "\u00a0", "\u2028",
 ]
 
 
@@ -681,6 +683,10 @@ _EX = "PREFIX ex: <http://ex.test/>\n"
         pytest.param(_EX + "SELECT * WHERE { ?s ?p no:o }", "error", id="unknown prefix"),
         pytest.param("SELECT * WHERE { ?s ?p <> }", "error", id="empty IRI"),
         pytest.param("SELECT * WHERE { ?s ?p <http://x\r> }", "error", id="IRI with CR"),
+        pytest.param("SELECT * WHERE { ?s ?p <http://ex.test/\u00e9> }", "query",
+                     id="non-ASCII IRI"),
+        pytest.param("SELECT * WHERE { ?s ?p <http://x\x01> }", "query", id="IRI with U+0001"),
+        pytest.param("SELECT * WHERE { ?s ?p <http://x\x1c> }", "error", id="IRI with U+001C"),
         pytest.param("SELECT * WHERE { ?s ?p ?o } # end", "query", id="comment at end"),
         pytest.param("SELECT * WHERE { ?s ?p ?o } .", "error", id="trailing dot"),
         pytest.param("SELECT * WHERE { ?s ?p ?o . . }", "error", id="two dots"),
