@@ -155,10 +155,9 @@ class TestHints:
         hint names each IRI implementer once, by IRI value (`ex:a` before
         `ex:a-b`, which `term_sort_key` puts the other way round), and no
         blank one; with no prefix map an IRI is written <iri>."""
-        ex = "http://ex.test/"
-        engine, policy, standard = Iri(ex + "e"), BlankNode("p"), Iri(ex + "std")
-        implementers = [Iri(ex + "b"), BlankNode("z"), Iri(ex + "a-b"), Iri(ex + "c/d"),
-                        BlankNode("a"), Iri(ex + "a")]
+        engine, policy, standard = Iri(EX + "e"), BlankNode("p"), Iri(EX + "std")
+        implementers = [Iri(EX + "b"), BlankNode("z"), Iri(EX + "a-b"), Iri(EX + "c/d"),
+                        BlankNode("a"), Iri(EX + "a")]
         triples = [Triple(engine, HAS_SECURITY_POLICY, policy),
                    Triple(policy, COMPLIES_WITH, standard)]
         triples += [Triple(node, IMPLEMENTS_STANDARD, standard) for node in implementers]
@@ -166,14 +165,14 @@ class TestHints:
         for t in triples:
             assert not graph.add(t)
         report = coverage(graph, engine)
-        prefixes = PrefixMap({"ex": ex})
+        prefixes = PrefixMap({"ex": EX})
         hints = remediation_hints(report, graph, prefixes)
-        assert hints == [f"ex:std: implemented in the model by ex:a, ex:a-b, ex:b, <{ex}c/d>; "
+        assert hints == [f"ex:std: implemented in the model by ex:a, ex:a-b, ex:b, <{EX}c/d>; "
                          "attach one of them to ex:e"]
         assert hints == scan_hints(report, graph, prefixes)
         assert remediation_hints(report, graph) == [
-            f"<{ex}std>: implemented in the model by <{ex}a>, <{ex}a-b>, <{ex}b>, <{ex}c/d>; "
-            f"attach one of them to <{ex}e>"
+            f"<{EX}std>: implemented in the model by <{EX}a>, <{EX}a-b>, <{EX}b>, <{EX}c/d>; "
+            f"attach one of them to <{EX}e>"
         ]
 
 
