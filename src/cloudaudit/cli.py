@@ -45,9 +45,7 @@ EXIT_GAPS = 3
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_ERROR):
-        super().__init__(message)
-        self.code = code
+    """A failure `main` reports on stderr, exiting EXIT_ERROR."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -338,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except _CliError as exc:
         _diagnose(f"error: {exc}\n")
-        return exc.code
+        return EXIT_ERROR
     except MemoryError:  # e.g. a query whose answer does not fit in memory
         _diagnose("error: out of memory\n")
         return EXIT_ERROR

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 try:  # namedtuple's field descriptor: reads the item with no call in between
@@ -200,29 +200,17 @@ class Record:
     the class's own `__slots__` count, so each class names all its fields."""
 
     __slots__ = ()
-    # the class's fields as a tuple, read by one compiled getter
-    _fields = staticmethod(lambda record: ())
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        names = cls.__slots__
-        if len(names) > 1:
-            cls._fields = staticmethod(attrgetter(*names))
-        elif names:  # attrgetter of one name gives the bare value
-            field = attrgetter(*names)
-            cls._fields = staticmethod(lambda record: (field(record),))
 
     def _values(self) -> tuple:
-        return self._fields(self)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        fields = self._fields
-        return fields(self) == fields(other)
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._fields(self))
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -509,3 +497,5 @@ class PrefixMap:
     def __len__(self) -> int:
         return len(self._bindings)
 
+    def __repr__(self) -> str:
+        return f"PrefixMap({self._bindings!r})"

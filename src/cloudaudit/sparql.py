@@ -52,7 +52,6 @@ from typing import Iterator
 
 from .rdf import (
     Graph,
-    Literal,
     PatternTerm,
     PrefixMap,
     Record,
@@ -60,7 +59,9 @@ from .rdf import (
     Triple,
     TriplePattern,
     Var,
+    XSD_STRING,
     _iri,
+    _literal,
     term_json,
     term_sort_key,
 )
@@ -147,11 +148,9 @@ class _QueryParser(TokenStream):
         self.prefixes = PrefixMap()
         self.variables: set[str] = set()  # every variable the WHERE group reads
 
-    def _expect(self, kind: str) -> Token:
-        tok = self._cur()
-        if tok.kind != kind:
-            self._fail(tok, f"expected {kind!r}, found {tok.kind!r}")
-        return self._take()
+    @staticmethod
+    def _describe(tok: Token) -> str:
+        return f"{tok.kind!r}"
 
     def _keyword(self, word: str) -> Token:
         tok = self._cur()
@@ -161,13 +160,7 @@ class _QueryParser(TokenStream):
 
     def parse(self) -> Query:
         while self._cur().kind == "keyword" and self._cur().value == "prefix":
-            self._take()
-            label = self._cur()
-            if label.kind != "pname" or label.local:
-                self._fail(label, "expected a prefix label ending in ':'")
-            self._take()
-            ns = self._expect("iriref")
-            self._bind(self.prefixes, label, ns)
+            self._bind(self.prefixes, *self._prefix())
         self._keyword("select")
         projection = self._projection()
         self._keyword("where")
@@ -237,7 +230,7 @@ class _QueryParser(TokenStream):
         if tok.kind == "a" and allow_a:
             return RDF_TYPE
         if tok.kind == "string" and allow_literal:
-            return Literal(tok.value)
+            return _literal((tok.value, XSD_STRING))
         self._fail(tok, f"unsupported term here: {tok.kind!r}")
 
 

@@ -36,14 +36,17 @@ name the error and its position.
 ``a`` and strings without escapes, in ``,`` and ``;`` lists, is read by the
 step regexes (subject, predicate and object steps, each ending at its
 ``[;,.]``), which build its triples from the match groups with no Token
-objects, through `rdf`'s unchecked constructors, and add them in one
-`Graph.update`.  The checks skipped could not fail: a step IRI is a
-namespace `PrefixMap.bind` validated plus an ASCII local name, a step
-literal is a plain string, and the subject and verb are IRIs.  Any other
-statement (``[ ... ]``, ``<iri>``, integers, escapes, ``@prefix``, a
-trailing ``;``) is tokenized on its own, up to its ``.``, and parsed by the
-token parser; the two paths share the IRI table, the prefix map and the
-blank node counter.
+objects and add them in one `Graph.update`.  Any other statement
+(``[ ... ]``, ``<iri>``, integers, escapes, ``@prefix``, a trailing ``;``)
+is tokenized on its own, up to its ``.``, and parsed by the token parser;
+the two paths share the IRI table, the prefix map and the blank node
+counter.  Both build prefixed-name IRIs, literals and triples with `rdf`'s
+unchecked constructors, whose checks could not fail: a prefixed name is a
+namespace `PrefixMap.bind` validated plus an ASCII local name, a literal's
+text is a string, and the grammar puts only IRIs and blank nodes in the
+subject and only IRIs in the predicate.  Only IRIREF text is checked, by
+`Iri`, which refuses one that is empty or holds a space, ``<``, ``>`` or
+``"`` by escape.
 
 An error is raised from the statement that meets it, with one rule kept
 from lexing the whole text first: a lexical error anywhere beats a
@@ -83,12 +86,10 @@ from .rdf import (
     Graph,
     Iri,
     LOCAL_NAME,
-    Literal,
     PREFIX_LABEL,
     PrefixMap,
     Record,
     Term,
-    Triple,
     UnknownPrefixError,
     XSD_INTEGER,
     XSD_STRING,
@@ -339,7 +340,8 @@ def _lex_error(text: str, offset: int, query: bool) -> ParseError:
 
 
 class TokenStream:
-    """A cursor over the tokens of one text, shared by the Turtle and query parsers."""
+    """A cursor over the tokens of one text, with the reading rules that
+    the Turtle and query parsers share."""
 
     def __init__(self, text: str, tokens: list[Token]):
         self.text = text
@@ -362,24 +364,45 @@ class TokenStream:
     def _fail(self, tok: Token, detail: str) -> NoReturn:
         raise self._error(tok, ErrorKind.UNEXPECTED_TOKEN, detail)
 
+    def _expect(self, kind: str) -> Token:
+        """Take a token of `kind`, or fail naming the one found by `_describe`."""
+        tok = self._cur()
+        if tok.kind != kind:
+            self._fail(tok, f"expected {kind!r}, found {self._describe(tok)}")
+        return self._take()
+
+    def _pname(self, prefixes: PrefixMap, label: str, local: str) -> Iri:
+        """The IRI of a prefixed name, built unchecked: a namespace that
+        `PrefixMap.bind` validated plus an ASCII local name is a valid IRI.
+        Raises UnknownPrefixError when the label is not bound."""
+        value = prefixes.namespace(label) + local
+        return self.iris.get(value) or self.iris.setdefault(value, _iri((value,)))
+
     def _iri(self, tok: Token, prefixes: PrefixMap) -> Iri:
         """The IRI an 'iriref' or 'pname' token names."""
-        if tok.kind == "iriref":
-            value = tok.value
-        else:
+        if tok.kind == "pname":
             try:
-                value = prefixes.namespace(tok.value) + tok.local
+                return self._pname(prefixes, tok.value, tok.local)
             except UnknownPrefixError:
                 raise self._error(
                     tok, ErrorKind.UNKNOWN_PREFIX, f"prefix {tok.value!r} is not bound"
                 ) from None
-        iri = self.iris.get(value)
+        iri = self.iris.get(tok.value)
         if iri is None:
             try:
-                iri = self.iris[value] = Iri(value)
+                iri = self.iris[tok.value] = Iri(tok.value)
             except ValueError as exc:  # empty, or a space or '<', '>', '"' by escape
                 raise self._error(tok, ErrorKind.UNEXPECTED_TOKEN, str(exc)) from None
         return iri
+
+    def _prefix(self) -> tuple[Token, Token]:
+        """Read '@prefix' or PREFIX and its `label: <iri>`; those two tokens."""
+        self._take()
+        label = self._cur()
+        if label.kind != "pname" or label.local:
+            self._fail(label, "expected a prefix label ending in ':'")
+        self._take()
+        return label, self._expect("iriref")
 
     def _bind(self, prefixes: PrefixMap, label: Token, namespace: Token):
         """Bind the label of a 'pname' token to the IRI of an 'iriref' token."""
@@ -402,12 +425,6 @@ class _Parser(TokenStream):
         # step token -> term, until the next @prefix: prefixed names, 'a'
         # and plain strings as the step regexes read them
         self._terms: dict[str, Term] = {"a": RDF_TYPE}
-
-    def _expect(self, kind: str) -> Token:
-        tok = self._cur()
-        if tok.kind != kind:
-            self._fail(tok, f"expected {kind!r}, found {self._describe(tok)}")
-        return self._take()
 
     @staticmethod
     def _describe(tok: Token) -> str:
@@ -487,10 +504,9 @@ class _Parser(TokenStream):
         else:
             label, _, local = token.partition(":")
             try:
-                value = self.doc.prefixes.namespace(label) + local
+                term = self._pname(self.doc.prefixes, label, local)
             except UnknownPrefixError:
                 return None
-            term = self.iris.get(value) or self.iris.setdefault(value, _iri((value,)))
         self._terms[token] = term
         return term
 
@@ -510,14 +526,9 @@ class _Parser(TokenStream):
         return self.tokens[self.i - 1].offset + 1
 
     def _directive(self):
-        self._take()  # @prefix
-        label_tok = self._cur()
-        if label_tok.kind != "pname" or label_tok.local:
-            self._fail(label_tok, "expected a prefix label ending in ':'")
-        self._take()
-        ns = self._expect("iriref")
+        label, ns = self._prefix()
         self._expect(".")
-        self._bind(self.doc.prefixes, label_tok, ns)
+        self._bind(self.doc.prefixes, label, ns)
 
     def _statement(self):
         tok = self._cur()
@@ -552,9 +563,9 @@ class _Parser(TokenStream):
         if tok.kind in ("iriref", "pname"):
             return self._iri(tok, self.doc.prefixes)
         if tok.kind == "string":
-            return Literal(tok.value)
+            return _literal((tok.value, XSD_STRING))
         if tok.kind == "integer":
-            return Literal(tok.value, XSD_INTEGER)
+            return _literal((tok.value, XSD_INTEGER))
         self._fail(tok, f"expected an object, found {self._describe(tok)}")
 
     def _predicate_object_list(self, subject: Term):
@@ -562,7 +573,7 @@ class _Parser(TokenStream):
             verb = self._verb()
             while True:
                 obj = self._object()
-                self.doc.graph.add(Triple(subject, verb, obj))
+                self.doc.graph.add(_triple((subject, verb, obj)))
                 if self._cur().kind != ",":
                     break
                 self._take()

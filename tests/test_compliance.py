@@ -75,6 +75,20 @@ class TestCoverage:
         assert rbac_route[0].interface == ce("OCCI")
         assert rbac_route[0].linking_property == sec("enforcesAuthorization")
 
+    @pytest.mark.parametrize(
+        "via, mechanism, linking",
+        [
+            (EvidenceKind.MECHANISM, None, None),
+            (EvidenceKind.MECHANISM, sec("RBAC"), None),
+            (EvidenceKind.MECHANISM, None, MECHANISM_PROPERTIES[0]),
+            (EvidenceKind.DIRECT, sec("RBAC"), MECHANISM_PROPERTIES[0]),
+        ],
+    )
+    def test_evidence_names_a_hop_exactly_when_via_a_mechanism(self, via, mechanism, linking):
+        with pytest.raises(ValueError, match="^mechanism evidence requires mechanism and "
+                                             "linking property$"):
+            CoverageEvidence(EVENT_LOGGING, ce("OCCI"), via, mechanism, linking)
+
     def test_policy_without_standards(self):
         g = Graph([
             Triple(ce("E"), HAS_SECURITY_POLICY, sec("EmptyPolicy")),

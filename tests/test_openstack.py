@@ -362,6 +362,14 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"endpoints\[0\]\.id"):
             ingest(endpoints=[EndpointRecord("", "keystone", "identity", "public", "https://x")])
 
+    @pytest.mark.parametrize(
+        "category, record",
+        [("projects", ProjectRecord("", "demo")), ("users", UserRecord("", "alice"))],
+    )
+    def test_empty_project_or_user_id_rejected(self, category, record):
+        with pytest.raises(IngestError, match=rf"^{category}\[0\]\.id: must be non-empty$"):
+            ingest(**{category: [record]})
+
     def test_empty_endpoint_url_rejected(self):
         with pytest.raises(IngestError, match=r"^endpoints\[0\]\.url: must be non-empty$"):
             ingest(endpoints=[EndpointRecord("e1", "keystone", "identity", "public", "")])

@@ -496,6 +496,12 @@ class TestPrefixMap:
         assert str(refusal.value) == "not a prefixed name (missing ':'): 'ea'"
         assert not isinstance(refusal.value, UnknownPrefixError)
 
+    def test_repr_lists_bindings_in_binding_order(self):
+        pm = PrefixMap({"z": "http://z.test/", "a": "http://a.test/"})
+        pm.bind("z", "http://zz.test/")
+        assert repr(pm) == "PrefixMap({'z': 'http://zz.test/', 'a': 'http://a.test/'})"
+        assert repr(PrefixMap()) == "PrefixMap({})"
+
     def test_rebinding_is_last_write_wins(self):
         pm = PrefixMap()
         pm.bind("p", "http://one.test/")

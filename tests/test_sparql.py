@@ -74,6 +74,13 @@ class TestParse:
         ]
         assert not flt.inner.filters
 
+    def test_one_text_parses_to_equal_reprs(self):
+        # the prefix map prints its bindings, in binding order, not an address
+        one, two = repr(parse_query(B1_QUERY)), repr(parse_query(B1_QUERY))
+        assert one == two and "object at" not in one
+        assert ("prefixes=PrefixMap({'cloudeng': 'http://example.org/cloudengine#', "
+                "'sec': 'http://example.org/security#'})") in one
+
     def test_select_star_empty_group(self):
         q = parse_query("SELECT * WHERE { }")
         assert q.projection is None
