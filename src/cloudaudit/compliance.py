@@ -78,7 +78,7 @@ class CoverageEvidence(Record):
     def __init__(self, standard: Iri, interface: Node, via: EvidenceKind,
                  mechanism: Node | None = None, linking_property: Iri | None = None):
         mediated = via is EvidenceKind.MECHANISM
-        if mediated != (mechanism is not None and linking_property is not None):
+        if mediated != (mechanism is not None) or mediated != (linking_property is not None):
             raise ValueError("mechanism evidence requires mechanism and linking property")
         self.standard, self.interface, self.via = standard, interface, via
         self.mechanism, self.linking_property = mechanism, linking_property

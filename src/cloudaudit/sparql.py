@@ -16,18 +16,20 @@ string literals (objects).  IRIs are resolved at parse time.
 `parse_query` first reads the text with step regexes, one for
 `SELECT ... WHERE {` and one per group item (a triple pattern with its
 optional '.', `FILTER [NOT] EXISTS {`, or '}'), and builds the Query from
-the match groups with no Token objects.  They read only what programs
-write, the texts of compliance.coverage_queries among them: keywords,
-variables and IRIREFs of printable ASCII other than space, '<', '>', '"'
-and '\\', with whitespace between tokens, each token ending where the
-Turtle module's `tokenize` would end it.  Such an IRIREF is a valid IRI as
-it stands, so the step reader builds it unchecked.  Any other text (PREFIX
-lines, prefixed names, `a`, strings, comments), any other IRIREF (empty,
-escaped, or holding a control, non-ASCII or space character), nesting
-deeper than the limit or a projected variable that WHERE lacks sends the
-whole text to the token parser, which splits it with `tokenize`: that
-parser is the only one that reports errors, so they are the Turtle
-module's lexical errors and the token parser's grammar errors.
+the match groups.  They read only what programs write, the texts of
+compliance.coverage_queries among them: keywords, variables and IRIREFs
+of printable ASCII other than space, '<', '>', '"' and '\\', with
+whitespace between tokens, each token ending where the Turtle module's
+lexer would end it.  Such an IRIREF is a valid IRI as it stands, so the
+step reader builds it unchecked.  Any other text (PREFIX lines, prefixed
+names, `a`, strings, comments), any other IRIREF (empty, escaped, or
+holding a control, non-ASCII or space character), nesting deeper than the
+limit or a projected variable that WHERE lacks sends the whole text to
+the query parser, which reads the token strings of that lexer as the
+Turtle parser does.  It is the only reader that reports errors, so they
+are the lexer's lexical errors and the query parser's grammar errors, and
+a lexical error anywhere beats a grammar error.  The step regexes stay
+because that parser takes about 1.7 times as long on a coverage query.
 
 Evaluation plans each group once per query: its triple patterns are
 joined greedily, most bound positions first (constants and variables bound
@@ -65,7 +67,7 @@ from .rdf import (
     term_json,
     term_sort_key,
 )
-from .turtle import MAX_NESTING, Token, TokenStream, tokenize
+from .turtle import MAX_NESTING, ErrorKind, TokenStream, _decode, _kind, _tokens
 from .vocab import RDF_TYPE
 
 
@@ -139,109 +141,106 @@ class SolutionTable(Record):
 
 
 class _QueryParser(TokenStream):
-    """Recursive-descent parser over the shared tokenizer's query tokens:
-    keywords arrive as 'keyword' tokens with lower-cased values, variables
-    as 'var' and '*' as 'star'."""
+    """The query reader over the lexer's token strings: keywords are words
+    in any ASCII case, variables '?name' tokens and '*' the 'star' token."""
+
+    query = True
 
     def __init__(self, text: str):
-        super().__init__(text, tokenize(text, query=True))
+        super().__init__(text, iter([(0, 0, _tokens(text, 0, len(text)))]))
         self.prefixes = PrefixMap()
-        self.variables: set[str] = set()  # every variable the WHERE group reads
-
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        return f"{tok.kind!r}"
-
-    def _keyword(self, word: str) -> Token:
-        tok = self._cur()
-        if tok.kind != "keyword" or tok.value != word:
-            self._fail(tok, f"expected {word.upper()}")
-        return self._take()
+        self.terms: dict[str, PatternTerm] = {}  # variables and IRIs by their text
 
     def parse(self) -> Query:
-        while self._cur().kind == "keyword" and self._cur().value == "prefix":
-            self._bind(self.prefixes, *self._prefix())
-        self._keyword("select")
-        projection = self._projection()
-        self._keyword("where")
-        where = self._group()
-        tok = self._cur()
-        if tok.kind != "eof":
-            self._fail(tok, f"trailing content after WHERE group: {tok.kind!r}")
-        if projection is not None:
-            for name in projection:
-                if name not in self.variables:
-                    self._fail(tok, f"projected variable ?{name} never appears in WHERE")
+        run = self.run
+        if run[-1]:
+            raise self._lexical_error(0)
+        i = 0
+        while run[i].lower() == "prefix":
+            if run[i + 1][-1:] != ":":  # only a prefixed name with no local part ends so
+                self._fail(i + 1, "expected a prefix label ending in ':'")
+            if run[i + 2][:1] != "<":
+                self._fail(i + 2, f"expected 'iriref', found {_kind(run[i + 2])!r}")
+            self._bind(self.prefixes, i + 1)
+            i += 3
+        i = self._keyword(i, "select")
+        projection = None
+        if run[i] == "*":
+            i += 1
+        else:
+            projection = []
+            while run[i][:1] == "?":
+                projection.append(run[i][1:])
+                i += 1
+            if not projection:
+                self._fail(i, "expected '*' or at least one ?variable")
+        where, i = self._group(self._keyword(i, "where"), 1)
+        if run[i]:
+            self._fail(i, f"trailing content after WHERE group: {_kind(run[i])!r}")
+        for name in projection or ():
+            if "?" + name not in self.terms:
+                self._fail(i, f"projected variable ?{name} never appears in WHERE")
         return Query(prefixes=self.prefixes, projection=projection, where=where)
 
-    def _projection(self) -> list[str] | None:
-        tok = self._cur()
-        if tok.kind == "star":
-            self._take()
-            return None
-        names = []
-        while self._cur().kind == "var":
-            names.append(self._take().value)
-        if not names:
-            self._fail(self._cur(), "expected '*' or at least one ?variable")
-        return names
+    def _keyword(self, i: int, word: str) -> int:
+        if self.run[i].lower() != word:
+            self._fail(i, f"expected {word.upper()}")
+        return i + 1
 
-    def _group(self) -> GraphPattern:
-        self._enter(self._expect("{"))
+    def _group(self, i: int, depth: int) -> tuple[GraphPattern, int]:
+        """Read the group at token `i`, `depth` groups deep; the group and
+        the index after its '}'."""
+        run = self.run
+        if run[i] != "{":
+            self._fail(i, f"expected '{{', found {_kind(run[i])!r}")
+        if depth > MAX_NESTING:
+            raise self._error(i, ErrorKind.TOO_DEEP, f"groups nested deeper than {MAX_NESTING}")
         pattern = GraphPattern()
-        while True:
-            tok = self._cur()
-            if tok.kind == "}":
-                self._take()
-                self.depth -= 1
-                return pattern
-            if tok.kind == "keyword" and tok.value == "filter":
-                self._take()
-                negated = False
-                if self._cur().kind == "keyword" and self._cur().value == "not":
-                    self._take()
-                    negated = True
-                self._keyword("exists")
-                inner = self._group()
-                pattern.filters.append(
-                    FilterExistence(
-                        polarity=Polarity.NOT_EXISTS if negated else Polarity.EXISTS,
-                        inner=inner,
-                    )
-                )
+        i += 1
+        while run[i] != "}":
+            if run[i].lower() == "filter":
+                negated = run[i + 1].lower() == "not"
+                inner, i = self._group(self._keyword(i + 1 + negated, "exists"), depth + 1)
+                polarity = Polarity.NOT_EXISTS if negated else Polarity.EXISTS
+                pattern.filters.append(FilterExistence(polarity, inner))
                 continue
-            pattern.triples.append(self._triple_pattern())
-            if self._cur().kind == ".":
-                self._take()
+            subject = self._term(i, False, False)
+            predicate = self._term(i + 1, False, True)
+            obj = self._term(i + 2, True, False)
+            pattern.triples.append(TriplePattern(subject, predicate, obj))
+            i += 4 if run[i + 3] == "." else 3
+        return pattern, i + 1
 
-    def _triple_pattern(self) -> TriplePattern:
-        subject = self._pattern_term(allow_literal=False, allow_a=False)
-        predicate = self._pattern_term(allow_literal=False, allow_a=True)
-        obj = self._pattern_term(allow_literal=True, allow_a=False)
-        return TriplePattern(subject, predicate, obj)
-
-    def _pattern_term(self, allow_literal: bool, allow_a: bool) -> PatternTerm:
-        tok = self._take()
-        if tok.kind == "var":
-            self.variables.add(tok.value)
-            return Var(tok.value)
-        if tok.kind in ("iriref", "pname"):
-            return self._iri(tok, self.prefixes)
-        if tok.kind == "a" and allow_a:
+    def _term(self, i: int, allow_literal: bool, allow_a: bool) -> PatternTerm:
+        """The term at token `i`; variables and IRIs, which are valid in
+        every position, are made once per text."""
+        tok = self.run[i]
+        made = self.terms.get(tok)
+        if made is not None:
+            return made
+        c = tok[:1]
+        if c == "?":
+            made = Var(tok[1:])
+        elif c == "<" or ":" in tok and c != '"':
+            made = self._iri(i, self.prefixes)
+        elif tok == "a" and allow_a:
             return RDF_TYPE
-        if tok.kind == "string" and allow_literal:
-            return _literal((tok.value, XSD_STRING))
-        self._fail(tok, f"unsupported term here: {tok.kind!r}")
+        elif c == '"' and allow_literal:
+            return _literal((_decode(tok), XSD_STRING))
+        else:
+            self._fail(i, f"unsupported term here: {_kind(tok)!r}")
+        self.terms[tok] = made
+        return made
 
 
 def _keyword(word: str) -> str:
-    # tokenize lower-cases a word to find a keyword, which for these words
-    # is ASCII case folding: 'ſ' does not read as 's'
+    # the query parser lower-cases a word to find a keyword, which for
+    # these words is ASCII case folding: 'ſ' does not read as 's'
     return rf"(?ai:{word})(?![\w:-])"
 
 
-# The steps parse_query tries first.  Each token they read is the one
-# tokenize reads there: a variable takes every word character after '?', so
+# The steps parse_query tries first.  Each token they read is the one the
+# lexer reads there: a variable takes every word character after '?', so
 # `?xwhere` is one variable; a keyword ends before a word character, ':' or
 # '-', so `notexists` is one word.
 _VAR = r"\?\w+(?!\w)"

@@ -23,39 +23,38 @@ silently misread.
 A ``.`` terminates a statement only when followed by whitespace, ``#`` or
 end of input; that is what lets ``iso27001:A.9.4.1 .`` lex correctly.
 
-`tokenize` serves this parser and the query parser: one compiled regular
-expression with a named group per token kind, matched at a moving offset.
-The query-only tokens (``{``, ``}``, ``*``, ``?var`` and keywords) are groups
-of the same expression, and Turtle rejects them at lex time, so the first
-lexical error in a file is the one reported.  Tokens carry their character
-offset; line and column are worked out only when a ParseError is raised.
-When no token matches, `_lex_error` reads the offending construct again to
-name the error and its position.
+One lexer serves this parser and the query parser: `_TOKEN_RE`, read with
+`findall`, splits a text into token strings.  A token's kind comes from its
+first character (``<`` IRIREF, ``"`` string, ``?`` variable, a digit an
+integer, punctuation itself, and a letter, ``_`` or ``:`` a prefixed name
+if it holds a ``:`` and a word if not), and the list ends with ``''`` or,
+at the first character that starts no token, with the rest of the text.
+The query-only tokens (``{``, ``}``, ``*``, ``?var`` and keywords) lex in
+Turtle too and are lexical errors there.  Tokens carry no offset: line and
+column are worked out only when a ParseError is raised, by lexing again
+with `finditer` up to the offending token.
 
-`parse_turtle` reads a statement at a time.  A statement of prefixed names,
-``a`` and strings without escapes, in ``,`` and ``;`` lists, is read by the
-step regexes (subject, predicate and object steps, each ending at its
-``[;,.]``), which build its triples from the match groups with no Token
-objects and add them in one `Graph.update`.  Any other statement
-(``[ ... ]``, ``<iri>``, integers, escapes, ``@prefix``, a trailing ``;``)
-is tokenized on its own, up to its ``.``, and parsed by the token parser;
-the two paths share the IRI table, the prefix map and the blank node
-counter.  Both build prefixed-name IRIs, literals and triples with `rdf`'s
-unchecked constructors, whose checks could not fail: a prefixed name is a
-namespace `PrefixMap.bind` validated plus an ASCII local name, a literal's
-text is a string, and the grammar puts only IRIs and blank nodes in the
-subject and only IRIs in the predicate.  Only IRIREF text is checked, by
-`Iri`, which refuses one that is empty or holds a space, ``<``, ``>`` or
-``"`` by escape.
+`parse_turtle` lexes the text in windows of about 64 KiB, each ending
+after a line break, which no token holds, and reads their tokens in runs
+that end after a ``.`` token.  The parser passes a ``.`` only at the end of
+a statement, so no statement spans two runs, and only a window's tokens
+are held at a time.  One recursive-descent reader reads the token
+strings.  It keeps the term of each IRIREF, prefixed name, string and
+integer token by the token's text until the next ``@prefix``, and adds a
+run's triples to the graph in one `Graph.update`.  It builds prefixed-name
+IRIs, literals and triples with `rdf`'s unchecked constructors, whose
+checks could not fail: a prefixed name is a namespace `PrefixMap.bind`
+validated plus an ASCII local name, a literal's text is a string, and the
+grammar puts only IRIs and blank nodes in the subject and only IRIs in the
+predicate.  Only IRIREF text is checked, by `Iri`, which refuses one that
+is empty or holds a space, ``<``, ``>`` or ``"`` by escape.
 
-An error is raised from the statement that meets it, with one rule kept
-from lexing the whole text first: a lexical error anywhere beats a
-grammar error.  So when a statement fails, the rest of the text, from that
-statement on, is lexed a statement at a time, and its first lexical error,
-if any, is raised instead.  That is exact: every statement before was
-lexed whole, and the token parser fails at a statement's first ``.`` at
-the latest, so a grammar error is the same whether its tokens stop there
-or not.
+A lexical error anywhere beats a grammar error, as if the whole text were
+lexed first.  So when the reader fails, the lexical rules are checked over
+the tokens from the failing one to the end of the text, in text order, and
+the first lexical error found is raised in place of the grammar error.
+That is exact: the reader took every token before the failing one as
+valid.  A valid text is lexed once, and a failing one at most twice.
 
 Parsing is pure: the same input always yields the same Document, with blank
 node labels minted as b1, b2, ... in encounter order.
@@ -79,14 +78,14 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import NamedTuple, NoReturn
+from itertools import chain, islice
+from typing import Iterable, Iterator, NoReturn
 
 from .rdf import (
     BlankNode,
     Graph,
     Iri,
     LOCAL_NAME,
-    PREFIX_LABEL,
     PrefixMap,
     Record,
     Term,
@@ -145,52 +144,45 @@ class Document(Record):
         self.prefixes = PrefixMap() if prefixes is None else prefixes
 
 
-class Token(NamedTuple):
-    # iriref pname a string integer . ; , [ ] @prefix eof, and in queries
-    # also { } star var keyword
-    kind: str
-    offset: int
-    value: str = ""
-    local: str = ""  # pname only
-
-
 # The text an IRIREF or a string may hold before its closing delimiter.
 _IRI_BODY = r'<[^<>"\\ \t\n]*(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^<>"\\ \t\n]*)*'
 _STRING_BODY = r'"[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
 # \w is str.isalnum() or '_'; the first character must also be a letter or
-# '_', which tokenize checks, because some digit-like letters such as '²'
-# are neither \d nor str.isalpha().
+# '_', which _token_problem checks, because some digit-like letters such as
+# '²' are neither \d nor str.isalpha().
 _WORD = r"(?!\d)\w[\w-]*"
 # ASCII only, interior dots, never starting with '.' or '-': trailing dots
 # stay in the stream to end the statement.
 _LOCAL = rf"{LOCAL_NAME}(?!\.*[A-Za-z0-9_-])"
 
+# The one lexer of both grammars, read with findall: a match skips
+# whitespace and comments (a match with no '#' enters no repeat), and its
+# one group is a token's text: a prefixed name, a word ('a' or a query
+# keyword), punctuation, an IRIREF, a variable, a string, an integer or
+# '@prefix'.  The last two alternatives give '' at the end of the input
+# and, at the first character that starts no token, the rest of the input.
+# No token holds a line break.  No two token alternatives match at one
+# offset, so they are ordered by how often they occur, ASCII prefixed names
+# and words first.  Query-only tokens and words other than 'a' and the
+# keywords lex here and are refused by `_token_problem`.
 _TOKEN_RE = re.compile(
-    rf"""(?:\s+|\#[^\n]*)*
-    (?:(?P<pname>(?P<label>{_WORD})?:(?P<local>{_LOCAL}))
-      |(?P<punct>[.;,\[\]{{}}*])
-      |(?P<iriref>{_IRI_BODY}>)
-      |(?P<string>{_STRING_BODY}")
-      |(?P<word>{_WORD})(?![\w:-])
-      |(?P<integer>[0-9]+)
-      |(?P<var>\?\w+)
-      |(?P<directive>@prefix)(?![^\W\d_])
-      |(?P<eof>\Z)
-      |(?P<error>))""",
+    rf"""\s*(?:\#(?:[^\n]*\s*\#)*[^\n]*\s*|)
+    ([A-Za-z_][A-Za-z0-9_-]*(?::{_LOCAL}|(?![\w:-]))
+    |[.;,\[\]{{}}*]
+    |{_IRI_BODY}>
+    |\?\w+
+    |{_STRING_BODY}"
+    |(?:{_WORD})?:{_LOCAL}
+    |{_WORD}(?![\w:-])
+    |[0-9]+
+    |@prefix(?![^\W\d_])
+    |\Z
+    |[\s\S]+)""",
     re.VERBOSE,
 )
-
-# The statement steps parse_turtle tries first.  A gap is whitespace and
-# whole comment lines, so a step that fails backtracks through it once
-# instead of in every way its whitespace could be split.  Each token they
-# read is the one tokenize would read there: ASCII prefix labels only, and
-# the 'a' keyword and plain strings (no escapes) end where the words and
-# strings of _TOKEN_RE end.
-_GAP = r"\s*(?:#[^\n]*\n\s*)*"
-_PNAME = rf"{PREFIX_LABEL}:{_LOCAL}"
-_OBJECT_STEP_RE = re.compile(rf'{_GAP}({_PNAME}|"[^"\\\n]*"){_GAP}([;,.])')
-_PREDICATE_STEP_RE = re.compile(rf"{_GAP}({_PNAME}|a(?![\w:-])){_OBJECT_STEP_RE.pattern}")
-_SUBJECT_STEP_RE = re.compile(rf"{_GAP}({_PNAME}){_PREDICATE_STEP_RE.pattern}")
+# Turtle is lexed in windows of about this many characters, each ending
+# after a line break, so that only a window's tokens are held at a time.
+_WINDOW = 1 << 16
 
 # Only errors and escapes need these, so they are compiled on first use,
 # through re's cache, not at import.
@@ -199,6 +191,19 @@ _UCHAR = r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})"
 _ECHAR = r"\\(.)"
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 _KEYWORDS = {"select", "where", "filter", "not", "exists", "prefix"}
+# a token's kind, as error messages name it, by its first character;
+# words and prefixed names are told apart by `_kind`
+_KINDS = {"": "eof", "<": "iriref", '"': "string", "?": "var", "@": "@prefix", "*": "star"}
+_KINDS.update({c: c for c in ".;,[]{}"})
+_KINDS.update(dict.fromkeys("0123456789", "integer"))
+
+
+def _kind(tok: str) -> str:
+    """The kind of a token the lexer matched and `_token_problem` passes."""
+    kind = _KINDS.get(tok[:1])
+    if kind is None:
+        return "pname" if ":" in tok else "a" if tok == "a" else "keyword"
+    return kind
 
 
 def _is_word_start(word: str) -> bool:
@@ -211,85 +216,111 @@ def _unexpected_character(text: str, offset: int) -> ParseError:
     )
 
 
-def tokenize(text: str, query: bool = False, pos: int = 0, statement: bool = False) -> list[Token]:
-    """Split Turtle text, or query text when `query` is set, from offset
-    `pos` into tokens ending with an 'eof' token.  With `statement`, the
-    tokens stop after the first '.' as if the input ended there.
+def _tokens(text: str, pos: int, end: int) -> list[str]:
+    """The tokens of text[pos:end], which ends after a line break or at the
+    end of the text: a list that ends with '', or with the rest of the
+    input from the first character that starts no token."""
+    if text[end - 1:end] == "\n":
+        tokens = _TOKEN_RE.findall(text, pos, end)
+    else:
+        tokens = _TOKEN_RE.findall(text[pos:end] + "\n")
+    # input that ends with a line break ends with a non-empty match, after
+    # which findall adds an empty one at the end
+    tokens.pop()
+    return tokens
 
-    Raises ParseError at the first lexical error; in Turtle the query-only
-    tokens are lexical errors.
-    """
-    tokens: list[Token] = []
-    append = tokens.append
-    match = _TOKEN_RE.match
+
+def _runs(text: str) -> Iterator[tuple[int, int, list[str]]]:
+    """The tokens of a Turtle text, lexed a window at a time, in runs that
+    each end with a '.' token and then '', but the last, which ends with the
+    lexer's last token.  A run is (origin, skip, tokens): its tokens are the
+    lexer's matches from offset `origin` on, after the first `skip`.  The
+    parser passes a '.' only at the end of a statement, so no statement
+    spans two runs.  A window with a lexical error ends the runs."""
+    size = len(text)
+    origin = skip = pos = 0
+    carry: list[str] = []  # the tokens after the last '.'
     while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        start = m.start(kind)
-        pos = m.end()
-        if kind == "pname":
-            label = m["label"] or ""
-            if label and not _is_word_start(label):
-                raise _unexpected_character(text, start)
-            append(Token(kind, start, label, m["local"]))
-        elif kind == "punct":
-            c = text[start]
-            if c in "{}*":
-                if not query:
-                    raise _unexpected_character(text, start)
-                if c == "*":
-                    c = "star"
-            append(Token(c, start))
-            if statement and c == ".":
-                append(Token("eof", pos))
-                return tokens
-        elif kind == "iriref":
-            value = m[kind][1:-1]
-            if "\\" in value:
-                value = _unescape_iri(text, start + 1, value)
-            append(Token(kind, start, value))
-        elif kind == "string":
-            value = m[kind][1:-1]
-            if "\\" in value:
-                value = re.sub(_ECHAR, lambda e: _ESCAPES[e[1]], value)
-            append(Token(kind, start, value))
-        elif kind == "word":
-            word = m[kind]
-            if not _is_word_start(word):
-                raise _unexpected_character(text, start)
-            if query and word.lower() in _KEYWORDS:
-                append(Token("keyword", start, word.lower()))
-            elif word == "a":
-                append(Token("a", start))
-            else:
-                what = "unsupported construct" if query else "unexpected word"
-                raise ParseError.at(text, start, ErrorKind.UNEXPECTED_TOKEN, f"{what} {word!r}")
-        elif kind == "integer":
-            append(Token(kind, start, m[kind]))
-        elif kind == "var":
-            if not query:
-                raise _unexpected_character(text, start)
-            append(Token(kind, start, m[kind][1:]))
-        elif kind == "directive":
-            append(Token("@prefix", start))
-        elif kind == "eof":
-            append(Token(kind, start))
-            return tokens
+        end = text.find("\n", pos + _WINDOW) + 1 or size
+        tokens = _tokens(text, pos, end)
+        if end == size or tokens[-1]:
+            yield origin, skip, carry + tokens
+            return
+        tokens.pop()  # the '' at the window's end
+        if "." in tokens:
+            cut = len(tokens) - tokens[::-1].index(".")
+            carry.extend(tokens[:cut])
+            carry.append("")
+            yield origin, skip, carry
+            carry, origin, skip = tokens[cut:], pos, cut
         else:
-            raise _lex_error(text, start, query)
+            carry += tokens
+        pos = end
 
 
-def _unescape_iri(text: str, offset: int, value: str) -> str:
-    """Decode the \\u and \\U escapes of an IRIREF body found at `offset`."""
+def _offset(text: str, origin: int, n: int) -> int:
+    """The offset of the token of lexer match `n` from offset `origin`."""
+    return next(islice(_TOKEN_RE.finditer(text, origin), n, None)).start(1)
 
-    def uchar(u: re.Match) -> str:
+
+def _bad_escape(body: str) -> re.Match | None:
+    """The first \\u or \\U escape of an IRIREF body that is no Unicode
+    scalar value, if any."""
+    for u in re.finditer(_UCHAR, body):
         code = int(u[1] or u[2], 16)
         if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-            detail = f"{u[0]} is not a Unicode scalar value"
-            raise ParseError.at(text, offset + u.start(), ErrorKind.BAD_ESCAPE, detail)
-        return chr(code)
+            return u
+    return None
 
-    return re.sub(_UCHAR, uchar, value)
+
+def _decode(tok: str) -> str:
+    """The text of an IRIREF or string token, escapes decoded; an IRIREF's
+    must have passed `_bad_escape`."""
+    body = tok[1:-1]
+    if "\\" not in body:
+        return body
+    if tok[0] == "<":
+        return re.sub(_UCHAR, lambda u: chr(int(u[1] or u[2], 16)), body)
+    return re.sub(_ECHAR, lambda e: _ESCAPES[e[1]], body)
+
+
+def _token_problem(tok: str, query: bool) -> tuple[int, ErrorKind, str] | None:
+    """Why a token the lexer matched is a lexical error, as (its offset in
+    the token, kind, detail), or None when it is none: query-only tokens in
+    Turtle, words other than 'a' and the query keywords, prefix labels and
+    words that do not start with a letter or '_', and IRIREF escapes that
+    are no Unicode scalar value."""
+    c = tok[:1]
+    if c in '.;,[]"@0123456789':  # or '', which is in every string
+        return None
+    if c == "<":
+        u = _bad_escape(tok[1:-1]) if "\\" in tok else None
+        return u and (1 + u.start(), ErrorKind.BAD_ESCAPE, f"{u[0]} is not a Unicode scalar value")
+    if c in "{}*?" and query:
+        return None
+    if not (c == ":" or _is_word_start(c)):
+        return 0, ErrorKind.UNEXPECTED_TOKEN, f"unexpected character {c!r}"
+    if ":" in tok or tok == "a" or query and tok.lower() in _KEYWORDS:
+        return None
+    what = "unsupported construct" if query else "unexpected word"
+    return 0, ErrorKind.UNEXPECTED_TOKEN, f"{what} {tok!r}"
+
+
+def _lexical_error(
+    text: str, query: bool, runs: Iterable[tuple[int, int, list[str]]]
+) -> ParseError | None:
+    """The first lexical error among the tokens of `runs`, runs as `_runs`
+    yields them, in text order; None if there is none."""
+    for origin, skip, tokens in runs:
+        *lexed, rest = tokens
+        for k, tok in enumerate(lexed):
+            problem = _token_problem(tok, query)
+            if problem is not None:
+                delta, kind, detail = problem
+                return ParseError.at(text, _offset(text, origin, skip + k) + delta, kind, detail)
+        if rest:
+            return _lex_error(text, _offset(text, origin, skip + len(lexed)), query)
+    return None
 
 
 def _lex_error(text: str, offset: int, query: bool) -> ParseError:
@@ -340,258 +371,209 @@ def _lex_error(text: str, offset: int, query: bool) -> ParseError:
 
 
 class TokenStream:
-    """A cursor over the tokens of one text, with the reading rules that
-    the Turtle and query parsers share."""
+    """The tokens of one text, read by index, and the rules that the Turtle
+    and query parsers share.  `run` holds the tokens being read, as a run
+    of `_runs`, and `runs` yields the later ones."""
 
-    def __init__(self, text: str, tokens: list[Token]):
+    query = False  # whether the text is a query, for its lexical rules
+
+    def __init__(self, text: str, runs: Iterator[tuple[int, int, list[str]]]):
         self.text = text
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
-        self.iris: dict[str, Iri] = {}  # one Iri object per distinct IRI of the text
+        self.runs = runs
+        self.origin, self.skip, self.run = next(runs)
+        self.iris: dict[str, Iri] = {}  # one Iri object per prefixed name's IRI
 
-    def _cur(self) -> Token:
-        return self.tokens[self.i]
+    def _lexical_error(self, i: int) -> ParseError | None:
+        """The first lexical error from token `i` of the run on.  The
+        parser read every token before it as valid, so none is earlier."""
+        runs = chain([(self.origin, self.skip + i, self.run[i:])], self.runs)
+        return _lexical_error(self.text, self.query, runs)
 
-    def _take(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def _error(self, i: int, kind: ErrorKind, detail: str) -> ParseError:
+        """The error at token `i`, unless the text has a lexical error:
+        one anywhere beats a grammar error."""
+        error = self._lexical_error(i)
+        if error is None:
+            offset = _offset(self.text, self.origin, self.skip + i)
+            error = ParseError.at(self.text, offset, kind, detail)
+        return error
 
-    def _error(self, tok: Token, kind: ErrorKind, detail: str) -> ParseError:
-        return ParseError.at(self.text, tok.offset, kind, detail)
+    def _fail(self, i: int, detail: str) -> NoReturn:
+        raise self._error(i, ErrorKind.UNEXPECTED_TOKEN, detail)
 
-    def _fail(self, tok: Token, detail: str) -> NoReturn:
-        raise self._error(tok, ErrorKind.UNEXPECTED_TOKEN, detail)
-
-    def _expect(self, kind: str) -> Token:
-        """Take a token of `kind`, or fail naming the one found by `_describe`."""
-        tok = self._cur()
-        if tok.kind != kind:
-            self._fail(tok, f"expected {kind!r}, found {self._describe(tok)}")
-        return self._take()
-
-    def _pname(self, prefixes: PrefixMap, label: str, local: str) -> Iri:
-        """The IRI of a prefixed name, built unchecked: a namespace that
+    def _iri(self, i: int, prefixes: PrefixMap) -> Iri:
+        """The IRI that the IRIREF or prefixed name at token `i` names.  A
+        prefixed name's is built unchecked: a namespace that
         `PrefixMap.bind` validated plus an ASCII local name is a valid IRI.
-        Raises UnknownPrefixError when the label is not bound."""
-        value = prefixes.namespace(label) + local
-        return self.iris.get(value) or self.iris.setdefault(value, _iri((value,)))
-
-    def _iri(self, tok: Token, prefixes: PrefixMap) -> Iri:
-        """The IRI an 'iriref' or 'pname' token names."""
-        if tok.kind == "pname":
+        IRIREF text is checked by `Iri`."""
+        tok = self.run[i]
+        if tok[0] != "<":
+            label, _, local = tok.partition(":")
             try:
-                return self._pname(prefixes, tok.value, tok.local)
+                value = prefixes.namespace(label) + local
             except UnknownPrefixError:
                 raise self._error(
-                    tok, ErrorKind.UNKNOWN_PREFIX, f"prefix {tok.value!r} is not bound"
+                    i, ErrorKind.UNKNOWN_PREFIX, f"prefix {label!r} is not bound"
                 ) from None
-        iri = self.iris.get(tok.value)
-        if iri is None:
-            try:
-                iri = self.iris[tok.value] = Iri(tok.value)
-            except ValueError as exc:  # empty, or a space or '<', '>', '"' by escape
-                raise self._error(tok, ErrorKind.UNEXPECTED_TOKEN, str(exc)) from None
-        return iri
+            iris = self.iris
+            return iris.get(value) or iris.setdefault(value, _iri((value,)))
+        if "\\" in tok and _bad_escape(tok[1:-1]):
+            raise self._lexical_error(i)
+        try:
+            return Iri(_decode(tok))
+        except ValueError as exc:  # empty, or a space or '<', '>', '"' by escape
+            raise self._error(i, ErrorKind.UNEXPECTED_TOKEN, str(exc)) from None
 
-    def _prefix(self) -> tuple[Token, Token]:
-        """Read '@prefix' or PREFIX and its `label: <iri>`; those two tokens."""
-        self._take()
-        label = self._cur()
-        if label.kind != "pname" or label.local:
-            self._fail(label, "expected a prefix label ending in ':'")
-        self._take()
-        return label, self._expect("iriref")
-
-    def _bind(self, prefixes: PrefixMap, label: Token, namespace: Token):
-        """Bind the label of a 'pname' token to the IRI of an 'iriref' token."""
-        if not is_prefix_label(label.value):
-            self._fail(label, f"invalid prefix label {label.value!r}")
-        prefixes.bind(label.value, self._iri(namespace, prefixes))
-
-    def _enter(self, tok: Token):
-        """Open the '[' or '{' group that `tok` starts."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self._error(tok, ErrorKind.TOO_DEEP, f"groups nested deeper than {MAX_NESTING}")
+    def _bind(self, prefixes: PrefixMap, i: int):
+        """Bind the label token `i` declares to the IRIREF token after it."""
+        label = self.run[i][:-1]
+        if not is_prefix_label(label):
+            self._fail(i, f"invalid prefix label {label!r}")
+        prefixes.bind(label, self._iri(i + 1, prefixes))
 
 
 class _Parser(TokenStream):
-    def __init__(self, text: str, tokens: list[Token]):
-        super().__init__(text, tokens)
+    def __init__(self, text: str):
+        super().__init__(text, _runs(text))
         self.doc = Document()
-        self._bnodes = 0
-        # step token -> term, until the next @prefix: prefixed names, 'a'
-        # and plain strings as the step regexes read them
-        self._terms: dict[str, Term] = {"a": RDF_TYPE}
+        self.triples: list = []  # the run's triples, in text order
+        self.depth = 0
+        self.bnodes = 0
+        # token -> term until the next @prefix: `names` holds 'a', IRIREFs
+        # and prefixed names, `objects` the last two, strings and integers
+        self.names: dict[str, Iri] = {"a": RDF_TYPE}
+        self.objects: dict[str, Term] = {}
 
     @staticmethod
-    def _describe(tok: Token) -> str:
-        if tok.kind == "eof":
+    def _describe(tok: str) -> str:
+        kind = _kind(tok)
+        if kind == "eof":
             return "end of input"
-        return f"{tok.kind!r}" if not tok.value else f"{tok.kind} {tok.value!r}"
-
-    def _fresh_bnode(self) -> BlankNode:
-        self._bnodes += 1
-        return BlankNode(f"b{self._bnodes}")
+        if kind in ("iriref", "string"):
+            value = _decode(tok)
+        else:
+            value = tok if kind == "integer" else tok.partition(":")[0] if kind == "pname" else ""
+        return f"{kind!r}" if not value else f"{kind} {value!r}"
 
     def parse(self) -> Document:
-        """Parse the whole token list: the reference the tests hold
-        `parse_by_statement` to, documents and errors alike."""
-        while self._cur().kind != "eof":
-            if self._cur().kind == "@prefix":
-                self._directive()
-            else:
-                self._statement()
-        return self.doc
-
-    def parse_by_statement(self) -> Document:
-        """Parse the text one statement at a time: by the step regexes when
-        they match it, else through the token parser on its own tokens.
-
-        On an error, the first lexical error from the failing statement on
-        is raised in its place, as lexing the whole text first would."""
-        pos = 0
-        try:
-            while pos is not None:
-                end = self._step_statement(pos)
-                pos = self._token_statement(pos) if end is None else end
-        except ParseError:
-            while pos < len(self.text):
-                pos = tokenize(self.text, pos=pos, statement=True)[-1].offset
-            raise
-        return self.doc
-
-    def _step_statement(self, pos: int) -> int | None:
-        """Add the statement at `pos` if the step regexes read all of it:
-        prefixed names, 'a' and plain strings, with ',' and ';' lists.
-        Returns the offset after its '.', or None having added nothing."""
-        text, terms = self.text, self._terms
-        m = _SUBJECT_STEP_RE.match(text, pos)
-        if m is None:
-            return None
-        s, v, o, punct = m.groups()
-        subject = terms.get(s) or self._step_term(s)
-        verb = terms.get(v) or self._step_term(v)
-        triples = []
+        """Read the runs in turn, each into the graph in one update."""
+        graph = self.doc.graph
         while True:
-            obj = terms.get(o) or self._step_term(o)
-            if subject is None or verb is None or obj is None:
-                return None
-            triples.append(_triple((subject, verb, obj)))
-            if punct == ".":
-                break
-            if punct == ",":
-                m = _OBJECT_STEP_RE.match(text, m.end())
-                if m is None:
-                    return None
-                o, punct = m.groups()
-            else:
-                m = _PREDICATE_STEP_RE.match(text, m.end())
-                if m is None:
-                    return None
-                v, o, punct = m.groups()
-                verb = terms.get(v) or self._step_term(v)
-        self.doc.graph.update(triples)
-        return m.end()
+            if self.run[-1]:
+                raise self._lexical_error(0)
+            self._statements()
+            graph.update(self.triples)
+            self.triples.clear()
+            run = next(self.runs, None)
+            if run is None:
+                return self.doc
+            self.origin, self.skip, self.run = run
 
-    def _step_term(self, token: str) -> Term | None:
-        """The term of a prefixed name or plain string a step read, or None
-        when its prefix is not bound."""
-        if token[0] == '"':
-            term: Term = _literal((token[1:-1], XSD_STRING))
-        else:
-            label, _, local = token.partition(":")
-            try:
-                term = self._pname(self.doc.prefixes, label, local)
-            except UnknownPrefixError:
-                return None
-        self._terms[token] = term
-        return term
-
-    def _token_statement(self, pos: int) -> int | None:
-        """Parse the directive or statement at `pos` from its tokens; the
-        offset after its '.', or None at the end of the input."""
-        self.tokens = tokenize(self.text, pos=pos, statement=True)
-        self.i = 0
-        kind = self._cur().kind
-        if kind == "eof":
-            return None
-        if kind == "@prefix":
-            self._directive()
-            self._terms = {"a": RDF_TYPE}
-        else:
-            self._statement()
-        return self.tokens[self.i - 1].offset + 1
-
-    def _directive(self):
-        label, ns = self._prefix()
-        self._expect(".")
-        self._bind(self.doc.prefixes, label, ns)
-
-    def _statement(self):
-        tok = self._cur()
-        if tok.kind == "[":
-            subject = self._bnode_property_list()
-            if self._cur().kind != ".":
-                self._predicate_object_list(subject)
-        else:
-            subject = self._subject()
-            self._predicate_object_list(subject)
-        self._expect(".")
-
-    def _subject(self) -> Term:
-        tok = self._take()
-        if tok.kind in ("iriref", "pname"):
-            return self._iri(tok, self.doc.prefixes)
-        self._fail(tok, f"expected a subject, found {self._describe(tok)}")
-
-    def _verb(self) -> Iri:
-        tok = self._take()
-        if tok.kind == "a":
-            return RDF_TYPE
-        if tok.kind in ("iriref", "pname"):
-            return self._iri(tok, self.doc.prefixes)
-        self._fail(tok, f"expected a predicate, found {self._describe(tok)}")
-
-    def _object(self) -> Term:
-        tok = self._cur()
-        if tok.kind == "[":
-            return self._bnode_property_list()
-        self._take()
-        if tok.kind in ("iriref", "pname"):
-            return self._iri(tok, self.doc.prefixes)
-        if tok.kind == "string":
-            return _literal((tok.value, XSD_STRING))
-        if tok.kind == "integer":
-            return _literal((tok.value, XSD_INTEGER))
-        self._fail(tok, f"expected an object, found {self._describe(tok)}")
-
-    def _predicate_object_list(self, subject: Term):
+    def _statements(self):
+        run = self.run
+        name_of = self.names.get
+        i = 0
         while True:
-            verb = self._verb()
-            while True:
-                obj = self._object()
-                self.doc.graph.add(_triple((subject, verb, obj)))
-                if self._cur().kind != ",":
-                    break
-                self._take()
-            if self._cur().kind != ";":
-                return
-            while self._cur().kind == ";":
-                self._take()
-            if self._cur().kind in (".", "]", "eof"):
-                return  # trailing ';'
+            tok = run[i]
+            subject = name_of(tok)
+            if subject is None or tok == "a":
+                if not tok:
+                    return
+                if tok == "@prefix":
+                    i = self._directive(i)
+                    name_of = self.names.get
+                    continue
+                if tok == "[":
+                    subject, i = self._bnode(i)
+                    if run[i + 1] == ".":
+                        i += 2
+                        continue
+                else:
+                    subject = self._name(i, "a subject")
+            i = self._pairs(i + 1, subject)
+            if run[i] != ".":
+                self._fail(i, f"expected '.', found {self._describe(run[i])}")
+            i += 1
 
-    def _bnode_property_list(self) -> BlankNode:
-        self._enter(self._expect("["))
-        node = self._fresh_bnode()
-        if self._cur().kind != "]":
-            self._predicate_object_list(node)
-        self._expect("]")
+    def _directive(self, i: int) -> int:
+        """Read the '@prefix' directive at token `i`; the index after it."""
+        run = self.run
+        if run[i + 1][-1:] != ":":  # only a prefixed name with no local part ends so
+            self._fail(i + 1, "expected a prefix label ending in ':'")
+        if run[i + 2][:1] != "<":
+            self._fail(i + 2, f"expected 'iriref', found {self._describe(run[i + 2])}")
+        if run[i + 3] != ".":
+            self._fail(i + 3, f"expected '.', found {self._describe(run[i + 3])}")
+        self._bind(self.doc.prefixes, i + 1)
+        self.names, self.objects = {"a": RDF_TYPE}, {}
+        return i + 4
+
+    def _pairs(self, i: int, subject: Term) -> int:
+        """Read the predicate-object list at token `i` into triples of
+        `subject`; the index of the first token after it."""
+        run = self.run
+        name_of, object_of, add = self.names.get, self.objects.get, self.triples.append
+        verb = name_of(run[i]) or self._name(i, "a predicate")
+        while True:
+            i += 1
+            obj = object_of(run[i])
+            if obj is None:
+                obj, i = self._object(i)
+            add(_triple((subject, verb, obj)))
+            i += 1
+            tok = run[i]
+            if tok == ",":
+                continue
+            if tok != ";":
+                return i
+            i += 1
+            verb = name_of(run[i])
+            if verb is None:
+                while run[i] == ";":
+                    i += 1
+                if run[i] in (".", "]", ""):
+                    return i  # trailing ';'
+                verb = name_of(run[i]) or self._name(i, "a predicate")
+
+    def _bnode(self, i: int) -> tuple[BlankNode, int]:
+        """Read the '[ ... ]' list at token `i`; its node and the index of
+        its ']'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._error(i, ErrorKind.TOO_DEEP, f"groups nested deeper than {MAX_NESTING}")
+        self.bnodes += 1
+        node = BlankNode(f"b{self.bnodes}")
+        i += 1
+        if self.run[i] != "]":
+            i = self._pairs(i, node)
+        if self.run[i] != "]":
+            self._fail(i, f"expected ']', found {self._describe(self.run[i])}")
         self.depth -= 1
-        return node
+        return node, i
+
+    def _name(self, i: int, what: str) -> Iri:
+        """The IRI of the IRIREF or prefixed name at token `i`, where
+        `what` is expected; caches it by the token's text."""
+        tok = self.run[i]
+        if tok[:1] != "<" and (tok[:1] == '"' or ":" not in tok):
+            self._fail(i, f"expected {what}, found {self._describe(tok)}")
+        iri = self.names[tok] = self.objects[tok] = self._iri(i, self.doc.prefixes)
+        return iri
+
+    def _object(self, i: int) -> tuple[Term, int]:
+        """The object at token `i` and the index of its last token; caches
+        a term that is one token by the token's text."""
+        tok = self.run[i]
+        if tok == "[":
+            return self._bnode(i)
+        if tok[:1] == '"':
+            term: Term = _literal((_decode(tok), XSD_STRING))
+        elif "0" <= tok[:1] <= "9":
+            term = _literal((tok, XSD_INTEGER))
+        else:
+            return self._name(i, "an object"), i
+        self.objects[tok] = term
+        return term, i
 
 
 def parse_turtle(text: str) -> Document:
@@ -600,7 +582,7 @@ def parse_turtle(text: str) -> Document:
     Raises ParseError with a 1-based position for anything outside the
     supported subset.
     """
-    return _Parser(text, []).parse_by_statement()
+    return _Parser(text).parse()
 
 
 def serialize_turtle(doc: Document) -> str:

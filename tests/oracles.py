@@ -10,6 +10,7 @@ a standard-by-standard scan instead of coverage's one read per node.
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from itertools import product
 from pathlib import Path
@@ -19,6 +20,7 @@ from cloudaudit.compliance import (ComplianceReport, CoverageEvidence, CoverageS
 from cloudaudit.rdf import (BlankNode, Graph, Iri, Literal, PrefixMap, Term, Triple,
                             TriplePattern, Var, term_sort_key)
 from cloudaudit.sparql import GraphPattern, Polarity, Query
+from cloudaudit.turtle import ErrorKind
 from cloudaudit.vocab import (ATTACHMENT_PROPERTIES, COMPLIES_WITH, HAS_SECURITY_POLICY,
                               IMPLEMENTS_STANDARD, MECHANISM_PROPERTIES, RDF_TYPE, RDFS_LABEL,
                               RDFS_SUBCLASS_OF)
@@ -328,6 +330,115 @@ def table_rows(table) -> list[tuple[str, ...]]:
     return sorted(
         tuple("" if t is None else term_sort_key(t) for t in row) for row in table.rows
     )
+
+
+# The lexical rules of Turtle and query texts, restated from the reference
+# lexer, one named group per token kind matched at a moving offset.
+_O_WORD = r"(?!\d)\w[\w-]*"
+_O_LOCAL = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?(?!\.*[A-Za-z0-9_-])"
+_O_IRI = r'<[^<>"\\ \t\n]*(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^<>"\\ \t\n]*)*'
+_O_STRING = r'"[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
+_O_TOKEN = re.compile(
+    rf"""(?:\s+|\#[^\n]*)*
+    (?:(?P<pname>(?P<label>{_O_WORD})?:{_O_LOCAL})
+      |(?P<punct>[.;,\[\]{{}}*])
+      |(?P<iri>{_O_IRI}>)
+      |(?P<string>{_O_STRING}")
+      |(?P<word>{_O_WORD})(?![\w:-])
+      |(?P<integer>[0-9]+)
+      |(?P<var>\?\w+)
+      |(?P<directive>@prefix)(?![^\W\d_])
+      |(?P<end>\Z)
+      |(?P<none>))""",
+    re.VERBOSE,
+)
+_O_KEYWORDS = {"select", "where", "filter", "not", "exists", "prefix"}
+
+
+def first_lexical_error(text: str, query: bool = False) -> tuple | None:
+    """The first lexical error of a Turtle text, or of a query text when
+    `query` is set, as (ErrorKind, line, column, message); None if it has
+    none.  In Turtle the query-only tokens are lexical errors."""
+
+    def at(offset: int, kind: ErrorKind, message: str) -> tuple:
+        line_start = text.rfind("\n", 0, offset) + 1
+        return kind, text.count("\n", 0, offset) + 1, offset - line_start + 1, message
+
+    def unexpected(offset: int) -> tuple:
+        return at(offset, ErrorKind.UNEXPECTED_TOKEN, f"unexpected character {text[offset]!r}")
+
+    def starts_word(word: str) -> bool:
+        return word[0].isalpha() or word[0] == "_"
+
+    pos = 0
+    while True:
+        m = _O_TOKEN.match(text, pos)
+        kind, start, pos = m.lastgroup, m.start(m.lastgroup), m.end()
+        if kind == "end":
+            return None
+        if kind == "pname":
+            if m["label"] and not starts_word(m["label"]):
+                return unexpected(start)
+        elif kind == "punct":
+            if text[start] in "{}*" and not query:
+                return unexpected(start)
+        elif kind == "iri":
+            for u in re.finditer(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})", m[kind]):
+                code = int(u[1] or u[2], 16)
+                if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                    return at(start + u.start(), ErrorKind.BAD_ESCAPE,
+                              f"{u[0]} is not a Unicode scalar value")
+        elif kind == "word":
+            word = m[kind]
+            if not starts_word(word):
+                return unexpected(start)
+            if query and word.lower() not in _O_KEYWORDS and word != "a":
+                return at(start, ErrorKind.UNEXPECTED_TOKEN, f"unsupported construct {word!r}")
+            if not query and word != "a":
+                return at(start, ErrorKind.UNEXPECTED_TOKEN, f"unexpected word {word!r}")
+        elif kind == "var":
+            if not query:
+                return unexpected(start)
+        elif kind == "none":
+            return _no_token_at(text, start, query, at, unexpected, starts_word)
+
+
+def _no_token_at(text, offset, query, at, unexpected, starts_word) -> tuple:
+    """The lexical error at an offset where no token starts."""
+    c = text[offset]
+    if c == "<":
+        end = re.compile(_O_IRI).match(text, offset).end()
+        stop = text[end:end + 1]
+        if stop in ("", "\n"):
+            return at(end, ErrorKind.UNTERMINATED_IRI, "IRI not closed with '>'")
+        if stop != "\\":
+            return at(end, ErrorKind.UNEXPECTED_TOKEN, f"character {stop!r} not allowed inside IRI")
+        escape = text[end + 1:end + 2]
+        if escape in ("u", "U"):
+            return at(end, ErrorKind.BAD_ESCAPE, "truncated \\u escape")
+        return at(end, ErrorKind.BAD_ESCAPE, f"unsupported IRI escape \\{escape}")
+    if c == '"':
+        end = re.compile(_O_STRING).match(text, offset).end()
+        if text[end:end + 1] == "\\":
+            if end + 1 < len(text):
+                return at(end, ErrorKind.BAD_ESCAPE, f"unsupported string escape \\{text[end + 1]}")
+            end += 1
+        return at(end, ErrorKind.UNTERMINATED_STRING, "string not closed with '\"'")
+    if c == "@":
+        end = offset + 1
+        while end < len(text) and text[end].isalpha():
+            end += 1
+        if text[offset + 1:end] != "prefix":
+            return at(offset, ErrorKind.UNEXPECTED_TOKEN,
+                      f"unsupported directive '@{text[offset + 1:end]}'")
+        return unexpected(end)  # '@prefix' runs into a digit-like letter such as '²'
+    if c == "?" and query:
+        return at(offset, ErrorKind.UNEXPECTED_TOKEN, "empty variable name")
+    if c == ":" or starts_word(c):
+        local = text.index(":", offset) + 1
+        run = re.match(r"[A-Za-z0-9_.-]*", text[local:])[0].rstrip(".")
+        return at(local, ErrorKind.BAD_LOCAL_NAME, f"invalid local name {run!r}")
+    return unexpected(offset)
 
 
 def _load_generator():

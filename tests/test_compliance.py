@@ -82,6 +82,8 @@ class TestCoverage:
             (EvidenceKind.MECHANISM, sec("RBAC"), None),
             (EvidenceKind.MECHANISM, None, MECHANISM_PROPERTIES[0]),
             (EvidenceKind.DIRECT, sec("RBAC"), MECHANISM_PROPERTIES[0]),
+            (EvidenceKind.DIRECT, sec("RBAC"), None),
+            (EvidenceKind.DIRECT, None, MECHANISM_PROPERTIES[0]),
         ],
     )
     def test_evidence_names_a_hop_exactly_when_via_a_mechanism(self, via, mechanism, linking):

@@ -23,7 +23,8 @@ from cloudaudit.rdf import PrefixMap
 from cloudaudit.turtle import MAX_NESTING, ErrorKind, ParseError
 from cloudaudit.vocab import CLOUD_ENGINE, COMPLIES_WITH, IMPLEMENTS_STANDARD, RDF_TYPE
 
-from oracles import CLOUDENG, LINE_BREAKS, SEC, brute_rows, ce, sec, table_rows
+from oracles import (CLOUDENG, LINE_BREAKS, SEC, brute_rows, ce, first_lexical_error, sec,
+                     table_rows)
 
 B1_QUERY = """\
 PREFIX cloudeng: <http://example.org/cloudengine#>
@@ -531,7 +532,11 @@ def _query_texts(draw, plain: bool | None = None):
 
     A plain text is written as programs write queries: no PREFIX lines or
     comments, and only variables and IRIREFs (with and without escapes) as
-    terms.  `plain` None draws which kind."""
+    terms.  `plain` None draws which kind.
+
+    Returns the text and what it says, resolved through the prefixes it
+    binds: (projection, the WHERE tree's groups as `_groups` lists them,
+    the bindings by label), or None for a text with an unbound label."""
     if plain is None:
         plain = draw(st.booleans())
     labels = [] if plain else draw(
@@ -539,6 +544,9 @@ def _query_texts(draw, plain: bool | None = None):
     )
     tokens: list[str] = []
     used: list[str] = []
+    namespaces: dict[str, str] = {}  # label -> namespace, the last binding
+    groups: list[tuple] = []  # (depth, polarity, triple patterns) in preorder
+    unbound = False
 
     def keyword(word):
         style = draw(st.integers(0, 3))
@@ -548,23 +556,29 @@ def _query_texts(draw, plain: bool | None = None):
 
     def prefix(label):
         keyword("prefix")
-        tokens.extend([f"{label}:", f"<{draw(st.sampled_from(_Q_NAMESPACES))}>"])
+        namespaces[label] = draw(st.sampled_from(_Q_NAMESPACES))
+        tokens.extend([f"{label}:", f"<{namespaces[label]}>"])
 
     def iri():
+        nonlocal unbound
         kind = draw(st.integers(0, 9))
         local = draw(st.sampled_from(_Q_LOCALS))
         if kind == 1:
-            return f"<{draw(st.sampled_from(_Q_NAMESPACES))}\\u0041{local}>"
+            namespace = draw(st.sampled_from(_Q_NAMESPACES))
+            return f"<{namespace}\\u0041{local}>", Iri(f"{namespace}A{local}")
         if kind == 0 or plain:
-            return f"<{draw(st.sampled_from(_Q_NAMESPACES))}{local}>"
+            namespace = draw(st.sampled_from(_Q_NAMESPACES))
+            return f"<{namespace}{local}>", Iri(namespace + local)
         if kind == 2 and draw(st.integers(0, 3)) == 0:
-            return f"{_UNBOUND_LABEL}:{local}"
-        return f"{draw(st.sampled_from(labels))}:{local}"
+            unbound = True
+            return f"{_UNBOUND_LABEL}:{local}", None
+        label = draw(st.sampled_from(labels))
+        return f"{label}:{local}", Iri(namespaces[label] + local)
 
     def var():
         name = draw(st.sampled_from(_Q_VARS))
         used.append(name)
-        return "?" + name
+        return "?" + name, Var(name)
 
     def term(position):
         kind = draw(st.integers(0, 5))
@@ -573,26 +587,31 @@ def _query_texts(draw, plain: bool | None = None):
         if plain:
             return iri()
         if position == "p" and kind == 2:
-            return "a"
+            return "a", RDF_TYPE
         if position == "o" and kind == 2:
-            body = draw(st.text(alphabet='ab #.{}"\\\n\t<?', max_size=5))
+            body = written = draw(st.text(alphabet='ab #.{}"\\\n\t<?', max_size=5))
             if draw(st.booleans()) or any(c in body for c in '"\\\n'):
-                body = body.replace("\\", "\\\\").replace('"', '\\"')
-                body = body.replace("\n", "\\n").replace("\t", "\\t")
-            return f'"{body}"'
+                written = written.replace("\\", "\\\\").replace('"', '\\"')
+                written = written.replace("\n", "\\n").replace("\t", "\\t")
+            return f'"{written}"', Literal(body)
         return iri()
 
-    def group(depth):
+    def group(depth, polarity):
         tokens.append("{")
+        triples: list[TriplePattern] = []
+        groups.append((depth, polarity, triples))
         for _ in range(draw(st.integers(0, 3))):
-            if depth < 3 and draw(st.integers(0, 3)) == 0:
+            if depth < 2 and draw(st.integers(0, 3)) == 0:
                 keyword("filter")
-                if draw(st.booleans()):
+                negated = draw(st.booleans())
+                if negated:
                     keyword("not")
                 keyword("exists")
-                group(depth + 1)
+                group(depth + 1, Polarity.NOT_EXISTS if negated else Polarity.EXISTS)
                 continue
-            tokens.extend([term("s"), term("p"), term("o")])
+            (s, subject), (p, predicate), (o, obj) = term("s"), term("p"), term("o")
+            tokens.extend([s, p, o])
+            triples.append(TriplePattern(subject, predicate, obj))
             if draw(st.booleans()):
                 tokens.append(".")
         tokens.append("}")
@@ -604,7 +623,8 @@ def _query_texts(draw, plain: bool | None = None):
     keyword("select")
     select_at = len(tokens)
     keyword("where")
-    group(1)
+    group(0, None)
+    projection = None
     if used and draw(st.integers(0, 3)):
         projection = draw(st.lists(st.sampled_from(used), min_size=1, max_size=3))
         tokens[select_at:select_at] = ["?" + name for name in projection]
@@ -626,16 +646,20 @@ def _query_texts(draw, plain: bool | None = None):
             sep = draw(st.sampled_from(_Q_COMMENTS))
         text += sep + token
     ends = ["", "\n", " "] if plain else ["", "\n", " # end", "\n# end\n", "#"]
-    return text + draw(st.sampled_from(ends))
+    truth = None if unbound else (projection, groups, sorted(namespaces.items()))
+    return text + draw(st.sampled_from(ends)), truth
 
 
 @given(st.booleans(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_query_steps_match_the_token_parser(plain, data):
-    text = data.draw(_query_texts(plain))
+    text, truth = data.draw(_query_texts(plain))
     expected = _outcome(_token_parse, text)
     assert _outcome(parse_query, text) == expected
-    assert expected[0] == "query" or _UNBOUND_LABEL in text, expected
+    if truth is None:
+        assert expected[:2] == ("error", ErrorKind.UNKNOWN_PREFIX), expected
+    else:
+        assert expected == ("query", *truth)
     if plain and "\\" not in text:
         assert _step_query(text) is not None  # not left to the token parser
 
@@ -650,7 +674,8 @@ _Q_MUTATIONS = list('{}.*?<>"\\#:a_- \n') + [
 
 @given(_query_texts(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_query_steps_fail_like_the_token_parser(text, data):
+def test_query_steps_fail_like_the_token_parser(drawn, data):
+    text, _ = drawn
     k = data.draw(st.integers(0, len(text)))
     how = data.draw(st.sampled_from(["insert", "delete", "replace", "truncate", "repeat"]))
     if how == "insert":
@@ -664,7 +689,16 @@ def test_query_steps_fail_like_the_token_parser(text, data):
     else:
         j = data.draw(st.integers(k, len(text)))
         text = text[:j] + text[k:]
-    assert _outcome(parse_query, text) == _outcome(_token_parse, text)
+    outcome = _outcome(parse_query, text)
+    assert outcome == _outcome(_token_parse, text)
+    expected = first_lexical_error(text, query=True)
+    if expected is not None:
+        assert outcome == ("error", *expected)
+    elif outcome[0] == "error":
+        _, _, line, column, _ = outcome
+        assert 1 <= line <= text.count("\n") + 1 and column >= 1
+        line_start = sum(len(row) + 1 for row in text.split("\n")[:line - 1])
+        assert line_start + column - 1 <= len(text)
 
 
 _EX = "PREFIX ex: <http://ex.test/>\n"

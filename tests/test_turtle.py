@@ -3,6 +3,7 @@
 import gc
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from cloudaudit.turtle import (
 )
 from cloudaudit.vocab import RDF_TYPE, RDFS_DOMAIN, RDFS_RESOURCE, RDFS_SUBCLASS_OF
 
-from oracles import CLOUDENG, SEC, ce, gen, isomorphic, sec
+from oracles import CLOUDENG, SEC, ce, first_lexical_error, gen, isomorphic, sec
 from oracles import read_turtle as oracle_read_turtle
 
 # triple counts confirmed once against an independent statement counter
@@ -568,24 +569,11 @@ def fixtures_text(fixtures_dir):
     return (fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")
 
 
-# --- statement steps against the whole-text token parser ---------------------
+# --- generated texts against the oracles ------------------------------------
 #
-# parse_turtle reads plain statements with its step regexes and any other
-# statement from that statement's tokens.  Whatever the mix, the Document or
-# the error must be the one the token parser gives for the whole text.
-
-
-def _parse_whole_text(text: str) -> Document:
-    return turtle._Parser(text, turtle.tokenize(text)).parse()
-
-
-def _outcome(parse, text: str) -> tuple:
-    try:
-        doc = parse(text)
-    except ParseError as err:
-        return ("error", *position(err))
-    triples = [(t.subject, t.predicate, t.object) for t in doc.graph]
-    return ("document", triples, list(doc.prefixes.bindings.items()))
+# A valid text reads as perfbench/gen.py's reader reads it, and a text with a
+# lexical error fails with the first one, as oracles.first_lexical_error
+# finds it, whatever grammar error comes before it.
 
 
 def _as_oracle_triples(doc: Document) -> list[tuple]:
@@ -617,7 +605,8 @@ def _turtle_texts(draw):
     """Token lists of the supported subset, joined by random spacing and
     comments: prefixed names, IRIREFs, 'a', strings with and without
     escapes, integers, nested blank-node lists, object and predicate lists
-    with trailing ';', and @prefix directives anywhere, rebinding labels."""
+    with repeated and trailing ';', and @prefix directives anywhere,
+    rebinding labels."""
     labels = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=3, unique=True))
     tokens: list[str] = []
 
@@ -655,7 +644,7 @@ def _turtle_texts(draw):
     def predicate_objects(depth):
         for k in range(draw(st.integers(1, 3))):
             if k:
-                tokens.append(";")
+                tokens.extend([";"] * draw(st.sampled_from([1, 1, 1, 2])))
             tokens.append("a" if draw(st.integers(0, 3)) == 0 else iri())
             for j in range(draw(st.integers(1, 3))):
                 if j:
@@ -694,21 +683,10 @@ def _turtle_texts(draw):
     return text + draw(st.sampled_from(["", "\n", " # end", "\n# end\n"]))
 
 
-@given(_turtle_texts())
-@settings(max_examples=200, deadline=None)
-def test_statement_steps_match_the_token_parser(text):
-    expected = _outcome(_parse_whole_text, text)
-    assert _outcome(parse_turtle, text) == expected
-    assert expected[0] == "document", expected
-    doc = parse_turtle(text)
-    assert _as_oracle_triples(doc) == list(dict.fromkeys(oracle_read_turtle(text)))
-
-
 @given(documents())
 @settings(max_examples=60, deadline=None)
-def test_statement_steps_read_serialized_graphs(doc):
+def test_serialized_graphs_read_like_the_oracle(doc):
     text = serialize_turtle(doc)
-    assert _outcome(parse_turtle, text) == _outcome(_parse_whole_text, text)
     again = parse_turtle(text)
     # the oracle keeps an IRIREF's text as written; the writer writes a backslash as \u005C
     expected = [
@@ -736,7 +714,9 @@ def assert_checked_terms(doc: Document) -> None:
 @given(_turtle_texts())
 @settings(max_examples=200, deadline=None)
 def test_statement_steps_build_checked_terms(text):
-    assert_checked_terms(parse_turtle(text))
+    doc = parse_turtle(text)
+    assert_checked_terms(doc)
+    assert _as_oracle_triples(doc) == list(dict.fromkeys(oracle_read_turtle(text)))
 
 
 @pytest.mark.parametrize("engines, depth", [(20, 0), (6, 16), (4, 24)])
@@ -750,6 +730,29 @@ def test_generated_models_parse_to_checked_terms(fixtures_dir, engines, depth):
 
 
 _MUTATION_CHARACTERS = list('.;,[]<>"\\#@:a0_- \n') + ["\u00b2", "\u00e9", "{", "%", "\\u", ":x"]
+
+
+def _outcome(text: str) -> tuple:
+    try:
+        doc = parse_turtle(text)
+    except ParseError as err:
+        return ("error", *position(err))
+    return ("document", list(doc.graph), doc.prefixes.items())
+
+
+def assert_fails_like_the_oracle(text: str) -> None:
+    """parse_turtle raises the oracle's first lexical error if the text has
+    one, and else reads it or raises a ParseError positioned in the text."""
+    expected = first_lexical_error(text)
+    try:
+        parse_turtle(text)
+    except ParseError as err:
+        assert expected is None or position(err) == expected
+        assert 1 <= err.line <= text.count("\n") + 1 and err.column >= 1
+        line_start = sum(len(line) for line in text.split("\n")[:err.line - 1]) + err.line - 1
+        assert line_start + err.column - 1 <= len(text)
+    else:
+        assert expected is None
 
 
 @given(_turtle_texts(), st.data())
@@ -768,7 +771,11 @@ def test_statement_steps_fail_like_the_token_parser(text, data):
     else:
         j = data.draw(st.integers(k, len(text)))
         text = text[:j] + text[k:]
-    assert _outcome(parse_turtle, text) == _outcome(_parse_whole_text, text)
+    assert_fails_like_the_oracle(text)
+    # windows of a few characters cut statements and carry their tokens
+    expected = _outcome(text)
+    with mock.patch.object(turtle, "_WINDOW", data.draw(st.integers(1, 64))):
+        assert _outcome(text) == expected
 
 
 @pytest.mark.parametrize(
@@ -792,27 +799,46 @@ def test_statement_steps_fail_like_the_token_parser(text, data):
 )
 def test_a_lexical_error_beats_an_earlier_grammar_error(text, expected):
     assert position(error_for(text)) == expected
-    assert _outcome(parse_turtle, text) == _outcome(_parse_whole_text, text)
+    assert_fails_like_the_oracle(text)
 
 
-def test_an_error_is_read_from_statement_tokens_only(fixtures_dir, monkeypatch):
-    """A bad model is read once: the error comes from the statement reader,
-    which lexes a statement at a time and never the whole text."""
+class _CountingLexer:
+    """Stands in for turtle._TOKEN_RE and counts the characters that its
+    findall and finditer calls cover: a finditer covers up to the end of the
+    last match taken from it."""
+
+    def __init__(self, regex):
+        self.regex = regex
+        self.covered = 0
+
+    def findall(self, text, pos=0, endpos=None):
+        self.covered += (len(text) if endpos is None else endpos) - pos
+        return self.regex.findall(text, pos, len(text) if endpos is None else endpos)
+
+    def finditer(self, text, pos=0):
+        for m in self.regex.finditer(text, pos):
+            self.covered += m.end() - pos
+            pos = m.end()
+            yield m
+
+
+def test_a_failing_model_is_lexed_at_most_twice(fixtures_dir, monkeypatch):
+    """A valid model is lexed once, and one with a grammar error in the
+    middle and a lexical error at the end at most twice."""
     fixture = (fixtures_dir / "cloudengine.ttl").read_text(encoding="utf-8")
     model = gen.make_model(random.Random(160), fixture, gen.read_turtle(fixture), 160)
     middle = model.text.index(" .\n", len(model.text) // 2) + 3
     text = model.text[:middle] + "cloudeng:X cloudeng:y .\n" + model.text[middle:] + "e:z %\n"
-    expected = _outcome(_parse_whole_text, text)
-    calls = []
-    tokenize = turtle.tokenize
-
-    def recorder(text, query=False, pos=0, statement=False):
-        calls.append(statement)
-        return tokenize(text, query, pos, statement)
-
-    monkeypatch.setattr(turtle, "tokenize", recorder)
-    assert _outcome(parse_turtle, text) == expected
-    assert expected[0] == "error" and calls and all(calls)
+    lexer = _CountingLexer(turtle._TOKEN_RE)
+    monkeypatch.setattr(turtle, "_TOKEN_RE", lexer)
+    parse_turtle(model.text)
+    assert lexer.covered == len(model.text)
+    lexer.covered = 0
+    err = error_for(text)
+    assert position(err) == first_lexical_error(text) == (
+        UNEXPECTED, text.count("\n"), 5, "unexpected character '%'"
+    )
+    assert lexer.covered <= 2 * len(text)
 
 
 @pytest.mark.parametrize(
