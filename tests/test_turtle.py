@@ -714,9 +714,7 @@ def assert_checked_terms(doc: Document) -> None:
 @given(_turtle_texts())
 @settings(max_examples=200, deadline=None)
 def test_statement_steps_build_checked_terms(text):
-    doc = parse_turtle(text)
-    assert_checked_terms(doc)
-    assert _as_oracle_triples(doc) == list(dict.fromkeys(oracle_read_turtle(text)))
+    assert_checked_terms(parse_turtle(text))
 
 
 @pytest.mark.parametrize("engines, depth", [(20, 0), (6, 16), (4, 24)])
@@ -753,6 +751,19 @@ def assert_fails_like_the_oracle(text: str) -> None:
         assert line_start + err.column - 1 <= len(text)
     else:
         assert expected is None
+
+
+@given(_turtle_texts(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_statement_steps_match_the_token_parser(text, data):
+    """A valid text reads to the same Document whether its tokens come from
+    one window or from windows of a few characters, and to the triples that
+    perfbench/gen.py's reader finds."""
+    expected = _outcome(text)
+    assert expected[0] == "document", expected
+    with mock.patch.object(turtle, "_WINDOW", data.draw(st.integers(1, 64))):
+        assert _outcome(text) == expected
+    assert _as_oracle_triples(parse_turtle(text)) == list(dict.fromkeys(oracle_read_turtle(text)))
 
 
 @given(_turtle_texts(), st.data())
