@@ -70,21 +70,25 @@ class CoverageEvidence(Record):
 
     Direct evidence cites (interface, implementsStandard, standard);
     mechanism evidence adds the linking hop (interface, linking_property,
-    mechanism) followed by (mechanism, implementsStandard, standard).
+    mechanism) followed by (mechanism, implementsStandard, standard).  The
+    hop decides the kind: evidence is direct exactly when it names none.
     """
 
-    __slots__ = ("standard", "interface", "via", "mechanism", "linking_property")
+    __slots__ = ("standard", "interface", "mechanism", "linking_property")
 
-    def __init__(self, standard: Iri, interface: Node, via: EvidenceKind,
-                 mechanism: Node | None = None, linking_property: Iri | None = None):
-        mediated = via is EvidenceKind.MECHANISM
-        if mediated != (mechanism is not None) or mediated != (linking_property is not None):
+    def __init__(self, standard: Iri, interface: Node, mechanism: Node | None = None,
+                 linking_property: Iri | None = None):
+        if (mechanism is None) != (linking_property is None):
             raise ValueError("mechanism evidence requires mechanism and linking property")
-        self.standard, self.interface, self.via = standard, interface, via
+        self.standard, self.interface = standard, interface
         self.mechanism, self.linking_property = mechanism, linking_property
 
+    @property
+    def via(self) -> EvidenceKind:
+        return EvidenceKind.DIRECT if self.mechanism is None else EvidenceKind.MECHANISM
+
     def cited_triples(self) -> list[Triple]:
-        if self.via is EvidenceKind.DIRECT:
+        if self.mechanism is None:
             return [Triple(self.interface, IMPLEMENTS_STANDARD, self.standard)]
         return [
             Triple(self.interface, self.linking_property, self.mechanism),
@@ -93,33 +97,40 @@ class CoverageEvidence(Record):
 
     def to_json_dict(self) -> dict:
         out = {"interface": _node_text(self.interface), "via": self.via.value}
-        if self.via is EvidenceKind.MECHANISM:
+        if self.mechanism is not None:
             out["linkingProperty"] = self.linking_property.value
             out["mechanism"] = _node_text(self.mechanism)
         return out
 
 
 class StandardStatus(Record):
-    __slots__ = ("standard", "label", "state", "evidence")
+    __slots__ = ("standard", "label", "evidence")
 
-    def __init__(self, standard: Iri, label: str | None, state: CoverageState,
-                 evidence: tuple[CoverageEvidence, ...]):
-        self.standard, self.label, self.state, self.evidence = standard, label, state, evidence
+    def __init__(self, standard: Iri, label: str | None, evidence: tuple[CoverageEvidence, ...]):
+        self.standard, self.label, self.evidence = standard, label, evidence
+
+    @property
+    def state(self) -> CoverageState:
+        """Covered exactly when the standard has evidence."""
+        return CoverageState.COVERED if self.evidence else CoverageState.GAP
 
 
 class ComplianceReport(Record):
-    __slots__ = ("engine", "policy", "statuses", "gap_count", "warnings")
+    __slots__ = ("engine", "policy", "statuses", "warnings")
     __hash__ = None
 
-    def __init__(self, engine: Iri, policy: Node, statuses: list[StandardStatus], gap_count: int,
+    def __init__(self, engine: Iri, policy: Node, statuses: list[StandardStatus],
                  warnings: list[str] | None = None):
         self.engine, self.policy, self.statuses = engine, policy, statuses
-        self.gap_count = gap_count
         self.warnings = [] if warnings is None else warnings
 
     @property
     def gaps(self) -> list[Iri]:
-        return [s.standard for s in self.statuses if s.state is CoverageState.GAP]
+        return [s.standard for s in self.statuses if not s.evidence]
+
+    @property
+    def gap_count(self) -> int:
+        return sum(not s.evidence for s in self.statuses)
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,21 +151,22 @@ class ComplianceReport(Record):
 
     def to_text(self, prefixes: PrefixMap | None = None) -> str:
         show = (PrefixMap() if prefixes is None else prefixes).render
-        covered = len(self.statuses) - self.gap_count
+        gap_count = self.gap_count
+        covered = len(self.statuses) - gap_count
         lines = [
             f"engine: {show(self.engine)}",
             f"policy: {show(self.policy)}",
-            f"standards: {len(self.statuses)} declared, {covered} covered, {self.gap_count} gap(s)",
+            f"standards: {len(self.statuses)} declared, {covered} covered, {gap_count} gap(s)",
         ]
         for warning in self.warnings:
             lines.append(f"warning: {warning}")
         lines.append("")
         for status in self.statuses:
-            tag = "COVERED" if status.state is CoverageState.COVERED else "GAP    "
+            tag = "COVERED" if status.evidence else "GAP    "
             label = f"  ({one_line(status.label)})" if status.label else ""
             lines.append(f"{tag}  {show(status.standard)}{label}")
             for ev in status.evidence:
-                if ev.via is EvidenceKind.DIRECT:
+                if ev.mechanism is None:
                     lines.append(f"         via {show(ev.interface)} (direct)")
                 else:
                     lines.append(
@@ -250,32 +262,22 @@ def coverage(graph: Graph, engine: Iri) -> ComplianceReport:
     for interface in sorted(attached, key=_node_key):
         implemented, linked = read(interface)
         for standard in implemented:
-            evidence[standard].append(CoverageEvidence(standard, interface, EvidenceKind.DIRECT))
+            evidence[standard].append(CoverageEvidence(standard, interface))
         for _, mechanism, prop in linked:
             for standard in read(mechanism)[0]:
-                evidence[standard].append(
-                    CoverageEvidence(standard, interface, EvidenceKind.MECHANISM, mechanism, prop)
-                )
+                evidence[standard].append(CoverageEvidence(standard, interface, mechanism, prop))
     statuses = []
     for standard in sorted(declared):  # an Iri is the tuple (value,): by value
         labels = [obj for _, predicate, obj in about(standard)
                   if predicate == RDFS_LABEL and isinstance(obj, Literal)]
         if len(labels) > 1:
             labels.sort(key=term_sort_key)
-        found = evidence[standard]
         statuses.append(StandardStatus(
             standard=standard,
             label=labels[0].lexical if labels else None,
-            state=CoverageState.COVERED if found else CoverageState.GAP,
-            evidence=tuple(found),
+            evidence=tuple(evidence[standard]),
         ))
-    return ComplianceReport(
-        engine=engine,
-        policy=policies[0],
-        statuses=statuses,
-        gap_count=sum(s.state is CoverageState.GAP for s in statuses),
-        warnings=warnings,
-    )
+    return ComplianceReport(engine=engine, policy=policies[0], statuses=statuses, warnings=warnings)
 
 
 def remediation_hints(

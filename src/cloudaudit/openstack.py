@@ -28,8 +28,9 @@ distinct record text becomes one literal per call.
 Every IRI and literal is built by its checked constructor, and record text
 with a lone surrogate, which no UTF-8 output can hold, is refused there.
 So each triple is valid by construction: `ingest` builds it with `rdf`'s
-unchecked `_triple` and puts it straight into the new graph's triple set,
-as the Turtle reader's statement steps do.
+unchecked `_triple` and writes it straight into the new graph's triple
+set, which measured faster and with a lower memory peak than passing the
+triples to `Graph` (ROADMAP, "Measured, not worth doing").
 """
 
 from __future__ import annotations

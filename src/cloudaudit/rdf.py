@@ -487,10 +487,6 @@ class PrefixMap:
             return f'"{one_line(term.lexical)}"'
         return f"_:{term.label}"
 
-    @property
-    def bindings(self) -> dict[str, str]:
-        return dict(self._bindings)
-
     def items(self) -> list[tuple[str, str]]:
         return sorted(self._bindings.items())
 

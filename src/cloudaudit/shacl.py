@@ -88,12 +88,16 @@ class ValidationResult(Record):
 
 
 class ValidationReport(Record):
-    __slots__ = ("conforms", "results")
+    __slots__ = ("results",)
     __hash__ = None
 
-    def __init__(self, conforms: bool, results: list[ValidationResult] | None = None):
-        self.conforms = conforms
+    def __init__(self, results: list[ValidationResult] | None = None):
         self.results = [] if results is None else results
+
+    @property
+    def conforms(self) -> bool:
+        """Whether the report carries no results."""
+        return not self.results
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,4 +258,4 @@ def validate(data: Graph, shapes: list[NodeShape], class_expander: ClassExpander
                                 _violation(shape, focus, spec, ConstraintKind.CLASS, value)
                             )
     results.sort(key=ValidationResult.sort_key)
-    return ValidationReport(conforms=not results, results=results)
+    return ValidationReport(results)

@@ -151,16 +151,17 @@ class _QueryParser(TokenStream):
         self.prefixes = PrefixMap()
         self.terms: dict[str, PatternTerm] = {}  # variables and IRIs by their text
 
+    @staticmethod
+    def _describe(tok: str) -> str:
+        return repr(_kind(tok))
+
     def parse(self) -> Query:
         run = self.run
         if run[-1]:
             raise self._lexical_error(0)
         i = 0
         while run[i].lower() == "prefix":
-            if run[i + 1][-1:] != ":":  # only a prefixed name with no local part ends so
-                self._fail(i + 1, "expected a prefix label ending in ':'")
-            if run[i + 2][:1] != "<":
-                self._fail(i + 2, f"expected 'iriref', found {_kind(run[i + 2])!r}")
+            self._prefix(i + 1)
             self._bind(self.prefixes, i + 1)
             i += 3
         i = self._keyword(i, "select")
@@ -176,7 +177,7 @@ class _QueryParser(TokenStream):
                 self._fail(i, "expected '*' or at least one ?variable")
         where, i = self._group(self._keyword(i, "where"), 1)
         if run[i]:
-            self._fail(i, f"trailing content after WHERE group: {_kind(run[i])!r}")
+            self._fail(i, f"trailing content after WHERE group: {self._describe(run[i])}")
         for name in projection or ():
             if "?" + name not in self.terms:
                 self._fail(i, f"projected variable ?{name} never appears in WHERE")
@@ -192,7 +193,7 @@ class _QueryParser(TokenStream):
         the index after its '}'."""
         run = self.run
         if run[i] != "{":
-            self._fail(i, f"expected '{{', found {_kind(run[i])!r}")
+            self._fail(i, f"expected '{{', found {self._describe(run[i])}")
         if depth > MAX_NESTING:
             raise self._error(i, ErrorKind.TOO_DEEP, f"groups nested deeper than {MAX_NESTING}")
         pattern = GraphPattern()
@@ -228,7 +229,7 @@ class _QueryParser(TokenStream):
         elif c == '"' and allow_literal:
             return _literal((_decode(tok), XSD_STRING))
         else:
-            self._fail(i, f"unsupported term here: {_kind(tok)!r}")
+            self._fail(i, f"unsupported term here: {self._describe(tok)}")
         self.terms[tok] = made
         return made
 

@@ -373,7 +373,8 @@ def _lex_error(text: str, offset: int, query: bool) -> ParseError:
 class TokenStream:
     """The tokens of one text, read by index, and the rules that the Turtle
     and query parsers share.  `run` holds the tokens being read, as a run
-    of `_runs`, and `runs` yields the later ones."""
+    of `_runs`, and `runs` yields the later ones.  Each parser names a
+    token its errors found with its own `_describe`."""
 
     query = False  # whether the text is a query, for its lexical rules
 
@@ -381,7 +382,6 @@ class TokenStream:
         self.text = text
         self.runs = runs
         self.origin, self.skip, self.run = next(runs)
-        self.iris: dict[str, Iri] = {}  # one Iri object per prefixed name's IRI
 
     def _lexical_error(self, i: int) -> ParseError | None:
         """The first lexical error from token `i` of the run on.  The
@@ -415,14 +415,21 @@ class TokenStream:
                 raise self._error(
                     i, ErrorKind.UNKNOWN_PREFIX, f"prefix {label!r} is not bound"
                 ) from None
-            iris = self.iris
-            return iris.get(value) or iris.setdefault(value, _iri((value,)))
+            return _iri((value,))
         if "\\" in tok and _bad_escape(tok[1:-1]):
             raise self._lexical_error(i)
         try:
             return Iri(_decode(tok))
         except ValueError as exc:  # empty, or a space or '<', '>', '"' by escape
             raise self._error(i, ErrorKind.UNEXPECTED_TOKEN, str(exc)) from None
+
+    def _prefix(self, i: int):
+        """Fail unless token `i` is a prefix label and the token after it an
+        IRIREF, as `@prefix` and PREFIX declare them."""
+        if self.run[i][-1:] != ":":  # only a prefixed name with no local part ends so
+            self._fail(i, "expected a prefix label ending in ':'")
+        if self.run[i + 1][:1] != "<":
+            self._fail(i + 1, f"expected 'iriref', found {self._describe(self.run[i + 1])}")
 
     def _bind(self, prefixes: PrefixMap, i: int):
         """Bind the label token `i` declares to the IRIREF token after it."""
@@ -497,13 +504,9 @@ class _Parser(TokenStream):
 
     def _directive(self, i: int) -> int:
         """Read the '@prefix' directive at token `i`; the index after it."""
-        run = self.run
-        if run[i + 1][-1:] != ":":  # only a prefixed name with no local part ends so
-            self._fail(i + 1, "expected a prefix label ending in ':'")
-        if run[i + 2][:1] != "<":
-            self._fail(i + 2, f"expected 'iriref', found {self._describe(run[i + 2])}")
-        if run[i + 3] != ".":
-            self._fail(i + 3, f"expected '.', found {self._describe(run[i + 3])}")
+        self._prefix(i + 1)
+        if self.run[i + 3] != ".":
+            self._fail(i + 3, f"expected '.', found {self._describe(self.run[i + 3])}")
         self._bind(self.doc.prefixes, i + 1)
         self.names, self.objects = {"a": RDF_TYPE}, {}
         return i + 4

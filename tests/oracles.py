@@ -15,8 +15,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from cloudaudit.compliance import (ComplianceReport, CoverageEvidence, CoverageState,
-                                   EvidenceKind, StandardStatus)
+from cloudaudit.compliance import ComplianceReport, CoverageEvidence, CoverageState, StandardStatus
 from cloudaudit.rdf import (BlankNode, Graph, Iri, Literal, PrefixMap, Term, Triple,
                             TriplePattern, Var, term_sort_key)
 from cloudaudit.sparql import GraphPattern, Polarity, Query
@@ -205,24 +204,21 @@ def scan_coverage(graph: Graph, engine: Iri) -> ComplianceReport | None:
         evidence = []
         for interface in interfaces:
             if _contains(graph, interface, IMPLEMENTS_STANDARD, standard):
-                evidence.append(CoverageEvidence(standard, interface, EvidenceKind.DIRECT))
+                evidence.append(CoverageEvidence(standard, interface))
             for prop in MECHANISM_PROPERTIES:
                 for mechanism in sorted(set(_scan_objects(graph, interface, (prop,))),
                                         key=term_sort_key):
                     if _contains(graph, mechanism, IMPLEMENTS_STANDARD, standard):
-                        evidence.append(CoverageEvidence(standard, interface, EvidenceKind.MECHANISM,
-                                                         mechanism, prop))
+                        evidence.append(CoverageEvidence(standard, interface, mechanism, prop))
         labels = [o for s, p, o in graph if s == standard and p == RDFS_LABEL and isinstance(o, Literal)]
         label = sorted(labels, key=term_sort_key)[0].lexical if labels else None
-        state = CoverageState.COVERED if evidence else CoverageState.GAP
-        statuses.append(StandardStatus(standard, label, state, tuple(evidence)))
+        statuses.append(StandardStatus(standard, label, tuple(evidence)))
     warnings = []
     if len(policies) > 1:
         listed = ", ".join(map(_node_text, policies))
         warnings.append(f"engine declares multiple security policies ({listed}); "
                         "using the union of their standards")
-    gap_count = sum(s.state is CoverageState.GAP for s in statuses)
-    return ComplianceReport(engine, policies[0], statuses, gap_count, warnings)
+    return ComplianceReport(engine, policies[0], statuses, warnings)
 
 
 def scan_hints(report: ComplianceReport, graph: Graph, prefixes: PrefixMap) -> list[str]:

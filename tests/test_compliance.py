@@ -76,20 +76,17 @@ class TestCoverage:
         assert rbac_route[0].linking_property == sec("enforcesAuthorization")
 
     @pytest.mark.parametrize(
-        "via, mechanism, linking",
-        [
-            (EvidenceKind.MECHANISM, None, None),
-            (EvidenceKind.MECHANISM, sec("RBAC"), None),
-            (EvidenceKind.MECHANISM, None, MECHANISM_PROPERTIES[0]),
-            (EvidenceKind.DIRECT, sec("RBAC"), MECHANISM_PROPERTIES[0]),
-            (EvidenceKind.DIRECT, sec("RBAC"), None),
-            (EvidenceKind.DIRECT, None, MECHANISM_PROPERTIES[0]),
-        ],
+        "mechanism, linking", [(sec("RBAC"), None), (None, MECHANISM_PROPERTIES[0])],
+        ids=["mechanism only", "linking property only"],
     )
-    def test_evidence_names_a_hop_exactly_when_via_a_mechanism(self, via, mechanism, linking):
+    def test_evidence_names_a_hop_exactly_when_via_a_mechanism(self, mechanism, linking):
+        direct = CoverageEvidence(EVENT_LOGGING, ce("OCCI"))
+        assert direct.via is EvidenceKind.DIRECT
+        mediated = CoverageEvidence(EVENT_LOGGING, ce("OCCI"), sec("RBAC"), MECHANISM_PROPERTIES[0])
+        assert mediated.via is EvidenceKind.MECHANISM
         with pytest.raises(ValueError, match="^mechanism evidence requires mechanism and "
                                              "linking property$"):
-            CoverageEvidence(EVENT_LOGGING, ce("OCCI"), via, mechanism, linking)
+            CoverageEvidence(EVENT_LOGGING, ce("OCCI"), mechanism, linking)
 
     def test_policy_without_standards(self):
         g = Graph([
@@ -163,7 +160,6 @@ class TestHints:
     def test_no_gaps_no_hints(self, model_graph):
         report = coverage(model_graph, HYBRID)
         report.statuses = [s for s in report.statuses if s.state is CoverageState.COVERED]
-        report.gap_count = 0
         assert remediation_hints(report, model_graph) == []
 
     def test_each_iri_implementer_is_named_once_in_value_order(self):
@@ -463,9 +459,8 @@ def test_coverage_reads_each_visited_node_once_in_both_roles():
     report, reads = counted_coverage(graph)
     evidence = {s.standard: s.evidence for s in report.statuses}
     assert evidence == {
-        sa: (CoverageEvidence(sa, a, EvidenceKind.DIRECT),),
-        sb: (CoverageEvidence(sb, a, EvidenceKind.MECHANISM, b, MECHANISM_PROPERTIES[0]),
-             CoverageEvidence(sb, b, EvidenceKind.DIRECT)),
-        sc: (CoverageEvidence(sc, b, EvidenceKind.MECHANISM, c, MECHANISM_PROPERTIES[1]),),
+        sa: (CoverageEvidence(sa, a),),
+        sb: (CoverageEvidence(sb, a, b, MECHANISM_PROPERTIES[0]), CoverageEvidence(sb, b)),
+        sc: (CoverageEvidence(sc, b, c, MECHANISM_PROPERTIES[1]),),
     }
     assert sorted(reads) == sorted([e, p, a, b, c, sa, sb, sc])

@@ -18,6 +18,7 @@ from cloudaudit.openstack import (
     RoleAssignmentRecord,
     UserRecord,
     ingest,
+    load_json,
     parse_cli_json,
 )
 from cloudaudit.rdf import Iri, Literal, Triple, TriplePattern, Var
@@ -114,6 +115,10 @@ class TestParseCliJson:
         with pytest.raises(ValueError) as info:
             parse_cli_json(text, "bogus")
         assert str(info.value) == "unknown record kind: 'bogus'"
+
+    def test_a_lone_surrogate_escape_is_not_json(self):
+        with pytest.raises(JsonShapeError, match=r"^not valid JSON: lone surrogate '\\ud800'$"):
+            load_json('"\\ud800"')
 
     def test_assignment_blank_group_becomes_none(self):
         (record,) = parse_cli_json(
@@ -369,6 +374,11 @@ class TestIngest:
     def test_empty_project_or_user_id_rejected(self, category, record):
         with pytest.raises(IngestError, match=rf"^{category}\[0\]\.id: must be non-empty$"):
             ingest(**{category: [record]})
+
+    def test_an_invalid_instance_namespace_is_refused(self):
+        with pytest.raises(IngestError, match="^instance namespace: IRI contains forbidden "
+                                              "character ' ': 'not an iri'$"):
+            ingest(config=IngestConfig("not an iri"))
 
     def test_empty_endpoint_url_rejected(self):
         with pytest.raises(IngestError, match=r"^endpoints\[0\]\.url: must be non-empty$"):

@@ -23,6 +23,7 @@ from cloudaudit.rdf import (
     TriplePattern,
     UnknownPrefixError,
     Var,
+    XSD_INTEGER,
     one_line,
     term_sort_key,
 )
@@ -141,6 +142,14 @@ class TestTerms:
         assert len({Literal("1", integer), Literal("1")}) == 2
         assert Literal("1", Iri(integer.value)) == Literal("1", integer)
 
+    def test_literal_repr_names_a_datatype_other_than_string(self):
+        assert repr(Literal("1")) == "Literal('1')"
+        assert repr(Literal("1", XSD_INTEGER)) == f"Literal('1', {XSD_INTEGER.value!r})"
+
+    def test_empty_blank_node_label_rejected(self):
+        with pytest.raises(ValueError, match="^blank node label must be non-empty$"):
+            BlankNode("")
+
     def test_triple_wellformedness(self):
         with pytest.raises(TypeError):
             Triple(Literal("x"), IRIS[0], IRIS[1])
@@ -156,9 +165,10 @@ class TestTerms:
             (Literal, (None, Iri("http://x/t")), "lexical form must be a string"),
             (BlankNode, (5,), "label must be a string"),
             (BlankNode, (Iri("x"),), "label must be a string"),
+            (Triple, (Iri("http://x/s"), Iri("http://x/p"), "text"), "object must be a term"),
         ],
         ids=["str-datatype", "bnode-datatype", "int-lexical", "none-lexical", "int-label",
-             "iri-label"],
+             "iri-label", "str-object"],
     )
     def test_malformed_term_parts_raise_type_error(self, kind, args, message):
         with pytest.raises(TypeError, match=message):

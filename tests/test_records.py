@@ -8,7 +8,7 @@ from cloudaudit.rdf import Graph, Iri, PrefixMap, Record, TriplePattern, Var
 
 S, P, O = Iri("urn:x:s"), Iri("urn:x:p"), Iri("urn:x:o")
 PATTERN = TriplePattern(Var("s"), P, Var("o"))
-EVIDENCE = compliance.CoverageEvidence(S, O, compliance.EvidenceKind.DIRECT)
+EVIDENCE = compliance.CoverageEvidence(S, O)
 RESULT = shacl.ValidationResult(S, P, O, shacl.ConstraintKind.MIN_COUNT, "m", 0)
 
 # class -> (arguments of one instance, another value for its last field)
@@ -26,10 +26,10 @@ SAMPLES = {
     shacl.PropertyConstraint: ([P, 1, 2, O, "m"], "n"),
     shacl.NodeShape: ([S, frozenset({O}), ()], (shacl.PropertyConstraint(P),)),
     shacl.ValidationResult: ([S, P, O, shacl.ConstraintKind.MIN_COUNT, "m", 0], 1),
-    shacl.ValidationReport: ([False, []], [RESULT]),
-    compliance.CoverageEvidence: ([S, O, compliance.EvidenceKind.MECHANISM, O, P], S),
-    compliance.StandardStatus: ([S, "label", compliance.CoverageState.GAP, ()], (EVIDENCE,)),
-    compliance.ComplianceReport: ([S, O, [], 0, []], ["warning"]),
+    shacl.ValidationReport: ([[]], [RESULT]),
+    compliance.CoverageEvidence: ([S, O, O, P], S),
+    compliance.StandardStatus: ([S, "label", ()], (EVIDENCE,)),
+    compliance.ComplianceReport: ([S, O, [], []], ["warning"]),
     openstack.EndpointRecord: (["e", "nova", "compute", "public", "http://x", "r", True], False),
     openstack.ProjectRecord: (["p", "demo", "default", True], False),
     openstack.UserRecord: (["u", "alice", "default", True], False),
@@ -42,6 +42,15 @@ MUTABLE = {
     turtle.Document, reasoner.ClosureResult, sparql.FilterExistence, sparql.GraphPattern,
     sparql.Query, sparql.SolutionTable, shacl.ValidationReport, compliance.ComplianceReport,
     openstack.IngestConfig,
+}
+
+
+# the classes with a field worked out from their other fields, which cannot be set
+DERIVED = {
+    compliance.CoverageEvidence: "via",
+    compliance.StandardStatus: "state",
+    compliance.ComplianceReport: "gap_count",
+    shacl.ValidationReport: "conforms",
 }
 
 
@@ -111,3 +120,10 @@ def test_mutable_records_are_unhashable_and_the_rest_hash_by_value(cls):
     else:
         assert hash(one) == hash(cls(*args))
         assert len({one, cls(*args)}) == 1
+
+
+@pytest.mark.parametrize("derived", list(DERIVED), ids=lambda cls: cls.__name__)
+def test_a_derived_field_cannot_be_set(derived):
+    one, name = derived(*SAMPLES[derived][0]), DERIVED[derived]
+    with pytest.raises(AttributeError):
+        setattr(one, name, getattr(one, name))

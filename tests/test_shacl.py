@@ -82,7 +82,11 @@ class TestParseShapes:
                     f"  sh:property [ sh:path sec:encryptsData ; sh:minCount {count} ] .\n"
                 )
 
-    @pytest.mark.parametrize("count", ['sh:minCount "5"', 'sh:maxCount "007"'])
+    @pytest.mark.parametrize("count", [
+        'sh:minCount "5"', 'sh:maxCount "007"',
+        # digits past int()'s default limit of 4,300
+        pytest.param("sh:minCount " + "9" * 5000, id="5000-digit minCount"),
+    ])
     def test_string_count_is_an_error(self, count):
         with pytest.raises(ShapeError, match="must be a non-negative integer"):
             shapes_from(
@@ -354,7 +358,7 @@ def test_a_message_stays_on_its_line(brk):
     def report(message):
         result = ValidationResult(ce("X"), sec("p"), sec("Shape"), ConstraintKind.MIN_COUNT,
                                   message, 0)
-        return ValidationReport(False, [result])
+        return ValidationReport([result])
 
     forged = report(f"missing{brk}conforms: true")
     assert len(forged.to_text().splitlines()) == len(report("missing conforms: true").to_text().splitlines())

@@ -272,6 +272,8 @@ class TestRejections:
             _case("# comment\n  @", UNEXPECTED, 2, 3, "unsupported directive '@'"),
             _case("@prefix ex:a <http://e.test/> .",
                   UNEXPECTED, 1, 9, "expected a prefix label ending in ':'"),
+            _case("@prefix ex: <http://ex.test/> ex:a ex:b ex:c .",
+                  UNEXPECTED, 1, 31, "expected '.', found pname 'ex'"),
             # '\u00b2' is a digit to str.isdigit(), but no token starts with it
             _case("\u00b2a:b sec:p sec:o .", UNEXPECTED, 1, 1, "unexpected character '\u00b2'"),
             _case("@prefix\u00b2 ex: <http://e.test/> .",
