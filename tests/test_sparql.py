@@ -131,6 +131,10 @@ class TestParse:
             _case('SELECT * WHERE { ?s "p" ?o }', 1, 21, "unsupported term here: 'string'"),
             _case("SELECT * WHERE { ?s a ?o", 1, 25, "unsupported term here: 'eof'"),
             _case("PREFIX ex <http://x.test/>\nSELECT * WHERE { }", 1, 8, "unsupported construct 'ex'"),
+            # the prefix rule of both readers, in the query's wording
+            _case("PREFIX ex:a <http://x.test/> SELECT * WHERE { }",
+                  1, 8, "expected a prefix label ending in ':'"),
+            _case("PREFIX ex: ex:a SELECT * WHERE { }", 1, 12, "expected 'iriref', found 'pname'"),
             _case("@base <http://x.test/> SELECT * WHERE { }", 1, 1, "unsupported directive '@base'"),
             _case("SELECT * WHERE {\u00a0?s\u001c?p ?o\u2003} ORDER",
                   1, 29, "unsupported construct 'ORDER'"),

@@ -272,6 +272,7 @@ class TestRejections:
             _case("# comment\n  @", UNEXPECTED, 2, 3, "unsupported directive '@'"),
             _case("@prefix ex:a <http://e.test/> .",
                   UNEXPECTED, 1, 9, "expected a prefix label ending in ':'"),
+            _case("@prefix ex: ex:a .", UNEXPECTED, 1, 13, "expected 'iriref', found pname 'ex'"),
             _case("@prefix ex: <http://ex.test/> ex:a ex:b ex:c .",
                   UNEXPECTED, 1, 31, "expected '.', found pname 'ex'"),
             # '\u00b2' is a digit to str.isdigit(), but no token starts with it
